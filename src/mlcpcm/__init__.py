@@ -11,11 +11,10 @@ from .construction import (CodeConstruction, RankSequence, RateAllocation,
 from .mp_analysis import (channel_capacity, finite_bl_rate, level_stats,
                           noise_sigma, per_level_error_prob, q_function,
                           q_inverse, subchannel_capacity, subchannel_dispersion)
-from .mlc_system import (MlcFrame, component_codes, mlc_encode,
-                         mlc_encode_batch, mlc_encode_frame, multistage_decode,
+from .mlc_system import (component_codes, mlc_encode_batch,
                          multistage_decode_batch)
 from .polar_codec import (ComponentCode, crc_attach, crc_check, crc_len_for_k,
-                          polar_encode, scl_decode, scl_decode_batch)
+                          polar_encode, scl_decode_batch)
 from .sim import (McsEntry, MinSnrResult, SimConfig, SimCurve, SimPoint,
                   awgn_transmit, build_bler_lut, frame_rng, load_mcs_table,
                   min_required_snr, predict_bler, run_bler, run_throughput)

@@ -13,11 +13,12 @@ import sys
 import numpy as np
 
 from .constellation import build_constellation
-from .construction import (construct_ga, construct_rf1, construct_rf2,
-                           finite_bl_values, pw_sequence)
+from .construction import (DEFAULT_EPS, construct_ga, construct_rf1,
+                           construct_rf2, finite_bl_values, pw_sequence)
 from .mp_analysis import level_stats
-from .sim import (SimConfig, SimCurve, build_bler_lut, load_mcs_table,
-                  min_required_snr, run_bler, run_throughput)
+from .sim import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_ERRORS, SimConfig, SimCurve,
+                  build_bler_lut, load_mcs_table, min_required_snr, run_bler,
+                  run_throughput)
 
 
 def _parse_grid(args) -> tuple[float, ...]:
@@ -27,20 +28,25 @@ def _parse_grid(args) -> tuple[float, ...]:
                            args.snr_step))
 
 
-def _write_curve(curve: SimCurve, out: str | None) -> None:
-    if out is None:
-        return
+def _write(out: str, doc, header: list[str], rows) -> None:
+    """Write ``doc`` as .json, or ``header`` and ``rows`` as .csv."""
     if out.endswith(".json"):
         with open(out, "w") as fh:
-            json.dump(curve.to_json_dict(), fh, indent=2)
+            json.dump(doc, fh, indent=2)
     elif out.endswith(".csv"):
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["snr_db", curve.metric, "blocks", "errors"])
-            w.writerows(curve.rows())
+            w.writerow(header)
+            w.writerows(rows)
     else:
         raise SystemExit(f"unsupported output extension: {out}")
     print(f"wrote {out}")
+
+
+def _write_curve(curve: SimCurve, out: str | None) -> None:
+    if out is not None:
+        _write(out, curve.to_json_dict(),
+               ["snr_db", curve.metric, "blocks", "errors"], curve.rows())
 
 
 def _print_curve(curve: SimCurve) -> None:
@@ -75,17 +81,7 @@ def _cmd_analyze(args) -> None:
 
 
 def _write_rows(rows: list[dict], cols: list[str], out: str) -> None:
-    if out.endswith(".json"):
-        with open(out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-    elif out.endswith(".csv"):
-        with open(out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols)
-            w.writeheader()
-            w.writerows(rows)
-    else:
-        raise SystemExit(f"unsupported output extension: {out}")
-    print(f"wrote {out}")
+    _write(out, rows, cols, [[row[h] for h in cols] for row in rows])
 
 
 def _cmd_construct(args) -> None:
@@ -94,7 +90,7 @@ def _cmd_construct(args) -> None:
     if args.method == "rf1":
         cc = construct_rf1(args.m, k, args.n, seq=seq)
     elif args.method == "rf2":
-        eps = args.eps if args.eps is not None else 0.1
+        eps = args.eps if args.eps is not None else DEFAULT_EPS
         cc = construct_rf2(args.m, k, args.n, eps=eps, seq=seq)
     else:
         if args.snr_db is None or len(args.snr_db) != 1:
@@ -134,10 +130,10 @@ def _load_config(args, need_mk: bool = True) -> SimConfig:
         k=args.k if args.k is not None else raw.get("k", 0),
         snr_grid_db=tuple(grid),
         list_size=args.list_size or raw.get("list_size", 8),
-        max_blocks=args.max_blocks or raw.get("max_blocks", 100_000),
-        max_errors=args.max_errors or raw.get("max_errors", 100),
+        max_blocks=args.max_blocks or raw.get("max_blocks", DEFAULT_MAX_BLOCKS),
+        max_errors=args.max_errors or raw.get("max_errors", DEFAULT_MAX_ERRORS),
         seed=args.seed if args.seed is not None else raw.get("seed", 0),
-        eps=args.eps if args.eps is not None else raw.get("eps", 0.1),
+        eps=args.eps if args.eps is not None else raw.get("eps", DEFAULT_EPS),
     )
     if need_mk and merged["k"] == 0 and args.rate is not None:
         merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
@@ -173,20 +169,26 @@ def _cmd_minsnr(args) -> None:
     mcs = table[args.mcs_index]
     res = min_required_snr(args.method or "rf2", mcs, args.n or 256, args.target_bler,
                            list_size=args.list_size, seed=args.seed or 0,
-                           eps=args.eps if args.eps is not None else 0.1,
-                           max_blocks=args.max_blocks or 100_000,
-                           max_errors=args.max_errors or 100,
+                           eps=args.eps if args.eps is not None else DEFAULT_EPS,
+                           max_blocks=args.max_blocks or DEFAULT_MAX_BLOCKS,
+                           max_errors=args.max_errors or DEFAULT_MAX_ERRORS,
                            workers=args.workers)
     flag = "  (warning: non-monotone probes)" if res.warned else ""
     print(f"mcs {mcs.index} (m={mcs.m}, rate {mcs.rate_x1024}/1024): "
           f"required snr {res.snr_db:.3f} dB at BLER {args.target_bler}{flag}")
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p) -> None:
     p.add_argument("--config", help="JSON file with SimConfig keys")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output file (.csv or .json)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--method", choices=("rf1", "rf2", "ga"), default=None)
     p.add_argument("--m", type=int, default=0, help="bits per symbol")
     p.add_argument("--n", type=int, default=0, help="component block length")
@@ -242,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.m:
             ap.error("analyze requires --m")
         if args.eps is None:
-            args.eps = 0.1
+            args.eps = DEFAULT_EPS
     if args.command == "construct":
         if not args.m or not args.n:
             ap.error("construct requires --m and --n")

@@ -17,7 +17,7 @@ Both depend only on (m, K, N, eps) and a channel-independent rank sequence,
 never on a channel realization. Within each level the information set is the
 top-K_k slice of the rank sequence, so constructions nest as rates shrink and
 the only ordering operation over reliabilities is one sort of m level values
-(recorded in ``sort_audit`` so tests can assert the O(m) claim structurally).
+(``_order_levels``).
 
 The online baseline is a Gaussian-approximation construction: each bit level
 is replaced by a binary-input AWGN surrogate of equal capacity, mean LLRs are
@@ -47,21 +47,6 @@ GA_PHI_A = -0.4527
 GA_PHI_B = 0.86
 GA_PHI_C = 0.0218
 GA_PHI_SPLIT = 10.0
-
-
-@dataclass
-class SortAudit:
-    """Counts reliability-ordering operations done by the RF constructions."""
-
-    calls: int = 0
-    sizes: list[int] = field(default_factory=list)
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.sizes.clear()
-
-
-sort_audit = SortAudit()
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +145,6 @@ class CodeConstruction:
 
 def _order_levels(values: np.ndarray) -> list[int]:
     """Descending-value level order, ties to the smaller level index."""
-    sort_audit.calls += 1
-    sort_audit.sizes.append(len(values))
     return sorted(range(len(values)), key=lambda k: (-values[k], k))
 
 

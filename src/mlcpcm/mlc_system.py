@@ -5,13 +5,11 @@ row supplies bit k (MSB first) of every symbol label, so symbol i is
 phi(v_0[i], v_1[i], ..., v_{m-1}[i]). The receiver decodes levels in order:
 level k sees LLRs conditioned on the re-encoded hard decisions of levels
 0..k-1 (codeword-domain feedback), decodes with CA-SCL, and feeds its own
-re-encoded row forward. All internals are frame-batched; the single-frame
-operations are thin wrappers used by the public API and the CLI.
+re-encoded row forward. Encoder and decoder work on batches of frames; a
+single frame is a batch of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +18,11 @@ from .construction import CodeConstruction
 from .polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
 
 
-@dataclass(frozen=True, eq=False)
-class MlcFrame:
-    """One encoded frame: payloads, per-level codeword rows, symbols."""
-
-    payloads: tuple[np.ndarray, ...]
-    coded: np.ndarray  # (m, N) codeword rows v, level 0 = label MSB
-    symbols: np.ndarray  # (N,) complex
-    construction: CodeConstruction
-
-    def __post_init__(self):
-        if self.coded.shape != (self.construction.m, self.construction.n):
-            raise ValueError("coded rows do not match the construction shape")
-
-
 def component_codes(cons: CodeConstruction) -> tuple[ComponentCode, ...]:
     """The m component polar codes described by a construction."""
     return tuple(ComponentCode(n=cons.n, info_set=cons.info_sets[k],
                                crc_len=cons.crc_lens[k])
                  for k in range(cons.m))
-
-
-def _encode_level(payload: np.ndarray, code: ComponentCode) -> np.ndarray:
-    """(F, payload_len) payload bits -> (F, N) codeword rows."""
-    bits = crc_attach(payload) if code.crc_len else payload
-    if bits.shape[-1] != code.k:
-        raise ValueError(f"level payload length {payload.shape[-1]} does not "
-                         f"match payload_len {code.payload_len}")
-    u = np.zeros(payload.shape[:-1] + (code.n,), dtype=np.uint8)
-    u[..., code.info_set] = bits
-    return polar_encode(u)
 
 
 def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
@@ -64,27 +37,13 @@ def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
         if payloads[k].shape != (f, code.payload_len):
             raise ValueError(f"level {k} payload shape {payloads[k].shape} != "
                              f"({f}, {code.payload_len})")
-        coded[:, k] = _encode_level(payloads[k], code)
+        u = np.zeros((f, cons.n), dtype=np.uint8)
+        u[:, code.info_set] = crc_attach(payloads[k]) if code.crc_len else payloads[k]
+        coded[:, k] = polar_encode(u)
     labels = np.zeros((f, cons.n), dtype=np.int64)
     for k in range(cons.m):  # level 0 is the label MSB
         labels = (labels << 1) | coded[:, k].astype(np.int64)
     return c.points[labels], coded
-
-
-def mlc_encode(payloads: list[np.ndarray], cons: CodeConstruction,
-               c: Constellation) -> np.ndarray:
-    """Encode one frame of per-level payloads into N complex symbols."""
-    symbols, _ = mlc_encode_batch([np.asarray(p, dtype=np.uint8)[None] for p in payloads],
-                                  cons, c)
-    return symbols[0]
-
-
-def mlc_encode_frame(payloads: list[np.ndarray], cons: CodeConstruction,
-                     c: Constellation) -> MlcFrame:
-    payloads = [np.asarray(p, dtype=np.uint8) for p in payloads]
-    symbols, coded = mlc_encode_batch([p[None] for p in payloads], cons, c)
-    return MlcFrame(payloads=tuple(payloads), coded=coded[0], symbols=symbols[0],
-                    construction=cons)
 
 
 def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
@@ -95,9 +54,11 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     """Multistage CA-SCL decoding of a batch of received frames.
 
     Returns (payloads per level, crc_ok (F, m), frame_ok (F,), coded rows
-    (F, m, N)). ``feedback_override`` substitutes given rows for the
-    re-encoded decisions when forming the next level's prefix, leaving that
-    level's own outputs untouched (for error-propagation analysis).
+    (F, m, N)). frame_ok is the all-levels CRC verdict (levels without CRC
+    report True); simulations judge frames by payload equality instead.
+    ``feedback_override`` substitutes given rows for the re-encoded decisions
+    when forming the next level's prefix, leaving that level's own outputs
+    untouched (for error-propagation analysis).
     """
     y = np.asarray(y)
     f, n = y.shape
@@ -118,16 +79,3 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
             feed = feedback_override[k]
         prefix = (prefix << 1) | feed.astype(np.int64)
     return payloads, oks, oks.all(axis=1), coded
-
-
-def multistage_decode(y: np.ndarray, noise_var: float, cons: CodeConstruction,
-                      c: Constellation, list_size: int,
-                      ) -> tuple[list[np.ndarray], np.ndarray, bool]:
-    """Decode one frame; returns (per-level payloads, per-level crc_ok, frame_ok).
-
-    frame_ok is the all-levels CRC verdict (levels without CRC report True);
-    simulations judge frames by payload equality instead.
-    """
-    payloads, oks, frame_ok, _ = multistage_decode_batch(
-        np.asarray(y)[None], noise_var, cons, c, list_size)
-    return [p[0] for p in payloads], oks[0], bool(frame_ok[0])

@@ -13,9 +13,9 @@ dimension: at high SNR the log-mixture integrands develop sharp transitions
 and coarser rules leave errors around 1e-5; 256 nodes keeps the change under
 node doubling below 1e-8 everywhere on m <= 8, -10..30 dB. For square
 Gray-labeled QAM the integrand of every level depends on one noise axis only,
-so the tensor product collapses exactly to a one-dimensional rule; the generic
-two-dimensional evaluation is kept as a fallback for constellations without
-product structure and as a cross-check.
+so the tensor product collapses exactly to a one-dimensional rule; BPSK is a
+single real axis, so it takes the same rule. Constellations without product
+structure are not supported.
 
 SNR is Es/N0 in dB with unit symbol energy, so N0 = 10^(-snr_db/10) and the
 per-real-dimension noise variance is N0/2. Information is measured in bits.
@@ -125,24 +125,6 @@ def _pam_stats(amp_by_label: np.ndarray, sigma: float,
     return _info_density_moments(tables, np.arange(half), weights)
 
 
-def _stats_2d(c: Constellation, sigma: float,
-              nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Generic two-dimensional quadrature over the full constellation."""
-    t, w = hermgauss(nodes)
-    delta = np.sqrt(2.0) * sigma * (t[:, None] + 1j * t[None, :]).ravel()
-    wq = (np.outer(w, w) / np.pi).ravel()
-    y = c.points[:, None] + delta[None, :]  # (S, Q)
-    d2 = np.abs(y[..., None] - c.points) ** 2
-    tables = [None] * (c.m + 1)
-    cur = -d2 / (2.0 * sigma**2)
-    tables[c.m] = cur
-    for d in range(c.m - 1, -1, -1):
-        cur = np.logaddexp(cur[..., 0::2], cur[..., 1::2])
-        tables[d] = cur
-    weights = np.full((c.order, 1), 1.0 / c.order) * wq[None, :]
-    return _info_density_moments(tables, np.arange(c.order), weights)
-
-
 def level_stats(c: Constellation, snr_db: float,
                 nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray, float]:
     """(I(W_k) for k=1..m, V(W_k) for k=1..m, I(X;Y)) at the given SNR.
@@ -150,18 +132,15 @@ def level_stats(c: Constellation, snr_db: float,
     For square Gray QAM the odd levels are the in-phase axis subchannels and
     the even levels the quadrature ones; the two axes carry the same PAM, so
     levels pair up with equal statistics and I(X;Y) is twice the axis total.
+    BPSK is the one-axis case: its imaginary noise carries no information.
     """
     key = (c.name, float(snr_db), nodes)
     if key in _stats_cache:
         return _stats_cache[key]
     sigma = noise_sigma(snr_db)
-    if c.axis_amps is not None and c.m % 2 == 0:
-        cap_ax, disp_ax, tot_ax = _pam_stats(c.axis_amp_by_label(), sigma, nodes)
-        cap = np.repeat(cap_ax, 2)
-        disp = np.repeat(disp_ax, 2)
-        total = 2.0 * tot_ax
-    else:
-        cap, disp, total = _stats_2d(c, sigma, nodes)
+    cap, disp, total = _pam_stats(c.axis_amp_by_label(), sigma, nodes)
+    if c.m > 1:  # square QAM: two identical axes, levels interleaved
+        cap, disp, total = np.repeat(cap, 2), np.repeat(disp, 2), 2.0 * total
     # quadrature roundoff can leave tiny negatives on saturated levels
     disp = np.maximum(disp, 0.0)
     out = (cap, disp, total)

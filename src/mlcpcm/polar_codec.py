@@ -18,7 +18,6 @@ the list dimension, so Monte Carlo runs decode hundreds of frames per pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,13 +99,6 @@ def crc_check(bits: np.ndarray) -> bool | np.ndarray:
     """True where the trailing 16 bits are the CRC of the leading ones."""
     ok = _crc16_register(np.asarray(bits, dtype=np.int8)) == 0
     return bool(ok) if ok.ndim == 0 else ok
-
-
-class DecodeResult(NamedTuple):
-    payload: np.ndarray
-    codeword: np.ndarray
-    crc_ok: bool
-    metric: float
 
 
 def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,11 +205,3 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     best = np.argmin(key, axis=1)  # first minimum: smaller path index wins
     payload = info[fidx, best, :code.payload_len]
     return (payload, xhat[fidx, best], ok[fidx, best], pm[fidx, best])
-
-
-def scl_decode(llrs: np.ndarray, code: ComponentCode,
-               list_size: int) -> DecodeResult:
-    """CA-SCL decode of a single LLR vector."""
-    payload, codeword, ok, metric = scl_decode_batch(
-        np.asarray(llrs)[None, :], code, list_size)
-    return DecodeResult(payload[0], codeword[0], bool(ok[0]), float(metric[0]))

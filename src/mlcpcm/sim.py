@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import groupby
@@ -22,8 +24,8 @@ from itertools import groupby
 import numpy as np
 
 from .constellation import Constellation, build_constellation
-from .construction import (CodeConstruction, construct_ga, construct_rf1,
-                           construct_rf2, solve_snr_capacity)
+from .construction import (DEFAULT_EPS, CodeConstruction, construct_ga,
+                           construct_rf1, construct_rf2, solve_snr_capacity)
 from .mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 
 SNR_CLIP_DB = 200.0
@@ -77,6 +79,22 @@ def load_mcs_table(path=None) -> tuple[McsEntry, ...]:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One link simulation. Fields:
+
+    method       "rf1", "rf2" or "ga" (ga is rebuilt at every SNR point)
+    m, n, k      bits per symbol, component block length N and total
+                 information bits K (CRC included); run_throughput ignores
+                 m and k, which the MCS table sets per frame
+    snr_grid_db  strictly increasing Es/N0 points in dB (mean SNRs for fading)
+    list_size    SCL list size, a power of two
+    max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
+    max_errors   frame errors that end a BLER point early; throughput runs
+                 always simulate max_blocks frames
+    seed         simulation seed in [0, 2^64)
+    eps          the rf2 frame error target, and in run_throughput also the
+                 predicted-BLER limit of the MCS choice
+    """
+
     method: str
     m: int
     n: int
@@ -86,7 +104,7 @@ class SimConfig:
     max_blocks: int = DEFAULT_MAX_BLOCKS
     max_errors: int = DEFAULT_MAX_ERRORS
     seed: int = 0
-    eps: float = 0.1
+    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -97,6 +115,10 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", grid)
         if self.max_blocks < 1 or self.max_errors < 1:
             raise ValueError("block and error budgets must be at least 1")
+        if self.max_blocks > 1 << 32:
+            raise ValueError("max_blocks above 2^32 overflows the frame index")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2^64)")
         if self.list_size < 1 or self.list_size & (self.list_size - 1):
             raise ValueError("list size must be a power of two")
 
@@ -160,27 +182,67 @@ def _batch_size(m: int, n: int, cap: int) -> int:
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16, min(512, max(cap, 1))))
 
 
-def _bler_chunk(cons: CodeConstruction, c: Constellation, list_size: int,
-                snr_db: float, seed: int, snr_idx: int, start: int,
-                count: int) -> np.ndarray:
-    """Simulate frames [start, start+count) of one SNR point; per-frame error flags."""
-    codes = component_codes(cons)
-    lens = [code.payload_len for code in codes]
-    rngs = [frame_rng(seed, snr_idx, start + i) for i in range(count)]
-    payloads = [np.empty((count, pk), dtype=np.uint8) for pk in lens]
+def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
+                  snr_db: float, rngs: list[np.random.Generator],
+                  gains: np.ndarray | None = None) -> np.ndarray:
+    """Send one frame per substream through the link; per-frame error flags.
+
+    Each frame draws its payload bits level by level, then its noise. With
+    ``gains`` (one complex coefficient per frame) the symbols are scaled by
+    the fading and the receiver decodes y/g at noise variance N0/|g|^2.
+    """
+    lens = [code.payload_len for code in component_codes(cons)]
+    payloads = [np.empty((len(rngs), pk), dtype=np.uint8) for pk in lens]
     for i, rng in enumerate(rngs):
         for k, pk in enumerate(lens):
             payloads[k][i] = rng.integers(0, 2, pk, dtype=np.uint8)
     symbols, _ = mlc_encode_batch(payloads, cons, c)
+    if gains is not None:
+        symbols = gains[:, None] * symbols
     y = np.empty_like(symbols)
     for i, rng in enumerate(rngs):
         y[i] = awgn_transmit(symbols[i], snr_db, rng)
     noise_var = 10.0 ** (-min(snr_db, SNR_CLIP_DB) / 10.0)
+    if gains is not None:
+        y = y / gains[:, None]
+        noise_var = noise_var / np.maximum(np.abs(gains) ** 2, 1e-30)[:, None]
     dec, _, _, _ = multistage_decode_batch(y, noise_var, cons, c, list_size)
-    err = np.zeros(count, dtype=bool)
+    err = np.zeros(len(rngs), dtype=bool)
     for k in range(cons.m):
         err |= np.any(dec[k] != payloads[k], axis=1)
     return err
+
+
+def _bler_chunk(cons: CodeConstruction, c: Constellation, list_size: int,
+                snr_db: float, seed: int, snr_idx: int, start: int,
+                count: int) -> np.ndarray:
+    """Simulate frames [start, start+count) of one SNR point; per-frame error flags."""
+    rngs = [frame_rng(seed, snr_idx, start + i) for i in range(count)]
+    return _frame_errors(cons, c, list_size, snr_db, rngs)
+
+
+def _in_order(fn, arg_list: list[tuple], workers: int):
+    """Yield fn(*args) for each entry of arg_list, in list order.
+
+    With workers > 1 the calls run in a process pool, at most workers + 1 in
+    flight; closing the generator cancels those not yet started.
+    """
+    if workers <= 1:
+        for args in arg_list:
+            yield fn(*args)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        try:
+            for args in arg_list:
+                pending.append(pool.submit(fn, *args))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for f in pending:
+                f.cancel()
 
 
 def _consume(flags: np.ndarray, blocks: int, errors: int,
@@ -198,30 +260,11 @@ def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
                     workers: int) -> SimPoint:
     blocks = errors = 0
     batch = _batch_size(cfg.m, cfg.n, cfg.max_blocks)
-    args = []
-    start = 0
-    while start < cfg.max_blocks:
-        count = min(batch, cfg.max_blocks - start)
-        args.append((cons, c, cfg.list_size, snr_db, cfg.seed, snr_idx, start, count))
-        start += count
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[int, object] = {}
-            done = False
-            i = 0
-            while not done and (i < len(args) or futures):
-                while i < len(args) and len(futures) <= workers:
-                    futures[i] = pool.submit(_bler_chunk, *args[i])
-                    i += 1
-                j = min(futures)  # consume strictly in frame-index order
-                flags = futures.pop(j).result()
-                blocks, errors, done = _consume(flags, blocks, errors,
-                                                cfg.max_errors)
-            for f in futures.values():
-                f.cancel()
-    else:
-        for a in args:
-            flags = _bler_chunk(*a)
+    args = [(cons, c, cfg.list_size, snr_db, cfg.seed, snr_idx, start,
+             min(batch, cfg.max_blocks - start))
+            for start in range(0, cfg.max_blocks, batch)]
+    with closing(_in_order(_bler_chunk, args, workers)) as chunks:
+        for flags in chunks:
             blocks, errors, done = _consume(flags, blocks, errors, cfg.max_errors)
             if done:
                 break
@@ -261,7 +304,7 @@ def _log_bler(p: SimPoint) -> float:
 
 
 def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
-                     list_size: int = 8, seed: int = 0, eps: float = 0.1,
+                     list_size: int = 8, seed: int = 0, eps: float = DEFAULT_EPS,
                      max_blocks: int = DEFAULT_MAX_BLOCKS,
                      max_errors: int = DEFAULT_MAX_ERRORS,
                      workers: int = 1) -> MinSnrResult:
@@ -346,7 +389,7 @@ def predict_bler(curve: SimCurve, snr_db: float) -> float:
 
 def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
                    span_db: float = 6.0, step_db: float = 1.0,
-                   list_size: int = 8, seed: int = 0, eps: float = 0.1,
+                   list_size: int = 8, seed: int = 0, eps: float = DEFAULT_EPS,
                    max_blocks: int = DEFAULT_MAX_BLOCKS,
                    max_errors: int = DEFAULT_MAX_ERRORS,
                    workers: int = 1) -> dict[int, SimCurve]:
@@ -380,6 +423,45 @@ def _select_mcs(mcs_table: tuple[McsEntry, ...], lut: dict[int, SimCurve],
     return best
 
 
+def _throughput_chunk(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
+                      bler_lut: dict[int, SimCurve],
+                      rf_cons: dict[int, CodeConstruction] | None, snr_idx: int,
+                      start: int, count: int) -> tuple[int, int]:
+    """Frames [start, start+count) of one mean SNR; (delivered bits, errors).
+
+    Each frame draws its fading coefficient first and gets the MCS chosen
+    for its instantaneous SNR. ``rf_cons`` maps MCS index to its offline
+    construction; None means GA, constructed per frame at that SNR. Frames
+    sharing a construction decode as one batch, so GA frames decode singly.
+    """
+    mean_snr = cfg.snr_grid_db[snr_idx]
+    c_by_m = {mcs.m: build_constellation(mcs.m) for mcs in mcs_table}
+    picks = []
+    for i in range(count):
+        rng = frame_rng(cfg.seed, snr_idx, start + i)
+        hr, hi = rng.standard_normal(2)
+        h = complex(hr, hi) / np.sqrt(2.0)
+        inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, 1e-30))
+        mcs = _select_mcs(mcs_table, bler_lut, inst, cfg.eps)
+        c = c_by_m[mcs.m]
+        cons = rf_cons[mcs.index] if rf_cons is not None else build_construction(
+            "ga", c, mcs.k_for(cfg.n), cfg.n, cfg.eps, inst)
+        picks.append((mcs.index, cons, c, rng, h))
+    picks.sort(key=lambda p: p[0])
+    groups = [list(g) for _, g in groupby(picks, key=lambda p: p[0])]
+    if rf_cons is None:
+        groups = [[p] for g in groups for p in g]
+    delivered = errors = 0
+    for group in groups:
+        _, cons, c, _, _ = group[0]
+        gains = np.array([p[4] for p in group], dtype=np.complex128)
+        err = _frame_errors(cons, c, cfg.list_size, mean_snr,
+                            [p[3] for p in group], gains)
+        delivered += int((~err).sum()) * cons.k_total
+        errors += int(err.sum())
+    return delivered, errors
+
+
 def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
                    bler_lut: dict[int, SimCurve], workers: int = 1) -> SimCurve:
     """Adaptive-MCS link throughput over per-frame Rayleigh block fading.
@@ -389,70 +471,25 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     instantaneous SNR, picking the MCS that maximizes m R (1 - predicted BLER)
     subject to predicted BLER <= cfg.eps. Delivered bits count K per correct
     frame; throughput is delivered bits per symbol. cfg.m/cfg.k are ignored
-    (the MCS table governs); the grid is mean SNR.
+    (the MCS table governs); the grid is mean SNR. Chunks of 256 frames run
+    on ``workers`` processes.
     """
     t0 = time.perf_counter()
-    c_by_m = {mcs.m: build_constellation(mcs.m) for mcs in mcs_table}
-    cons_cache: dict[int, CodeConstruction] = {}
-
-    def construction_for(mcs: McsEntry, inst_snr_db: float) -> CodeConstruction:
-        if cfg.method == "ga":
-            return build_construction("ga", c_by_m[mcs.m], mcs.k_for(cfg.n),
-                                      cfg.n, cfg.eps, inst_snr_db)
-        if mcs.index not in cons_cache:
-            cons_cache[mcs.index] = build_construction(
-                cfg.method, c_by_m[mcs.m], mcs.k_for(cfg.n), cfg.n, cfg.eps)
-        return cons_cache[mcs.index]
-
+    rf_cons = None if cfg.method == "ga" else {
+        mcs.index: build_construction(cfg.method, build_constellation(mcs.m),
+                                      mcs.k_for(cfg.n), cfg.n, cfg.eps)
+        for mcs in mcs_table}
     curve = SimCurve(metric="throughput", config=asdict(cfg))
     for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
-        n0_mean = 10.0 ** (-min(mean_snr, SNR_CLIP_DB) / 10.0)
-        sigma = np.sqrt(n0_mean / 2.0)
-        delivered = 0
-        errors = 0
-        blocks = cfg.max_blocks
-        for start in range(0, blocks, 256):
-            count = min(256, blocks - start)
-            picks = []
-            for i in range(count):
-                rng = frame_rng(cfg.seed, snr_idx, start + i)
-                hr, hi = rng.standard_normal(2)
-                h = complex(hr, hi) / np.sqrt(2.0)
-                inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, 1e-30))
-                mcs = _select_mcs(mcs_table, bler_lut, inst, cfg.eps)
-                picks.append((mcs, construction_for(mcs, inst), rng, h))
-            # frames sharing a construction decode as one batch; online GA
-            # constructions are per-frame, so those decode singly
-            picks.sort(key=lambda p: p[0].index)
-            groups = [list(g) for _, g in groupby(picks, key=lambda p: p[0].index)]
-            if cfg.method == "ga":
-                groups = [[p] for g in groups for p in g]
-            for group in groups:
-                mcs0, cons = group[0][0], group[0][1]
-                c = c_by_m[mcs0.m]
-                lens = [cd.payload_len for cd in component_codes(cons)]
-                pls = [np.empty((len(group), pk), dtype=np.uint8) for pk in lens]
-                for row, (_, _, rng, _) in enumerate(group):
-                    for k, pk in enumerate(lens):
-                        pls[k][row] = rng.integers(0, 2, pk, dtype=np.uint8)
-                sym, _ = mlc_encode_batch(pls, cons, c)
-                y = np.empty_like(sym)
-                hs = np.array([p[3] for p in group], dtype=np.complex128)
-                for row, (_, _, rng, h) in enumerate(group):
-                    nr = rng.standard_normal(cfg.n)
-                    ni = rng.standard_normal(cfg.n)
-                    y[row] = h * sym[row] + sigma * (nr + 1j * ni)
-                y_eq = y / hs[:, None]
-                nv = n0_mean / np.maximum(np.abs(hs) ** 2, 1e-30)
-                dec, _, _, _ = multistage_decode_batch(y_eq, nv[:, None], cons,
-                                                       c, cfg.list_size)
-                ok = np.ones(len(group), dtype=bool)
-                for k in range(cons.m):
-                    ok &= np.all(dec[k] == pls[k], axis=1)
-                delivered += int(ok.sum()) * cons.k_total
-                errors += int((~ok).sum())
+        delivered = errors = 0
+        args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
+                 min(256, cfg.max_blocks - start))
+                for start in range(0, cfg.max_blocks, 256)]
+        for d, e in _in_order(_throughput_chunk, args, workers):
+            delivered += d
+            errors += e
         curve.points.append(SimPoint(snr_db=mean_snr,
-                                     value=delivered / (blocks * cfg.n),
-                                     blocks=blocks, errors=errors))
+                                     value=delivered / (cfg.max_blocks * cfg.n),
+                                     blocks=cfg.max_blocks, errors=errors))
     curve.wall_time_s = time.perf_counter() - t0
     return curve

@@ -3,15 +3,7 @@ import pytest
 
 from mlcpcm.constellation import build_constellation, build_qam, labels_from_bits
 from mlcpcm.construction import construct_rf1, construct_rf2
-from mlcpcm.mlc_system import (
-    MlcFrame,
-    component_codes,
-    mlc_encode,
-    mlc_encode_batch,
-    mlc_encode_frame,
-    multistage_decode,
-    multistage_decode_batch,
-)
+from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 from mlcpcm.polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
 
 
@@ -50,14 +42,6 @@ def test_hand_traced_qpsk_frame():
     assert np.allclose(symbols[0], c.points[labels])
 
 
-def test_mlc_frame_shape_validation():
-    cons = construct_rf1(2, 8, 4)
-    with pytest.raises(ValueError):
-        MlcFrame(payloads=(np.zeros(4, np.uint8),) * 2,
-                 coded=np.zeros((3, 4), np.uint8),
-                 symbols=np.zeros(4, complex), construction=cons)
-
-
 @pytest.mark.parametrize("m,n,k", ((1, 32, 20), (2, 16, 14), (4, 32, 64), (6, 8, 20)))
 def test_noiseless_round_trip(m, n, k):
     rng = np.random.default_rng(m * 100 + n)
@@ -70,27 +54,6 @@ def test_noiseless_round_trip(m, n, k):
         assert np.array_equal(dec[k_lvl], pay[k_lvl])
     assert np.all(frame_ok) and np.all(oks)
     assert np.array_equal(cw, coded)
-
-
-def test_single_frame_wrappers_match_batch():
-    rng = np.random.default_rng(3)
-    cons = construct_rf2(4, 40, 16, eps=0.1)
-    c = build_qam(4)
-    pay_b = _payloads(cons, rng, frames=1)
-    pay_s = [p[0] for p in pay_b]
-    symbols = mlc_encode(pay_s, cons, c)
-    sym_b, coded_b = mlc_encode_batch(pay_b, cons, c)
-    assert np.allclose(symbols, sym_b[0])
-    frame = mlc_encode_frame(pay_s, cons, c)
-    assert np.allclose(frame.symbols, symbols)
-    assert np.array_equal(frame.coded, coded_b[0])
-
-    y = symbols + _noise(np.random.default_rng(4), symbols.shape, 0.15)
-    dec_s, oks_s, ok_s = multistage_decode(y, 2 * 0.15**2, cons, c, 4)
-    dec_b, oks_b, ok_b, _ = multistage_decode_batch(y[None, :], 2 * 0.15**2, cons, c, 4)
-    for a, b in zip(dec_s, dec_b):
-        assert np.array_equal(a, b[0])
-    assert np.array_equal(oks_s, oks_b[0]) and ok_s == bool(ok_b[0])
 
 
 def test_m1_matches_plain_ca_scl_bit_for_bit():

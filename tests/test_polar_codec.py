@@ -8,7 +8,6 @@ from mlcpcm.polar_codec import (
     crc_check,
     crc_len_for_k,
     polar_encode,
-    scl_decode,
     scl_decode_batch,
 )
 
@@ -106,22 +105,6 @@ def test_metrics_nonnegative_under_noise():
     llr = _bpsk_llr(polar_encode(u), 0.9, rng)
     _, _, _, metric = scl_decode_batch(llr, code, 4)
     assert np.all(metric >= 0.0)
-
-
-def test_single_matches_batch():
-    rng = np.random.default_rng(5)
-    code = _make_code(64, 30, 16)
-    pay = rng.integers(0, 2, (10, 14), dtype=np.uint8)
-    u = np.zeros((10, 64), np.uint8)
-    u[:, code.info_set] = crc_attach(pay)
-    llr = _bpsk_llr(polar_encode(u), 0.8, rng)
-    dec_b, cw_b, ok_b, met_b = scl_decode_batch(llr, code, 8)
-    for i in range(10):
-        res = scl_decode(llr[i], code, 8)
-        assert np.array_equal(res.payload, dec_b[i])
-        assert np.array_equal(res.codeword, cw_b[i])
-        assert res.crc_ok == bool(ok_b[i])
-        assert abs(res.metric - met_b[i]) < 1e-12
 
 
 def test_list_grows_monotonically_better():

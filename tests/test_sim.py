@@ -66,6 +66,13 @@ def test_sim_config_validation():
         _small_cfg(list_size=3)
     with pytest.raises(ValueError):
         _small_cfg(max_blocks=0)
+    with pytest.raises(ValueError):
+        _small_cfg(seed=-1)
+    with pytest.raises(ValueError):
+        _small_cfg(seed=2**64)
+    _small_cfg(seed=2**64 - 1, max_blocks=2**32)  # both limits are allowed
+    with pytest.raises(ValueError):
+        _small_cfg(max_blocks=2**32 + 1)  # frame 2^32 would alias the next point
 
 
 # ----------------------------------------------------------------- channels
@@ -268,3 +275,36 @@ def test_throughput_reproducible():
     a = run_throughput(cfg, table, lut).points[0]
     b = run_throughput(cfg, table, lut).points[0]
     assert (a.value, a.blocks, a.errors) == (b.value, b.blocks, b.errors)
+
+
+# ------------------------------------------------------------ golden values
+
+# (value, blocks, errors) per SNR point of small fixed runs: the seeded
+# reproducibility contract makes any change to a simulated value fail these.
+GOLDEN_BLER = [(0.22727272727272727, 88, 20), (0.04, 100, 4)]
+GOLDEN_THROUGHPUT = {
+    "rf2": [(1.3807291666666666, 300, 39), (1.785, 300, 27)],
+    "ga": [(1.1015625, 12, 2), (1.7786458333333333, 12, 0)],
+}
+
+
+@pytest.mark.parametrize("method", ("rf2", "ga"))
+def test_run_bler_golden(method):
+    cfg = _small_cfg(method=method, snr_grid_db=(0.0, 2.0), max_blocks=100,
+                     max_errors=20, seed=7)
+    got = [(p.value, p.blocks, p.errors) for p in run_bler(cfg).points]
+    assert got == GOLDEN_BLER
+
+
+@pytest.mark.parametrize("method,frames,workers",
+                         (("rf2", 300, 1), ("rf2", 300, 2), ("ga", 12, 1)))
+def test_run_throughput_golden(method, frames, workers):
+    table = _tiny_table()
+    lut = build_bler_lut("rf2", table, 32, span_db=2.0, step_db=2.0,
+                         list_size=2, seed=1, max_blocks=60, max_errors=20)
+    # a BLER limit of 0.5 picks 16QAM often and leaves errors to count
+    cfg = _small_cfg(method=method, snr_grid_db=(8.0, 12.0),
+                     max_blocks=frames, seed=6, eps=0.5)
+    got = [(p.value, p.blocks, p.errors)
+           for p in run_throughput(cfg, table, lut, workers=workers).points]
+    assert got == GOLDEN_THROUGHPUT[method]
