@@ -156,7 +156,7 @@ def _cmd_throughput(args) -> None:
         if not table:
             raise SystemExit("no MCS entries left after --mcs filter")
     lut = build_bler_lut(cfg.method, table, cfg.n, list_size=cfg.list_size,
-                         seed=cfg.seed + 1, eps=cfg.eps,
+                         seed=(cfg.seed + 1) % 2**64, eps=cfg.eps,
                          max_blocks=args.lut_blocks, max_errors=args.lut_errors,
                          workers=args.workers)
     curve = run_throughput(cfg, table, lut, workers=args.workers)
@@ -173,7 +173,7 @@ def _cmd_minsnr(args) -> None:
                            max_blocks=args.max_blocks or DEFAULT_MAX_BLOCKS,
                            max_errors=args.max_errors or DEFAULT_MAX_ERRORS,
                            workers=args.workers)
-    flag = "  (warning: non-monotone probes)" if res.warned else ""
+    flag = "  (warning: flat bracket)" if res.warned else ""
     print(f"mcs {mcs.index} (m={mcs.m}, rate {mcs.rate_x1024}/1024): "
           f"required snr {res.snr_db:.3f} dB at BLER {args.target_bler}{flag}")
 

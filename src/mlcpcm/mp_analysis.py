@@ -23,6 +23,8 @@ per-real-dimension noise variance is N0/2. Information is measured in bits.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import erfc, erfcinv
 from scipy.special import roots_hermite as hermgauss
@@ -78,6 +80,15 @@ def noise_sigma(snr_db: float) -> float:
     return np.sqrt(n0 / 2.0)
 
 
+@lru_cache(maxsize=8)
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite (nodes, weights), computed once per node count."""
+    t, w = hermgauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _info_density_moments(t_tables: list[np.ndarray], leaf_labels: np.ndarray,
                           weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """First and second moments of the per-level information densities.
@@ -112,7 +123,7 @@ def _pam_stats(amp_by_label: np.ndarray, sigma: float,
     """Per-level statistics of a Gray-labeled PAM axis with noise std sigma."""
     half = amp_by_label.size
     depth = int(np.log2(half))
-    t, w = hermgauss(nodes)
+    t, w = _gauss_hermite(nodes)
     y = amp_by_label[:, None] + np.sqrt(2.0) * sigma * t[None, :]  # (S, Q)
     d2 = (y[..., None] - amp_by_label) ** 2
     tables = [None] * (depth + 1)
@@ -173,7 +184,7 @@ def subchannel_dispersion(c: Constellation, k: int, snr_db: float,
 
 def biawgn_capacity(sigma: float, nodes: int = GH_NODES) -> float:
     """Capacity of binary-input +-1 real AWGN with noise std sigma, in bits."""
-    t, w = hermgauss(nodes)
+    t, w = _gauss_hermite(nodes)
     y = 1.0 + np.sqrt(2.0) * sigma * t
     # log2(1 + exp(-2y/sigma^2)) evaluated stably
     loss = np.logaddexp(0.0, -2.0 * y / sigma**2) / LN2

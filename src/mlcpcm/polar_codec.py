@@ -13,6 +13,20 @@ which multistage decoding feeds back as demapping prefix.
 
 All decoder state is vectorized over a batch of independent frames and over
 the list dimension, so Monte Carlo runs decode hundreds of frames per pass.
+Path state is copied lazily (Tal & Vardy, "List decoding of polar codes",
+IEEE T-IT 2015). Each stage's LLR buffer and each stage's left partial-sum
+buffer has a row map from (frame, path) to the row that holds that path's
+data. A fork or prune composes all row maps with the surviving paths'
+parents in one gather of a small integer array and copies no buffer. A
+buffer is gathered into path order only when the next f/g update or
+partial-sum step reads it, which per leaf is the parent of the topmost
+refreshed stage and the left sums at that stage, so copying costs
+O(L N log N) per frame instead of O(L N^2). Bit decisions are not copied
+either: each information leaf records (bits, parent path), and one backtrack
+at the end recovers every survivor's information bits for the CRC. The
+selected path's codeword is polar_encode of its decisions, the same bits the
+partial sums would give. The outputs are bit-identical to those of the
+full-copy decoder kept in tests/scl_reference.py.
 """
 
 from __future__ import annotations
@@ -102,10 +116,25 @@ def crc_check(bits: np.ndarray) -> bool | np.ndarray:
 
 
 def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact LLR check-node combination ln[(1+e^{a+b})/(e^a+e^b)]."""
-    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            + np.log1p(np.exp(-np.abs(a + b)))
-            - np.log1p(np.exp(-np.abs(a - b))))
+    """Exact LLR check-node combination ln[(1+e^{a+b})/(e^a+e^b)].
+
+    Evaluates sign(a) sign(b) min(|a|, |b|) + log1p(e^{-|a+b|})
+    - log1p(e^{-|a-b|}) one ufunc at a time into two buffers, so the result
+    is bit-identical to the plain expression; a and b have the same shape.
+    """
+    out = np.sign(a)
+    tmp = np.sign(b)
+    out *= tmp
+    np.minimum(np.abs(a, out=tmp), np.abs(b), out=tmp)
+    out *= tmp
+    for op in (np.add, np.subtract):  # + log1p(e^{-|a+b|}), - log1p(e^{-|a-b|})
+        op(a, b, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+        op(out, tmp, out=out)
+    return out
 
 
 def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
@@ -124,78 +153,96 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     stages = n.bit_length() - 1
     frozen = np.ones(n, dtype=bool)
     frozen[code.info_set] = False
-
-    # Per-path state. The LLR tree keeps one active buffer per stage below the
-    # channel: stage s occupies [2^s - 1, 2^{s+1} - 1) for s < stages. The
-    # channel LLRs are path-independent and stay out of the forked state.
-    # bleft keeps the completed left-child partial sums per stage s < stages.
-    tree = np.zeros((frames, 1, n - 1))
-    bleft = np.zeros((frames, 1, n - 1), dtype=np.int8)
-    udec = np.zeros((frames, 1, n), dtype=np.int8)
-    pm = np.zeros((frames, 1))
-    xhat = np.zeros((frames, 1, n), dtype=np.int8)
     fidx = np.arange(frames)
+    col = fidx[:, None]
+
+    # Buffer s < stages holds the LLRs of stage s (2^s per path) and buffer
+    # stages + s the completed left-child partial sums of stage s, each of
+    # shape (F, P', width) for the path count P' when it was written. Path p
+    # of frame f reads flat row rows[f * P + p, i] of buffer i unless the
+    # buffer is fresh, i.e. already in path order. A fork or prune only
+    # composes these row maps, in one gather; a stale buffer is gathered into
+    # path order when it is next read. The channel LLRs are path-independent.
+    bufs: list[np.ndarray | None] = [None] * (2 * stages)
+    rows = np.empty((frames, 2 * stages), dtype=np.intp)
+    fresh = np.ones(2 * stages, dtype=bool)
+    pm = np.zeros((frames, 1))
+    # bit and flat parent row of every path at each information leaf, for
+    # the final backtrack; allocated up front, because hundreds of small
+    # arrays kept alive through the loop fragment the heap and raise peak RSS
+    leaf_bits = np.empty((code.k, frames * list_size), dtype=np.int8)
+    leaf_parent = np.empty((code.k, frames * list_size), dtype=np.intp)
+    decided = 0
+
+    def store(i: int, value: np.ndarray) -> None:
+        bufs[i] = value
+        fresh[i] = True
+
+    def aligned(i: int) -> np.ndarray:
+        if not fresh[i]:
+            buf = bufs[i]
+            flat = buf.reshape(-1, buf.shape[2]).take(rows[:, i], axis=0)
+            store(i, flat.reshape(frames, -1, buf.shape[2]))
+        return bufs[i]
 
     for phi in range(n):
         # refresh LLR buffers on the stages whose block changed at this leaf
         top = (phi & -phi).bit_length() - 1 if phi else stages
         for s in range(top - 1 if phi == 0 else top, -1, -1):
             half = 1 << s
-            if s == stages - 1:
-                a = chan[:, None, :half]
-                b = chan[:, None, half:]
-            else:
-                po = 2 * half - 1  # parent stage offset
-                a = tree[:, :, po:po + half]
-                b = tree[:, :, po + half:po + 2 * half]
+            above = chan[:, None, :] if s == stages - 1 else aligned(s + 1)
+            a, b = above[:, :, :half], above[:, :, half:]
             if phi and s == top:  # right child: g update with left sums
-                u = bleft[:, :, half - 1:2 * half - 1]
-                tree[:, :, half - 1:half - 1 + half] = b + (1 - 2 * u) * a
+                u = aligned(stages + s)
+                g = np.subtract(1, 2 * u, dtype=np.float64)  # 1 - 2u, exact
+                g *= a
+                store(s, np.add(b, g, out=g))
             else:  # left child: f update
-                tree[:, :, half - 1:half - 1 + half] = _boxplus(a, b)
+                store(s, _boxplus(a, b))
 
-        leaf = tree[:, :, 0] if stages else chan[:, None, 0].repeat(pm.shape[1], 1)
+        paths = pm.shape[1]
+        leaf = bufs[0][:, :, 0] if stages else chan[:, None, 0].repeat(paths, 1)
         if frozen[phi]:
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
         else:
-            paths = tree.shape[1]
             # children ordered (parent 0: bit 0, bit 1, parent 1: ...) so the
             # stable sort below breaks metric ties by smaller path index
             pm2 = np.stack([pm + np.maximum(-leaf, 0.0),
                             pm + np.maximum(leaf, 0.0)], axis=2).reshape(frames, -1)
-            if 2 * paths <= list_size:
-                bits = np.tile(np.array([0, 1] * paths, dtype=np.int8), (frames, 1))
+            if 2 * paths <= list_size:  # keep every child
+                sel = np.broadcast_to(np.arange(2 * paths), pm2.shape)
                 pm = pm2
-                tree = np.repeat(tree, 2, axis=1)
-                bleft = np.repeat(bleft, 2, axis=1)
-                udec = np.repeat(udec, 2, axis=1)
             else:
                 sel = np.argsort(pm2, axis=1, kind="stable")[:, :list_size]
-                parent = sel >> 1
-                bits = (sel & 1).astype(np.int8)
-                col = fidx[:, None]
                 pm = pm2[col, sel]
-                tree = tree[col, parent]
-                bleft = bleft[col, parent]
-                udec = udec[col, parent]
-        udec[:, :, phi] = bits
+            bits = (sel & 1).astype(np.int8)
+            parent = (col * paths + (sel >> 1)).ravel()
+            rows = rows.take(parent, axis=0)
+            rows[:, fresh] = parent[:, None]
+            fresh[:] = False
+            leaf_bits[decided, :parent.size] = bits.ravel()
+            leaf_parent[decided, :parent.size] = parent
+            decided += 1
 
-        # propagate partial sums while closing right children
+        # propagate partial sums while closing right children; the last leaf
+        # closes the root, whose sums are the codeword re-encoded below
         cur = bits[:, :, None]
         s = 0
         while (phi >> s) & 1:
-            half = 1 << s
-            left = bleft[:, :, half - 1:2 * half - 1]
-            cur = np.concatenate([left ^ cur, cur], axis=2)
+            cur = np.concatenate([aligned(stages + s) ^ cur, cur], axis=2)
             s += 1
         if s < stages:
-            half = 1 << s
-            bleft[:, :, half - 1:half - 1 + half] = cur
-        else:
-            xhat = cur  # phi == n-1: full re-encoded codewords
+            store(stages + s, cur)
 
-    info = udec[:, :, code.info_set]  # (F, P, K)
+    # backtrack every surviving path through its forks to its decisions
+    paths = pm.shape[1]
+    info = np.empty((code.k, frames * paths), dtype=np.int8)
+    path = np.arange(frames * paths)
+    for j in range(code.k - 1, -1, -1):
+        leaf_bits[j].take(path, out=info[j])
+        path = leaf_parent[j].take(path)
+    info = info.T.reshape(frames, paths, code.k)
     if code.crc_len:
         ok = _crc16_register(info) == 0
         key = np.where(ok, pm, pm + _CRC_FAIL_PENALTY)
@@ -203,5 +250,8 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         ok = np.ones(pm.shape, dtype=bool)
         key = pm
     best = np.argmin(key, axis=1)  # first minimum: smaller path index wins
-    payload = info[fidx, best, :code.payload_len]
-    return (payload, xhat[fidx, best], ok[fidx, best], pm[fidx, best])
+    chosen = info[fidx, best]
+    u = np.zeros((frames, n), dtype=np.int8)
+    u[:, code.info_set] = chosen
+    return (chosen[:, :code.payload_len], polar_encode(u),
+            ok[fidx, best], pm[fidx, best])

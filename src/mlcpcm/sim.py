@@ -313,67 +313,60 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     Probes start from the capacity-matched SNR of the scheme's sum-rate and
     walk the grid until the target is bracketed; far above target the walk
     takes 1 dB strides and backfills, so the final bracket is always two
-    adjacent grid points. A non-monotone bracket (beyond twice the binomial
-    standard error) triggers one retry with a 4x error budget; if it persists
-    the result is flagged.
+    adjacent grid points, the lower at or above the target and the upper
+    below it. When the bracket is flat, because the upper probe's
+    continuity-corrected BLER (0.5 / blocks when it saw no errors) is not
+    below the lower one's, the result is the bracket midpoint and ``warned``
+    is set.
     """
     step = 0.25
     k = mcs.k_for(n)
     c = build_constellation(mcs.m)
+    cache: dict[float, SimPoint] = {}
 
-    def walk(budget_errors: int, budget_blocks: int):
-        cache: dict[float, SimPoint] = {}
+    def probe(s: float) -> SimPoint:
+        s = round(s / step) * step
+        if s not in cache:
+            cfg = SimConfig(method=method, m=mcs.m, n=n, k=k,
+                            snr_grid_db=(s,), list_size=list_size,
+                            max_blocks=max_blocks, max_errors=max_errors,
+                            seed=seed, eps=eps)
+            cache[s] = run_bler(cfg, workers=workers).points[0]
+        return cache[s]
 
-        def probe(s: float) -> SimPoint:
-            s = round(s / step) * step
-            if s not in cache:
-                cfg = SimConfig(method=method, m=mcs.m, n=n, k=k,
-                                snr_grid_db=(s,), list_size=list_size,
-                                max_blocks=budget_blocks,
-                                max_errors=budget_errors, seed=seed, eps=eps)
-                cache[s] = run_bler(cfg, workers=workers).points[0]
-            return cache[s]
-
-        anchor = solve_snr_capacity(c, k / n)
-        s = np.floor(anchor / step) * step
+    anchor = solve_snr_capacity(c, k / n)
+    s = np.floor(anchor / step) * step
+    p = probe(s)
+    guard = 0
+    while p.value < target_bler:  # walked in above the waterfall
+        s -= step
         p = probe(s)
-        guard = 0
-        while p.value < target_bler:  # walked in above the waterfall
-            s -= step
-            p = probe(s)
-            guard += 1
-            if guard > 240:
-                raise RuntimeError("target BLER not bracketed within 60 dB")
+        guard += 1
+        if guard > 240:
+            raise RuntimeError("target BLER not bracketed within 60 dB")
+    lo = p
+    while True:
+        stride = 1.0 if lo.value >= 30 * target_bler else step
+        s_next = lo.snr_db + stride
+        p = probe(s_next)
+        guard += 1
+        if guard > 240:
+            raise RuntimeError("target BLER not bracketed within 60 dB")
+        if p.value < target_bler:
+            hi = p  # backfill so the bracket is adjacent on the grid
+            while hi.snr_db - lo.snr_db > step * 1.01:
+                q = probe(lo.snr_db + step)
+                if q.value < target_bler:
+                    hi = q
+                else:
+                    lo = q
+            break
         lo = p
-        while True:
-            stride = 1.0 if lo.value >= 30 * target_bler else step
-            s_next = lo.snr_db + stride
-            p = probe(s_next)
-            guard += 1
-            if guard > 240:
-                raise RuntimeError("target BLER not bracketed within 60 dB")
-            if p.value < target_bler:
-                hi = p  # backfill so the bracket is adjacent on the grid
-                while hi.snr_db - lo.snr_db > step * 1.01:
-                    q = probe(lo.snr_db + step)
-                    if q.value < target_bler:
-                        hi = q
-                    else:
-                        lo = q
-                return lo, hi, cache
-            lo = p
 
-    warned = False
-    lo, hi, cache = walk(max_errors, max_blocks)
-    se = np.sqrt(max(hi.value * (1 - hi.value) / hi.blocks, 1e-12))
-    if lo.value < hi.value - 2 * se:  # non-monotone beyond noise
-        lo, hi, cache = walk(max_errors * 4, max_blocks * 4)
-        se = np.sqrt(max(hi.value * (1 - hi.value) / hi.blocks, 1e-12))
-        warned = lo.value < hi.value - 2 * se
     llo, lhi, lt = _log_bler(lo), _log_bler(hi), np.log10(target_bler)
-    if lhi >= llo:  # flat bracket: fall back to the midpoint
+    warned = lhi >= llo
+    if warned:  # flat bracket: fall back to the midpoint
         snr = 0.5 * (lo.snr_db + hi.snr_db)
-        warned = True
     else:
         snr = lo.snr_db + (hi.snr_db - lo.snr_db) * (llo - lt) / (llo - lhi)
     probes = tuple(sorted(cache.values(), key=lambda p: p.snr_db))

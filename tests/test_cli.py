@@ -93,6 +93,16 @@ def test_throughput_csv(tmp_path):
     assert rows[0][0] == "snr_db" and len(rows) == 3
 
 
+def test_throughput_at_largest_seed(tmp_path):
+    # the stored-table seed wraps to 0 instead of leaving [0, 2^64)
+    out = tmp_path / "tp.json"
+    assert main(["throughput", "--method", "rf2", "--n", "16",
+                 "--snr-db", "6", "--max-blocks", "8", "--list-size", "1",
+                 "--mcs", "0", "--lut-blocks", "8", "--lut-errors", "4",
+                 "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -389,6 +389,22 @@ def test_construct_ga_invariants():
         assert np.all(np.diff(a) > 0) and (len(a) == 0 or (a[0] >= 0 and a[-1] < 64))
 
 
+# Info sets of construct_ga(16QAM, K=64, N=32) per level, recorded before the
+# Gauss-Hermite rule was cached; the surrogate bisection must not move them.
+GA_INFO_SETS = {
+    4.0: [[7, 11, 12, 13, 14, 15] + list(range(17, 32))] * 2
+         + [[15, 21, 22, 23] + list(range(25, 32))] * 2,
+    9.0: [[7, 11, 13, 14, 15] + list(range(18, 32))] * 2
+         + [[14, 15, 19, 21, 22, 23] + list(range(25, 32))] * 2,
+}
+
+
+@pytest.mark.parametrize("snr", sorted(GA_INFO_SETS))
+def test_construct_ga_info_sets_pinned(snr):
+    cons = construct_ga(build_qam(4), 64, 32, snr)
+    assert [s.tolist() for s in cons.info_sets] == GA_INFO_SETS[snr]
+
+
 def test_construct_ga_extreme_snr_still_valid():
     c = build_qam(2)
     for snr in (-40.0, 50.0):

@@ -3,6 +3,7 @@ import pytest
 
 from mlcpcm.construction import construct_rf1, five_g_sequence
 from mlcpcm.polar_codec import (
+    CRC_LEN,
     ComponentCode,
     crc_attach,
     crc_check,
@@ -10,6 +11,7 @@ from mlcpcm.polar_codec import (
     polar_encode,
     scl_decode_batch,
 )
+from scl_reference import scl_decode_batch as reference_scl_decode_batch
 
 
 def _make_code(n: int, k: int, crc_len: int) -> ComponentCode:
@@ -157,3 +159,36 @@ def test_sc_is_list_one():
     assert np.array_equal(dec1, dec2)
     # and mostly correct at this operating point
     assert (dec1 != pay).any(axis=1).mean() < 0.2
+
+
+def _differential_cases(count: int = 320):
+    """Seeded (code, list size, LLRs) cases: every N from 1 to 256 with K = 0
+    and K = N at every list size, then random K, CRC on and off, and
+    integer-valued LLRs half of the time, which force path metric ties."""
+    rng = np.random.default_rng(20261018)
+    sizes = [1 << s for s in range(9)]
+    shapes = [(n, k, lsize) for n in sizes for k in sorted({0, n})
+              for lsize in (1, 2, 4, 8)]
+    while len(shapes) < count:
+        n = sizes[int(rng.integers(0, len(sizes)))]
+        shapes.append((n, int(rng.integers(0, n + 1)), int(rng.choice([1, 2, 4, 8]))))
+    for n, k, lsize in shapes:
+        info = np.sort(rng.choice(n, size=k, replace=False))
+        crc = CRC_LEN if k > CRC_LEN and rng.random() < 0.5 else 0
+        frames = int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            llr = rng.integers(-3, 4, (frames, n)).astype(np.float64)
+        else:
+            llr = rng.normal(0.0, rng.uniform(0.5, 8.0), (frames, n))
+        yield ComponentCode(n=n, info_set=info, crc_len=crc), lsize, llr
+
+
+def test_decoder_matches_frozen_reference():
+    cases = list(_differential_cases())
+    assert len(cases) >= 300 and any(code.crc_len for code, _, _ in cases)
+    for code, lsize, llr in cases:
+        got = scl_decode_batch(llr, code, lsize)
+        want = reference_scl_decode_batch(llr, code, lsize)
+        for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), (
+                f"{name} differ at N={code.n} K={code.k} CRC={code.crc_len} L={lsize}")

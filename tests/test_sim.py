@@ -246,6 +246,33 @@ def test_min_required_snr_orders_targets():
     assert len(loose.probes) <= 240 and len(tight.probes) <= 240
 
 
+def _stub_min_snr(monkeypatch, below, above, threshold=10.0):
+    """min_required_snr over stub probes: (errors, blocks) ``below`` the
+    threshold SNR and ``above`` it."""
+    def stub_run_bler(cfg, workers=1):
+        s = cfg.snr_grid_db[0]
+        errors, blocks = below if s < threshold else above
+        return SimCurve(metric="bler", points=[
+            SimPoint(snr_db=s, value=errors / blocks, blocks=blocks, errors=errors)])
+    monkeypatch.setattr(sim, "run_bler", stub_run_bler)
+    return min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.01)
+
+
+def test_min_required_snr_flat_bracket_warns(monkeypatch):
+    # no errors in 10 blocks reads as 0.05 >= 0.04 after continuity correction
+    res = _stub_min_snr(monkeypatch, below=(4, 100), above=(0, 10))
+    assert res.warned
+    assert res.snr_db == pytest.approx(9.875)
+
+
+def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
+    res = _stub_min_snr(monkeypatch, below=(4, 100), above=(1, 800))
+    assert not res.warned
+    # log-linear between 0.04 at 9.75 dB and 0.00125 at 10 dB, target 0.01
+    assert res.snr_db == pytest.approx(9.75 + 0.25 * np.log10(4) / np.log10(32))
+    assert [p.snr_db for p in res.probes] == sorted(p.snr_db for p in res.probes)
+
+
 def _tiny_table():
     return (McsEntry(index=0, m=2, rate_x1024=256),
             McsEntry(index=1, m=2, rate_x1024=512),
