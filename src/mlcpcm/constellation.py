@@ -6,11 +6,21 @@ positions (b_1, b_3, ...) select the in-phase amplitude, even positions the
 quadrature amplitude. Each axis uses the binary-reflected Gray code over
 amplitudes in increasing order, so the 2-bit per-axis pattern is
 (-3, -1, +1, +3) -> (00, 01, 11, 10). Average symbol energy is normalized to 1.
+BPSK is the one-axis case: its single bit selects the in-phase amplitude.
 
 Noise convention: ``noise_var`` is the total complex-noise variance
 N0 = E[|n|^2], split N0/2 per real dimension. Bit-level LLRs are natural-log
 ratios ln[Pr(y | b_k=0, prefix) / Pr(y | b_k=1, prefix)], positive LLR favoring
 bit 0, clipped to +-300.
+
+Demapping works per axis. Since |y - x|^2 = (Re y - a_I)^2 + (Im y - a_Q)^2,
+the likelihood sum over all labels completing a prefix factors into an
+in-phase sum over the in-phase completions and a quadrature sum over the
+quadrature ones. Level k's bit sits on axis (k-1) % 2, so its two hypotheses
+share the other axis's factor, which cancels in the LLR: the receiver needs
+only 2^(m/2+1) log-sum-exp entries per axis and symbol instead of a
+2^(m+1)-entry tree over full labels. Constellations without this product
+structure (``axis_amps`` None) are not demapped.
 """
 
 from __future__ import annotations
@@ -66,13 +76,12 @@ class Constellation:
 
 
 def _axis_label_bits(lab: np.ndarray, m: int, axis: int) -> np.ndarray:
-    """Extract the axis label integer from symbol labels.
+    """Extract the axis label integer from m-bit symbol or prefix labels.
 
     axis=0 takes bits b_1, b_3, ... (in-phase), axis=1 takes b_2, b_4, ....
     """
-    half = m // 2
     out = np.zeros_like(lab)
-    for pos in range(half):
+    for pos in range((m + 1 - axis) // 2):
         # bit b_{2*pos+1+axis} sits at MSB offset 2*pos+axis
         bit = (lab >> (m - 1 - (2 * pos + axis))) & 1
         out = (out << 1) | bit
@@ -129,33 +138,58 @@ def bits_from_labels(lab: np.ndarray, m: int) -> np.ndarray:
     return ((lab[..., None] >> shifts) & 1).astype(np.int8)
 
 
-def demap_tables(c: Constellation, y: np.ndarray,
-                 noise_var: float | np.ndarray) -> list[np.ndarray]:
-    """Per-depth log-likelihood tables for all bit levels of received symbols.
+def pam_tables(amp_by_label: np.ndarray, y: np.ndarray,
+               noise_var: float | np.ndarray) -> list[np.ndarray]:
+    """Per-depth log-likelihood tables of real samples on one Gray-labeled axis.
 
-    Returns T[0..m] where T[d] has shape y.shape + (2^d,) and
-    T[d][..., p] = ln sum_{labels lab with first d bits == p} exp(-|y - x_lab|^2 / N0).
-    Level-k LLRs and the mixture densities of every prefix are slices of these
-    tables; they are computed once per received block and reused across levels.
-    noise_var may be an array broadcastable against y (per-frame values).
+    Returns T[0..h], h = log2(amp_by_label.size), where T[d] has shape
+    y.shape + (2^d,) and
+    T[d][..., p] = ln sum_{axis labels g with first d bits == p} exp(-(y - amp_g)^2 / N0).
+    noise_var may be an array broadcastable against y.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    d2 = np.abs(y[..., None] - c.points) ** 2
-    tables = [None] * (c.m + 1)
-    t = -d2 / np.asarray(noise_var, dtype=np.float64)[..., None]
-    tables[c.m] = t
-    for depth in range(c.m - 1, -1, -1):
+    scale = np.asarray(noise_var, dtype=np.float64)[..., None]
+    t = -(y[..., None] - amp_by_label) ** 2 / scale
+    tables = [t]
+    while t.shape[-1] > 1:
         t = np.logaddexp(t[..., 0::2], t[..., 1::2])
-        tables[depth] = t
-    return tables
+        tables.append(t)
+    return tables[::-1]
 
 
-def level_llr_from_tables(tables: list[np.ndarray], k: int,
+def demap_tables(c: Constellation, y: np.ndarray,
+                 noise_var: float | np.ndarray) -> list[list[np.ndarray]]:
+    """Per-axis log-likelihood tables for all bit levels of received symbols.
+
+    Returns one ``pam_tables`` list per axis: the in-phase one over Re(y),
+    then the quadrature one over Im(y) (BPSK has only the in-phase one).
+    Axis depth d covers the axis's first d label bits, which are the symbol
+    label's bits b_1, b_3, ... (in-phase) or b_2, b_4, ... (quadrature). The
+    full-label table of the first k bits is the sum of the two axes' tables
+    at depths ceil(k/2) and floor(k/2); level k's LLR needs only the axis
+    carrying bit k, because the other axis adds the same term to both
+    hypotheses. The tables are computed once per received block and reused
+    across levels. noise_var may be an array broadcastable against y
+    (per-frame values). Raises ValueError when ``c`` has no per-axis
+    amplitudes.
+    """
+    amps = c.axis_amp_by_label()
+    y = np.asarray(y, dtype=np.complex128)
+    axes = (y.real,) if c.m == 1 else (y.real, y.imag)
+    return [pam_tables(amps, part, noise_var) for part in axes]
+
+
+def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
                           prefix_labels: np.ndarray) -> np.ndarray:
-    """LLR of bit level k (1-based) given per-symbol integer prefix labels."""
-    t = tables[k]
-    num = np.take_along_axis(t, (2 * prefix_labels)[..., None], axis=-1)[..., 0]
-    den = np.take_along_axis(t, (2 * prefix_labels + 1)[..., None], axis=-1)[..., 0]
+    """LLR of bit level k (1-based) given per-symbol integer prefix labels.
+
+    prefix_labels hold the k-1 decided bits (b_1 as MSB); only the bits on
+    the axis of level k, (k-1) % 2, select the table entry.
+    """
+    axis = (k - 1) % 2
+    t = tables[axis][(k - 1) // 2 + 1]
+    p = 2 * _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
+    num = np.take_along_axis(t, p[..., None], axis=-1)[..., 0]
+    den = np.take_along_axis(t, (p + 1)[..., None], axis=-1)[..., 0]
     return np.clip(num - den, -LLR_CLIP, LLR_CLIP)
 
 

@@ -318,17 +318,21 @@ def ga_check_update(z: np.ndarray) -> np.ndarray:
     return _phi_inv_ln(lt, z.copy())
 
 
-def ga_evolve(design_llr_mean: float, n: int) -> np.ndarray:
-    """Mean LLR of each polarized index under the Gaussian approximation."""
-    if design_llr_mean <= 0:
+def ga_evolve(design_llr_mean: float | np.ndarray, n: int) -> np.ndarray:
+    """Mean LLR of each polarized index under the Gaussian approximation.
+
+    design_llr_mean is a scalar or an array of design means; the result has
+    shape design_llr_mean.shape + (n,), one independent evolution per mean.
+    """
+    z = np.asarray(design_llr_mean, dtype=np.float64)[..., None]
+    if np.any(z <= 0):
         raise ValueError("design LLR mean must be positive")
     if n < 1 or n & (n - 1):
         raise ValueError(f"N={n} is not a power of two")
-    z = np.array([design_llr_mean], dtype=np.float64)
-    while z.size < n:
-        new = np.empty(2 * z.size)
-        new[0::2] = ga_check_update(z)
-        new[1::2] = 2.0 * z
+    while z.shape[-1] < n:
+        new = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+        new[..., 0::2] = ga_check_update(z)
+        new[..., 1::2] = 2.0 * z
         z = new
     return z
 
@@ -339,10 +343,8 @@ def construct_ga(c: Constellation, k_total: int, n: int,
     if not 0 <= k_total <= c.m * n:
         raise ValueError(f"K={k_total} outside [0, {c.m * n}]")
     cap = np.clip(level_stats(c, actual_snr_db)[0], 1e-12, 1.0 - 1e-12)
-    rel = np.empty((c.m, n))
-    for k in range(c.m):
-        sigma = biawgn_sigma_for_capacity(float(cap[k]))
-        rel[k] = ga_evolve(2.0 / sigma**2, n)
+    sigma = np.array([biawgn_sigma_for_capacity(float(ck)) for ck in cap])
+    rel = ga_evolve(2.0 / sigma**2, n)
     lvl, idx = np.divmod(np.arange(c.m * n), n)
     # global top-K by mean LLR, ties to smaller level then smaller index
     ranked = np.lexsort((idx, lvl, -rel.ravel()))[:k_total]

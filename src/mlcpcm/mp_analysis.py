@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 from scipy.special import roots_hermite as hermgauss
 
-from .constellation import Constellation
+from .constellation import Constellation, pam_tables
 
 GH_NODES = 256
 LN2 = np.log(2.0)
@@ -122,16 +122,9 @@ def _pam_stats(amp_by_label: np.ndarray, sigma: float,
                nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-level statistics of a Gray-labeled PAM axis with noise std sigma."""
     half = amp_by_label.size
-    depth = int(np.log2(half))
     t, w = _gauss_hermite(nodes)
     y = amp_by_label[:, None] + np.sqrt(2.0) * sigma * t[None, :]  # (S, Q)
-    d2 = (y[..., None] - amp_by_label) ** 2
-    tables = [None] * (depth + 1)
-    cur = -d2 / (2.0 * sigma**2)
-    tables[depth] = cur
-    for d in range(depth - 1, -1, -1):
-        cur = np.logaddexp(cur[..., 0::2], cur[..., 1::2])
-        tables[d] = cur
+    tables = pam_tables(amp_by_label, y, 2.0 * sigma**2)
     weights = np.full((half, 1), 1.0 / half) * (w[None, :] / np.sqrt(np.pi))
     return _info_density_moments(tables, np.arange(half), weights)
 

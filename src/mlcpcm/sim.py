@@ -32,7 +32,7 @@ SNR_CLIP_DB = 200.0
 DEFAULT_MAX_BLOCKS = 100_000
 DEFAULT_MAX_ERRORS = 100
 METHODS = ("rf1", "rf2", "ga")
-_BATCH_BYTES = 1 << 25  # demap table budget per batch
+_BATCH_BYTES = 1 << 25  # per-axis demap table budget per batch
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def build_construction(method: str, c: Constellation, k: int, n: int,
 
 
 def _batch_size(m: int, n: int, cap: int) -> int:
-    per_frame = n * (1 << (m + 1)) * 8
+    per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8  # two axes of float64 trees
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16, min(512, max(cap, 1))))
 
 

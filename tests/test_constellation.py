@@ -16,6 +16,8 @@ from mlcpcm.constellation import (
     map_bits,
 )
 
+import demap_reference as reference
+
 MS = (1, 2, 4, 6, 8)
 
 
@@ -122,10 +124,13 @@ def test_tables_pairing_identity():
     rng = np.random.default_rng(4)
     y = rng.normal(size=7) + 1j * rng.normal(size=7)
     tabs = demap_tables(c, y, 0.7)
-    for d in range(c.m):
-        assert np.allclose(
-            tabs[d], np.logaddexp(tabs[d + 1][..., 0::2], tabs[d + 1][..., 1::2])
-        )
+    assert len(tabs) == 2
+    for axis in tabs:
+        assert len(axis) == c.m // 2 + 1
+        for d in range(c.m // 2):
+            assert np.allclose(
+                axis[d], np.logaddexp(axis[d + 1][..., 0::2], axis[d + 1][..., 1::2])
+            )
 
 
 def test_tables_match_scalar_llr():
@@ -150,8 +155,57 @@ def test_tables_noise_var_broadcast():
     tabs = demap_tables(c, y, nv[:, None])
     for f in range(3):
         single = demap_tables(c, y[f], float(nv[f]))
-        for d in range(c.m + 1):
-            assert np.allclose(tabs[d][f], single[d])
+        for axis, single_axis in zip(tabs, single, strict=True):
+            for d in range(c.m // 2 + 1):
+                assert np.allclose(axis[d][f], single_axis[d])
+
+
+def _reference_gap(c, y, nv, seed):
+    # largest |LLR - reference LLR| over all levels and random prefixes, and
+    # the largest normalized distance max |y - x|^2 / N0 of the inputs
+    rng = np.random.default_rng(seed)
+    tabs = demap_tables(c, y, nv)
+    ref = reference.demap_tables(c, y, nv)
+    gap = 0.0
+    for k in range(1, c.m + 1):
+        prefix = rng.integers(0, 2 ** (k - 1), size=y.shape)
+        got = level_llr_from_tables(tabs, k, prefix)
+        want = reference.level_llr_from_tables(ref, k, prefix)
+        gap = max(gap, float(np.max(np.abs(got - want))))
+    dist = np.abs(y[..., None] - c.points) ** 2 / np.asarray(nv)[..., None]
+    return gap, float(dist.max())
+
+
+@pytest.mark.parametrize("m", MS)
+def test_tables_match_reference(m):
+    # per-axis tables against the frozen full-label demapper, random
+    # received frames with per-frame N0 and random prefixes
+    c = build_constellation(m)
+    rng = np.random.default_rng(100 + m)
+    for trial in range(30):
+        f, n = 3, 40
+        nv = np.exp(rng.uniform(np.log(0.01), np.log(2.0), f))[:, None]
+        lab = rng.integers(0, c.order, (f, n))
+        noise = rng.standard_normal((f, n)) + 1j * rng.standard_normal((f, n))
+        y = c.points[lab] + np.sqrt(nv / 2.0) * noise
+        gap, _ = _reference_gap(c, y, nv, seed=trial)
+        assert gap <= 1e-12, (m, trial, gap)
+    # extreme inputs: tiny N0 and symbols far outside the constellation
+    for trial in range(30):
+        nv = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), 3))[:, None]
+        y = rng.uniform(1.0, 20.0) * (rng.standard_normal((3, 40))
+                                      + 1j * rng.standard_normal((3, 40)))
+        gap, dist = _reference_gap(c, y, nv, seed=trial)
+        assert gap <= 1e-13 * (1.0 + dist), (m, trial, gap, dist)
+
+
+def test_tables_need_axis_structure():
+    qam = build_qam(4)
+    c = Constellation(m=4, points=qam.points, name="no-axes")
+    with pytest.raises(ValueError):
+        demap_tables(c, np.zeros(3, dtype=complex), 1.0)
+    with pytest.raises(ValueError):
+        level_llr(c, 0.1 + 0.2j, 1.0)
 
 
 def test_llr_clip():

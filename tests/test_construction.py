@@ -353,6 +353,27 @@ def test_ga_evolve_monotone_in_design_mean():
     assert np.all(b >= a) and np.all(a > 0)
 
 
+def test_ga_evolve_stacked_matches_per_mean():
+    # one evolution of several design means equals one evolution per mean,
+    # bit for bit, at the 16QAM N=256 level means of three design SNRs
+    c = build_qam(4)
+    for snr in (5.0, 6.25, 7.0):
+        cap = np.clip(level_stats(c, snr)[0], 1e-12, 1.0 - 1e-12)
+        means = np.array([2.0 / biawgn_sigma_for_capacity(float(ck)) ** 2
+                          for ck in cap])
+        stacked = ga_evolve(means, 256)
+        assert stacked.shape == (4, 256)
+        for k, m0 in enumerate(means):
+            assert np.array_equal(stacked[k], ga_evolve(float(m0), 256))
+    grid = np.array([[0.5, 1.0, 3.0], [7.0, 20.0, 0.01]])
+    stacked = ga_evolve(grid, 32)
+    assert stacked.shape == (2, 3, 32)
+    for idx in np.ndindex(grid.shape):
+        assert np.array_equal(stacked[idx], ga_evolve(float(grid[idx]), 32))
+    with pytest.raises(ValueError):
+        ga_evolve(np.array([1.0, 0.0]), 8)
+
+
 def test_ga_evolve_ordering_matches_density_evolution():
     # genie-aided Monte Carlo density evolution through the N=8 graph
     snr_db = 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from mlcpcm.constellation import build_bpsk, build_qam, demap_tables
+from mlcpcm.constellation import build_bpsk, build_qam
 from mlcpcm.mp_analysis import (
     biawgn_capacity,
     biawgn_sigma_for_capacity,
@@ -16,6 +16,8 @@ from mlcpcm.mp_analysis import (
     subchannel_capacity,
     subchannel_dispersion,
 )
+
+from demap_reference import demap_tables
 
 LN2 = np.log(2.0)
 
@@ -33,8 +35,9 @@ def _pam_mi_oracle(amps: np.ndarray, sigma: float, nodes: int = 256) -> float:
 
 
 def _mc_level_moments(c, snr_db: float, samples: int, seed: int):
-    # Monte Carlo per-level information densities straight from the demap
-    # tables: i_k = T_k[prefix_k] - T_{k-1}[prefix_{k-1}] + ln 2 (in nats)
+    # Monte Carlo per-level information densities straight from the frozen
+    # full-label demap tables: i_k = T_k[prefix_k] - T_{k-1}[prefix_{k-1}] + ln 2
+    # (in nats)
     rng = np.random.default_rng(seed)
     sigma = noise_sigma(snr_db)
     lab = rng.integers(0, c.order, samples)
