@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from math import copysign
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constellation import Constellation, build_constellation
 from .mp_analysis import biawgn_sigma_for_capacity, level_stats, q_inverse
@@ -191,6 +191,58 @@ def _check_sum_rate(m: int, target_sum_rate: float) -> None:
             f"target sum-rate {target_sum_rate} outside ({RATE_MARGIN}, {m - RATE_MARGIN})")
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f on [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the C loop behind ``scipy.optimize.brentq``, so
+    for the same f, bracket and tolerances it evaluates f at the same points
+    and returns the same float bit for bit. Raises ValueError when f(a) and
+    f(b) have the same sign, RuntimeError after maxiter steps.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and copysign(1.0, fpre) != copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
     """SNR (dB) where the coded-modulation capacity equals the target.
 
@@ -207,7 +259,7 @@ def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
     if f(lo) > 0.0 or f(hi) < 0.0:
         raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
                          f"[{lo}, {hi}] dB")
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
@@ -227,7 +279,7 @@ def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
     if f(lo) > 0.0 or f(hi) < 0.0:
         raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
                          f"[{lo}, {hi}] dB")
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def finite_bl_values(c: Constellation, snr_db: float, n: int,
@@ -297,14 +349,22 @@ def ln_phi(x: np.ndarray) -> np.ndarray:
 
 
 def _phi_inv_ln(target: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Solve ln_phi(x) = target for x in [0, hi], elementwise bisection."""
+    """Solve ln_phi(x) = target for x in [0, hi], elementwise bisection.
+
+    At most 80 steps. A step that moves no bracket end is a fixed point: the
+    next midpoint and verdict repeat it, so stopping there returns what the
+    remaining steps would.
+    """
     lo = np.zeros_like(hi)
     hi = hi.copy()
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         too_small = ln_phi(mid) > target  # phi decreasing: mid below the root
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
+        new_lo = np.where(too_small, mid, lo)
+        new_hi = np.where(too_small, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -343,7 +403,10 @@ def construct_ga(c: Constellation, k_total: int, n: int,
     if not 0 <= k_total <= c.m * n:
         raise ValueError(f"K={k_total} outside [0, {c.m * n}]")
     cap = np.clip(level_stats(c, actual_snr_db)[0], 1e-12, 1.0 - 1e-12)
-    sigma = np.array([biawgn_sigma_for_capacity(float(ck)) for ck in cap])
+    # square QAM levels pair up with equal capacities: bisect each value once
+    distinct, inverse = np.unique(cap, return_inverse=True)
+    sigma = np.array([biawgn_sigma_for_capacity(float(ck))
+                      for ck in distinct])[inverse]
     rel = ga_evolve(2.0 / sigma**2, n)
     lvl, idx = np.divmod(np.arange(c.m * n), n)
     # global top-K by mean LLR, ties to smaller level then smaller index

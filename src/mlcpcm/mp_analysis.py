@@ -15,7 +15,9 @@ node doubling below 1e-8 everywhere on m <= 8, -10..30 dB. For square
 Gray-labeled QAM the integrand of every level depends on one noise axis only,
 so the tensor product collapses exactly to a one-dimensional rule; BPSK is a
 single real axis, so it takes the same rule. Constellations without product
-structure are not supported.
+structure are not supported. The 256-node rule is packaged data
+(``data/gauss_hermite_256.txt``), so the default path needs no SciPy; other
+node counts, and Q / Qinv, import ``scipy.special`` when first used.
 
 SNR is Es/N0 in dB with unit symbol energy, so N0 = 10^(-snr_db/10) and the
 per-real-dimension noise variance is N0/2. Information is measured in bits.
@@ -24,10 +26,9 @@ per-real-dimension noise variance is N0/2. Information is measured in bits.
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
-from scipy.special import erfc, erfcinv
-from scipy.special import roots_hermite as hermgauss
 
 from .constellation import Constellation, pam_tables
 
@@ -39,11 +40,13 @@ _stats_cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
 
 def q_function(x: float | np.ndarray) -> float | np.ndarray:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    from scipy.special import erfc
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
 def q_inverse(p: float | np.ndarray) -> float | np.ndarray:
     """Inverse of q_function on (0, 1)."""
+    from scipy.special import erfcinv
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("q_inverse needs 0 < p < 1")
@@ -82,8 +85,21 @@ def noise_sigma(snr_db: float) -> float:
 
 @lru_cache(maxsize=8)
 def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite (nodes, weights), computed once per node count."""
-    t, w = hermgauss(nodes)
+    """Read-only Gauss-Hermite (nodes, weights), loaded once per node count.
+
+    The GH_NODES rule is read bit-exact from the packaged float.hex table;
+    any other count is computed by SciPy.
+    """
+    if nodes == GH_NODES:
+        text = resources.files("mlcpcm").joinpath(
+            f"data/gauss_hermite_{GH_NODES}.txt").read_text()
+        rows = [line.split() for line in text.splitlines()
+                if not line.startswith("#")]
+        t = np.array([float.fromhex(a) for a, _ in rows])
+        w = np.array([float.fromhex(b) for _, b in rows])
+    else:
+        from scipy.special import roots_hermite
+        t, w = roots_hermite(nodes)
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w

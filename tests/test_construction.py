@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from mlcpcm.mp_analysis import (
     noise_sigma,
     q_inverse,
 )
+from mlcpcm.sim import load_mcs_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -447,3 +451,98 @@ def test_construct_ga_m1_tracks_bpsk_reliability():
     means = ga_evolve(2.0 / sigma**2, n)
     want = np.sort(np.argsort(-means, kind="stable")[:k])
     assert np.array_equal(cons.info_sets[0], want)
+
+
+def _phi_inv_ln_80_steps(target, hi):
+    # frozen copy of the bisection before it stopped at its fixed point
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_small = ln_phi(mid) > target
+        lo = np.where(too_small, mid, lo)
+        hi = np.where(too_small, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_phi_inv_ln_matches_80_step_loop(monkeypatch):
+    # the check-update inputs over the whole GA range, both phi segments
+    z = np.concatenate([np.geomspace(1e-4, 1e5, 400),
+                        np.random.default_rng(21).uniform(0.01, 40.0, 400)])
+    lp = ln_phi(z)
+    target = np.log(2.0) + lp + np.log1p(-0.5 * np.exp(lp))
+    assert np.array_equal(construction._phi_inv_ln(target, z.copy()),
+                          _phi_inv_ln_80_steps(target, z.copy()))
+    c = build_qam(4)
+    means = np.array([2.0 / biawgn_sigma_for_capacity(float(ck)) ** 2
+                      for snr in (-2.0, 3.0, 6.5, 12.0, 20.0)
+                      for ck in np.clip(level_stats(c, snr)[0], 1e-12, 1 - 1e-12)])
+    got = ga_evolve(means, 256)
+    monkeypatch.setattr(construction, "_phi_inv_ln", _phi_inv_ln_80_steps)
+    assert np.array_equal(got, ga_evolve(means, 256))
+
+
+def test_construct_ga_bisects_each_distinct_capacity_once(monkeypatch):
+    calls = []
+
+    def counting(cap, *args):
+        calls.append(cap)
+        return biawgn_sigma_for_capacity(cap, *args)
+
+    want = construct_ga(build_qam(6), 600, 128, 11.0)
+    monkeypatch.setattr(construction, "biawgn_sigma_for_capacity", counting)
+    got = construct_ga(build_qam(6), 600, 128, 11.0)
+    assert len(calls) == len(set(calls)) == 3  # three axis levels, paired
+    assert all(np.array_equal(a, b) for a, b in zip(want.info_sets, got.info_sets))
+
+
+def test_brentq_matches_scipy_bitwise(monkeypatch):
+    from scipy.optimize import brentq
+    # the criterion-2 targets, then a seeded random grid of m, N, rate, eps
+    cases = [(e.m, e.m * e.rate, 256, 0.1)
+             for e in sorted(load_mcs_table(), key=lambda e: (e.m, e.rate))]
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        m = int(rng.choice([1, 2, 4, 6, 8]))
+        cases.append((m, m * float(rng.uniform(0.02, 0.98)),
+                      int(rng.choice([32, 128, 256, 1024])),
+                      float(rng.uniform(0.005, 0.6))))
+
+    def roots():
+        return [(solve_snr_capacity(build_constellation(m), rt).hex(),
+                 solve_snr_finite(build_constellation(m), rt, n, eps).hex())
+                for m, rt, n, eps in cases]
+
+    got = roots()
+    monkeypatch.setattr(construction, "_brentq",
+                        lambda *args, **kw: float(brentq(*args, **kw)))
+    assert got == roots()
+
+
+def test_brentq_errors_and_endpoints():
+    with pytest.raises(ValueError, match="different signs"):
+        construction._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+    with pytest.raises(RuntimeError, match="converge"):
+        construction._brentq(lambda x: x**3 - 2.0, 0.0, 10.0, 1e-12, 8.9e-16,
+                             maxiter=3)
+    assert construction._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 8.9e-16) == 2.0
+    assert construction._brentq(lambda x: x - 5.0, 2.0, 5.0, 1e-12, 8.9e-16) == 5.0
+    root = construction._brentq(lambda x: x**3 - 2.0, 0.0, 10.0, 1e-12, 8.9e-16)
+    assert abs(root - 2.0 ** (1 / 3)) < 1e-12
+
+
+def test_construction_path_loads_no_scipy_submodules():
+    # in a fresh interpreter: pytest itself has already imported scipy here
+    code = (
+        "import sys\n"
+        "import mlcpcm\n"
+        "mlcpcm.construct_ga(mlcpcm.build_qam(4), 64, 32, 6.0)\n"
+        "mlcpcm.construct_rf1(4, 64, 32)\n"
+        "mlcpcm.solve_snr_capacity(mlcpcm.build_qam(6), 3.0)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.optimize', 'scipy.special'))))\n")
+    src = Path(construction.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from mlcpcm.mp_analysis import (
     q_inverse,
     subchannel_capacity,
     subchannel_dispersion,
+    _gauss_hermite,
 )
 
 from demap_reference import demap_tables
@@ -170,3 +171,14 @@ def test_qam_axis_levels_pair_up():
     # Gray labels give the first bit the coarsest partition, so it carries
     # the most information at moderate SNR
     assert caps[0] > caps[2] > caps[4]
+
+
+def test_packaged_gauss_hermite_rule_is_scipys_bitwise():
+    from scipy.special import roots_hermite
+    for nodes in (256, 64):  # the packaged rule, then one computed by scipy
+        t, w = _gauss_hermite(nodes)
+        want_t, want_w = roots_hermite(nodes)
+        assert t.dtype == w.dtype == np.float64 and t.shape == w.shape == (nodes,)
+        assert t.tobytes() == want_t.tobytes()
+        assert w.tobytes() == want_w.tobytes()
+        assert not t.flags.writeable and not w.flags.writeable
