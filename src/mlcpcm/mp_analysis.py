@@ -16,8 +16,10 @@ Gray-labeled QAM the integrand of every level depends on one noise axis only,
 so the tensor product collapses exactly to a one-dimensional rule; BPSK is a
 single real axis, so it takes the same rule. Constellations without product
 structure are not supported. The 256-node rule is packaged data
-(``data/gauss_hermite_256.txt``), so the default path needs no SciPy; other
-node counts, and Q / Qinv, import ``scipy.special`` when first used.
+(``data/gauss_hermite_256.txt``) and Qinv is an in-package port of Cephes
+``ndtri``, so rf2 and the finite-blocklength rates need no SciPy; only Q and
+Gauss-Hermite rules with another node count import ``scipy.special`` when
+first used.
 
 SNR is Es/N0 in dB with unit symbol energy, so N0 = 10^(-snr_db/10) and the
 per-real-dimension noise variance is N0/2. Information is measured in bits.
@@ -25,6 +27,7 @@ per-real-dimension noise variance is N0/2. Information is measured in bits.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from importlib import resources
 
@@ -34,6 +37,7 @@ from .constellation import Constellation, pam_tables
 
 GH_NODES = 256
 LN2 = np.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 _stats_cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
 
@@ -44,14 +48,87 @@ def q_function(x: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
+# Cephes ndtri (S. L. Moshier, Cephes Math Library), the routine behind
+# scipy.special.erfcinv: rational approximations in y - 1/2 on the centre
+# (P0/Q0) and in 1/sqrt(-2 ln y) on the tails, split at z = 8 (P1/Q1, P2/Q2).
+# Cephes leaves the leading 1 of each Q implicit (p1evl); it is written out
+# here, and Horner's first step 1.0 * x + q is exactly p1evl's x + q.
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT1_2 = 0.70710678118654752440  # M_SQRT1_2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner evaluation of coef[0] x^n + ... + coef[n]."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile on (0, 1), a port of Cephes ``ndtri``: the
+    same branches, the same operations in the same order and libm
+    ``log``/``sqrt``, so it returns SciPy's ``ndtri`` bit for bit."""
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def q_inverse(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse of q_function on (0, 1)."""
-    from scipy.special import erfcinv
+    """Inverse of q_function on (0, 1).
+
+    Evaluates sqrt(2) erfcinv(2p) with erfcinv(y) = -ndtri(y/2) * M_SQRT1_2,
+    as SciPy does, element by element in Python floats: numpy's SIMD ``log``
+    may differ from libm's in the last ulp.
+    """
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
         raise ValueError("q_inverse needs 0 < p < 1")
-    out = np.sqrt(2.0) * erfcinv(2.0 * p)
-    return float(out) if out.ndim == 0 else out
+    out = [_SQRT2 * (-_ndtri(0.5 * (2.0 * v)) * _SQRT1_2)
+           for v in p.ravel().tolist()]
+    return out[0] if p.ndim == 0 else np.array(out).reshape(p.shape)
 
 
 def per_level_error_prob(eps_total: float, m: int) -> float:

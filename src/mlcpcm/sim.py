@@ -121,6 +121,8 @@ class SimConfig:
             raise ValueError("seed must lie in [0, 2^64)")
         if self.list_size < 1 or self.list_size & (self.list_size - 1):
             raise ValueError("list size must be a power of two")
+        if not 0.0 < self.eps < 1.0:  # NaN fails too
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 
 
 @dataclass(frozen=True)

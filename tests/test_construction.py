@@ -519,6 +519,26 @@ def test_brentq_matches_scipy_bitwise(monkeypatch):
     assert got == roots()
 
 
+def test_rf2_matches_scipy_erfcinv_bitwise(monkeypatch):
+    from scipy.special import erfcinv
+    cases = [(m, n, eps, round(m * n * r))
+             for m in (1, 2, 4, 6, 8) for n in (32, 256)
+             for eps in (0.01, 0.1, 0.3, 0.5) for r in (0.2, 0.5, 0.8)]
+
+    def builds():
+        out = []
+        for m, n, eps, k in cases:
+            cons = construct_rf2(m, k, n, eps=eps)
+            out.append((cons.design_snr_db.hex(),
+                        [s.tolist() for s in cons.info_sets]))
+        return out
+
+    got = builds()
+    monkeypatch.setattr(construction, "q_inverse",
+                        lambda p: float(np.sqrt(2.0) * erfcinv(2.0 * p)))
+    assert got == builds()
+
+
 def test_brentq_errors_and_endpoints():
     with pytest.raises(ValueError, match="different signs"):
         construction._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
@@ -539,6 +559,24 @@ def test_construction_path_loads_no_scipy_submodules():
         "mlcpcm.construct_ga(mlcpcm.build_qam(4), 64, 32, 6.0)\n"
         "mlcpcm.construct_rf1(4, 64, 32)\n"
         "mlcpcm.solve_snr_capacity(mlcpcm.build_qam(6), 3.0)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.optimize', 'scipy.special'))))\n")
+    src = Path(construction.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
+
+
+def test_rf2_path_loads_no_scipy_submodules():
+    # in a fresh interpreter: pytest itself has already imported scipy here
+    code = (
+        "import sys\n"
+        "import mlcpcm\n"
+        "mlcpcm.construct_rf2(4, 64, 32)\n"
+        "mlcpcm.finite_bl_values(mlcpcm.build_qam(4), 6.0, 32, 0.1)\n"
+        "mlcpcm.run_bler(mlcpcm.SimConfig(method='rf2', m=4, n=32, k=64,\n"
+        "    snr_grid_db=(6.0,), list_size=2, max_blocks=16, max_errors=16))\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy.optimize', 'scipy.special'))))\n")
     src = Path(construction.__file__).resolve().parents[1]

@@ -65,6 +65,52 @@ def test_q_function_basics():
         assert abs(q_function(q_inverse(p)) - p) < 1e-12 * max(p, 1e-9) + 1e-15
 
 
+def _q_inverse_sweep() -> np.ndarray:
+    # uniform, log-uniform down to 1e-300, within 1e-16 of 1 (one double) and
+    # the 1000 doubles below it, the nextafter neighbours of ndtri's branch
+    # points exp(-2), 1 - exp(-2) and exp(-32) (z = 8), and rf2's eps values
+    rng = np.random.default_rng(20261018)
+    parts = [rng.uniform(0.0, 1.0, 6000), 10.0 ** rng.uniform(-300.0, 0.0, 6000),
+             1.0 - rng.uniform(0.0, 1e-16, 100), 1.0 - np.arange(1, 1001) * 2.0**-53,
+             [0.01, 0.1, 0.3, 0.5]]
+    for point in (np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)):
+        lo = hi = point
+        near = [point]
+        for _ in range(8):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+            near += [lo, hi]
+        parts.append(near)
+    p = np.concatenate([np.asarray(a, dtype=np.float64) for a in parts])
+    return p[(p > 0.0) & (p < 1.0)]
+
+
+def test_q_inverse_matches_scipy_bitwise():
+    from scipy.special import erfcinv
+    p = _q_inverse_sweep()
+    assert p.size >= 10_000
+    want = np.sqrt(2.0) * erfcinv(2.0 * p)
+    got = q_inverse(p)
+    assert got.dtype == np.float64 and got.shape == p.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for v in (0.01, 0.1, 0.3, 0.5, np.exp(-2.0), np.exp(-32.0), 1e-300):
+        x = q_inverse(v)
+        assert type(x) is float
+        assert x.hex() == float(np.sqrt(2.0) * erfcinv(2.0 * v)).hex()
+    grid = p[:12].reshape(3, 4)
+    out = q_inverse(grid)
+    assert out.shape == (3, 4) and out.dtype == np.float64
+    assert np.array_equal(out, np.sqrt(2.0) * erfcinv(2.0 * grid))
+
+
+def test_q_inverse_rejects_p_outside_open_unit_interval():
+    for p in (0.0, 1.0, -0.1, 1.5, np.nan, np.inf, -np.inf,
+              np.array([0.1, np.nan]), np.array([[0.2], [1.0]])):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            q_inverse(p)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        finite_bl_rate(0.5, 0.1, 32, np.nan)
+
+
 def test_per_level_error_prob():
     assert abs(per_level_error_prob(0.1, 4) - (1.0 - 0.9 ** 0.25)) < 1e-15
     assert per_level_error_prob(0.0, 3) == 0.0

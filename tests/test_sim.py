@@ -73,6 +73,10 @@ def test_sim_config_validation():
     _small_cfg(seed=2**64 - 1, max_blocks=2**32)  # both limits are allowed
     with pytest.raises(ValueError):
         _small_cfg(max_blocks=2**32 + 1)  # frame 2^32 would alias the next point
+    for method in ("rf1", "rf2", "ga"):
+        for eps in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="eps"):
+                _small_cfg(method=method, eps=eps)
 
 
 # ----------------------------------------------------------------- channels
