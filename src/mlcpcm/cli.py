@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .sim import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_ERRORS, SimConfig, SimCurve,
 def _parse_grid(args) -> tuple[float, ...]:
     if args.snr_db:
         return tuple(float(s) for s in args.snr_db)
-    return tuple(np.arange(args.snr_start, args.snr_stop + args.snr_step / 2,
-                           args.snr_step))
+    step = 0.5 if args.snr_step is None else args.snr_step
+    return tuple(np.arange(args.snr_start, args.snr_stop + step / 2, step))
 
 
 def _write(out: str, doc, header: list[str], rows) -> None:
@@ -51,6 +52,10 @@ def _write_curve(curve: SimCurve, out: str | None) -> None:
 
 def _print_curve(curve: SimCurve) -> None:
     print(f"# {curve.metric}  (wall time {curve.wall_time_s:.1f} s)")
+    _print_rows(curve)
+
+
+def _print_rows(curve: SimCurve) -> None:
     print(f"{'snr_db':>8}  {curve.metric:>12}  {'blocks':>8}  {'errors':>7}")
     for s, v, b, e in curve.rows():
         print(f"{s:8.2f}  {v:12.6g}  {b:8d}  {e:7d}")
@@ -167,15 +172,24 @@ def _cmd_throughput(args) -> None:
 def _cmd_minsnr(args) -> None:
     table = load_mcs_table(args.mcs_table)
     mcs = table[args.mcs_index]
-    res = min_required_snr(args.method or "rf2", mcs, args.n or 256, args.target_bler,
-                           list_size=args.list_size, seed=args.seed or 0,
-                           eps=args.eps if args.eps is not None else DEFAULT_EPS,
-                           max_blocks=args.max_blocks or DEFAULT_MAX_BLOCKS,
-                           max_errors=args.max_errors or DEFAULT_MAX_ERRORS,
-                           workers=args.workers)
+    search = dict(method=args.method or "rf2", n=args.n or 256,
+                  target_bler=args.target_bler, list_size=args.list_size or 8,
+                  seed=args.seed or 0,
+                  eps=args.eps if args.eps is not None else DEFAULT_EPS,
+                  max_blocks=args.max_blocks or DEFAULT_MAX_BLOCKS,
+                  max_errors=args.max_errors or DEFAULT_MAX_ERRORS)
+    res = min_required_snr(mcs=mcs, workers=args.workers, **search)
     flag = "  (warning: flat bracket)" if res.warned else ""
     print(f"mcs {mcs.index} (m={mcs.m}, rate {mcs.rate_x1024}/1024): "
           f"required snr {res.snr_db:.3f} dB at BLER {args.target_bler}{flag}")
+    probes = SimCurve(metric="bler", points=list(res.probes))
+    _print_rows(probes)
+    if args.out is not None:
+        doc = {"config": dict(search, mcs_index=mcs.index),
+               "snr_db": res.snr_db, "warned": res.warned,
+               "probes": [asdict(p) for p in res.probes]}
+        _write(args.out, doc, ["snr_db", "bler", "blocks", "errors"],
+               probes.rows())
 
 
 def _worker_count(text: str) -> int:
@@ -202,7 +216,7 @@ def _add_common(p) -> None:
                    help="explicit SNR grid points (dB)")
     p.add_argument("--snr-start", type=float, default=None)
     p.add_argument("--snr-stop", type=float, default=None)
-    p.add_argument("--snr-step", type=float, default=0.5)
+    p.add_argument("--snr-step", type=float, default=None, help="default 0.5")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -245,6 +259,15 @@ def main(argv: list[str] | None = None) -> int:
             ap.error("analyze requires --m")
         if args.eps is None:
             args.eps = DEFAULT_EPS
+    if args.command == "minsnr":
+        unused = [flag for flag, value in (
+            ("--config", args.config), ("--snr-db", args.snr_db),
+            ("--snr-start", args.snr_start), ("--snr-stop", args.snr_stop),
+            ("--snr-step", args.snr_step), ("--k", args.k),
+            ("--rate", args.rate), ("--m", args.m or None)) if value is not None]
+        if unused:
+            ap.error(f"minsnr takes no {', '.join(unused)}: it walks its own "
+                     "SNR grid and --mcs-index sets m and k")
     if args.command == "construct":
         if not args.m or not args.n:
             ap.error("construct requires --m and --n")

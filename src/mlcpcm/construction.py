@@ -262,12 +262,16 @@ def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
     return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:  # NaN fails too
+        raise ValueError("eps must lie in (0, 1)")
+
+
 def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
                      eps: float) -> float:
     """SNR (dB) where the clamped finite-blocklength sum-rate equals the target."""
     _check_sum_rate(c.m, target_sum_rate)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     qv = q_inverse(eps)
 
     def f(snr_db: float) -> float:
@@ -324,6 +328,7 @@ def construct_rf1(m: int, k_total: int, n: int,
 def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
                   seq: RankSequence | None = None) -> CodeConstruction:
     """Finite-blocklength rate-filling construction."""
+    _check_eps(eps)
     seq = default_sequence(n) if seq is None else seq
     if k_total == m * n:
         return _saturated(m, n, "rf2", eps)

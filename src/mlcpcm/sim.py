@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import groupby
@@ -223,28 +223,50 @@ def _bler_chunk(cons: CodeConstruction, c: Constellation, list_size: int,
     return _frame_errors(cons, c, list_size, snr_db, rngs)
 
 
-def _in_order(fn, arg_list: list[tuple], workers: int):
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """One process pool for a whole call, or None for a single worker.
+
+    On exit, also by an exception, queued tasks are cancelled and running ones
+    waited for, so no child process outlives the block.
+    """
+    if workers == 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(fn, arg_list: list[tuple], pool: ProcessPoolExecutor | None,
+              workers: int):
     """Yield fn(*args) for each entry of arg_list, in list order.
 
-    With workers > 1 the calls run in a process pool, at most workers + 1 in
-    flight; closing the generator cancels those not yet started.
+    With a pool the calls run there, at most workers + 1 in flight; closing
+    the generator cancels those not yet started.
     """
-    if workers <= 1:
+    if pool is None:
         for args in arg_list:
             yield fn(*args)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        try:
-            for args in arg_list:
-                pending.append(pool.submit(fn, *args))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
+    pending = deque()
+    try:
+        for args in arg_list:
+            pending.append(pool.submit(fn, *args))
+            if len(pending) > workers:
                 yield pending.popleft().result()
-        finally:
-            for f in pending:
-                f.cancel()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for f in pending:
+            f.cancel()
 
 
 def _consume(flags: np.ndarray, blocks: int, errors: int,
@@ -259,13 +281,13 @@ def _consume(flags: np.ndarray, blocks: int, errors: int,
 
 
 def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
-                    workers: int) -> SimPoint:
+                    pool: ProcessPoolExecutor | None, workers: int) -> SimPoint:
     blocks = errors = 0
     batch = _batch_size(cfg.m, cfg.n, cfg.max_blocks)
     args = [(cons, c, cfg.list_size, snr_db, cfg.seed, snr_idx, start,
              min(batch, cfg.max_blocks - start))
             for start in range(0, cfg.max_blocks, batch)]
-    with closing(_in_order(_bler_chunk, args, workers)) as chunks:
+    with closing(_in_order(_bler_chunk, args, pool, workers)) as chunks:
         for flags in chunks:
             blocks, errors, done = _consume(flags, blocks, errors, cfg.max_errors)
             if done:
@@ -275,7 +297,11 @@ def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
 
 
 def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
-    """BLER on the config's SNR grid; frame errors judged by payload equality."""
+    """BLER on the config's SNR grid; frame errors judged by payload equality.
+
+    The chunks of each point run on ``workers`` processes of one pool.
+    """
+    _check_workers(workers)
     if cfg.k < 1:
         raise ValueError("k must be positive for BLER simulation")
     t0 = time.perf_counter()
@@ -284,11 +310,12 @@ def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
     if cfg.method in ("rf1", "rf2"):
         cons = build_construction(cfg.method, c, cfg.k, cfg.n, cfg.eps)
     curve = SimCurve(metric="bler", config=asdict(cfg))
-    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        point_cons = cons if cons is not None else build_construction(
-            "ga", c, cfg.k, cfg.n, cfg.eps, snr_db)
-        curve.points.append(_simulate_point(point_cons, c, cfg, snr_db,
-                                            snr_idx, workers))
+    with _worker_pool(workers) as pool:
+        for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
+            point_cons = cons if cons is not None else build_construction(
+                "ga", c, cfg.k, cfg.n, cfg.eps, snr_db)
+            curve.points.append(_simulate_point(point_cons, c, cfg, snr_db,
+                                                snr_idx, pool, workers))
     curve.wall_time_s = time.perf_counter() - t0
     return curve
 
@@ -303,6 +330,11 @@ class MinSnrResult:
 def _log_bler(p: SimPoint) -> float:
     # continuity correction so zero-error points stay interpolable
     return float(np.log10(max(p.value, 0.5 / p.blocks)))
+
+
+def _probe_point(cfg: SimConfig) -> SimPoint:
+    """One required-SNR probe, construction included: the config's one point."""
+    return run_bler(cfg, workers=1).points[0]
 
 
 def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
@@ -320,50 +352,72 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     continuity-corrected BLER (0.5 / blocks when it saw no errors) is not
     below the lower one's, the result is the bracket midpoint and ``warned``
     is set.
+
+    Each probe runs whole in one process. With ``workers`` > 1, up to
+    ``workers`` probes run at once on one pool that lives for the call: the
+    probe the walk asks for and, speculatively, the grid points the walk
+    visits next if that probe does not end its phase. A probe depends only on
+    (config, SNR) and ``probes`` lists only the probes the walk asks for, so
+    the result does not depend on ``workers``.
     """
+    if not 0.0 < target_bler < 1.0:  # NaN fails too
+        raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")
+    _check_workers(workers)
     step = 0.25
     k = mcs.k_for(n)
     c = build_constellation(mcs.m)
     cache: dict[float, SimPoint] = {}
+    flight: dict[float, Future] = {}
 
-    def probe(s: float) -> SimPoint:
+    def config(s: float) -> SimConfig:
+        return SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=(s,),
+                         list_size=list_size, max_blocks=max_blocks,
+                         max_errors=max_errors, seed=seed, eps=eps)
+
+    def probe(s: float, ahead: float, below: float = np.inf) -> SimPoint:
+        """The probe at grid point s. With a pool, s + j * ahead for
+        0 < j < workers, those below ``below``, run beside it."""
         s = round(s / step) * step
+        if pool is not None:
+            for j in range(workers):
+                t = round((s + j * ahead) / step) * step
+                if t not in cache and t not in flight and (j == 0 or t < below):
+                    flight[t] = pool.submit(_probe_point, config(t))
         if s not in cache:
-            cfg = SimConfig(method=method, m=mcs.m, n=n, k=k,
-                            snr_grid_db=(s,), list_size=list_size,
-                            max_blocks=max_blocks, max_errors=max_errors,
-                            seed=seed, eps=eps)
-            cache[s] = run_bler(cfg, workers=workers).points[0]
+            cache[s] = (_probe_point(config(s)) if pool is None
+                        else flight.pop(s).result())
         return cache[s]
 
     anchor = solve_snr_capacity(c, k / n)
     s = np.floor(anchor / step) * step
-    p = probe(s)
-    guard = 0
-    while p.value < target_bler:  # walked in above the waterfall
-        s -= step
-        p = probe(s)
-        guard += 1
-        if guard > 240:
-            raise RuntimeError("target BLER not bracketed within 60 dB")
-    lo = p
-    while True:
-        stride = 1.0 if lo.value >= 30 * target_bler else step
-        s_next = lo.snr_db + stride
-        p = probe(s_next)
-        guard += 1
-        if guard > 240:
-            raise RuntimeError("target BLER not bracketed within 60 dB")
-        if p.value < target_bler:
-            hi = p  # backfill so the bracket is adjacent on the grid
-            while hi.snr_db - lo.snr_db > step * 1.01:
-                q = probe(lo.snr_db + step)
-                if q.value < target_bler:
-                    hi = q
-                else:
-                    lo = q
-            break
+    with _worker_pool(workers) as pool:
+        # speculate an ascent: the capacity-matched anchor is usually below
+        # the waterfall, at a BLER near 1
+        p = probe(s, 1.0 if 30 * target_bler <= 1.0 else step)
+        guard = 0
+        while p.value < target_bler:  # walked in above the waterfall
+            s -= step
+            p = probe(s, -step)
+            guard += 1
+            if guard > 240:
+                raise RuntimeError("target BLER not bracketed within 60 dB")
         lo = p
+        while True:
+            stride = 1.0 if lo.value >= 30 * target_bler else step
+            p = probe(lo.snr_db + stride, stride)
+            guard += 1
+            if guard > 240:
+                raise RuntimeError("target BLER not bracketed within 60 dB")
+            if p.value < target_bler:
+                hi = p  # backfill so the bracket is adjacent on the grid
+                while hi.snr_db - lo.snr_db > step * 1.01:
+                    q = probe(lo.snr_db + step, step, hi.snr_db)
+                    if q.value < target_bler:
+                        hi = q
+                    else:
+                        lo = q
+                break
+            lo = p
 
     llo, lhi, lt = _log_bler(lo), _log_bler(hi), np.log10(target_bler)
     warned = lhi >= llo
@@ -389,6 +443,7 @@ def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
                    max_errors: int = DEFAULT_MAX_ERRORS,
                    workers: int = 1) -> dict[int, SimCurve]:
     """Per-MCS BLER curves on a grid around each capacity-matched SNR."""
+    _check_workers(workers)
     lut: dict[int, SimCurve] = {}
     for mcs in mcs_table:
         c = build_constellation(mcs.m)
@@ -467,24 +522,26 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     subject to predicted BLER <= cfg.eps. Delivered bits count K per correct
     frame; throughput is delivered bits per symbol. cfg.m/cfg.k are ignored
     (the MCS table governs); the grid is mean SNR. Chunks of 256 frames run
-    on ``workers`` processes.
+    on ``workers`` processes of one pool.
     """
+    _check_workers(workers)
     t0 = time.perf_counter()
     rf_cons = None if cfg.method == "ga" else {
         mcs.index: build_construction(cfg.method, build_constellation(mcs.m),
                                       mcs.k_for(cfg.n), cfg.n, cfg.eps)
         for mcs in mcs_table}
     curve = SimCurve(metric="throughput", config=asdict(cfg))
-    for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
-        delivered = errors = 0
-        args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
-                 min(256, cfg.max_blocks - start))
-                for start in range(0, cfg.max_blocks, 256)]
-        for d, e in _in_order(_throughput_chunk, args, workers):
-            delivered += d
-            errors += e
-        curve.points.append(SimPoint(snr_db=mean_snr,
-                                     value=delivered / (cfg.max_blocks * cfg.n),
-                                     blocks=cfg.max_blocks, errors=errors))
+    with _worker_pool(workers) as pool:
+        for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
+            delivered = errors = 0
+            args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
+                     min(256, cfg.max_blocks - start))
+                    for start in range(0, cfg.max_blocks, 256)]
+            for d, e in _in_order(_throughput_chunk, args, pool, workers):
+                delivered += d
+                errors += e
+            curve.points.append(SimPoint(
+                snr_db=mean_snr, value=delivered / (cfg.max_blocks * cfg.n),
+                blocks=cfg.max_blocks, errors=errors))
     curve.wall_time_s = time.perf_counter() - t0
     return curve

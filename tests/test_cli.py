@@ -81,6 +81,70 @@ def test_minsnr_smoke(capsys):
     assert "snr" in out.lower()
 
 
+MINSNR_ARGS = ["minsnr", "--mcs-index", "1", "--target-bler", "0.2",
+               "--n", "32", "--method", "rf1", "--list-size", "2",
+               "--max-blocks", "200", "--max-errors", "40"]
+
+
+def test_minsnr_prints_probes(capsys):
+    assert main(MINSNR_ARGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "required snr" in lines[0]
+    assert lines[1].split() == ["snr_db", "bler", "blocks", "errors"]
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) >= 2
+    snrs = [float(r[0]) for r in rows]
+    assert snrs == sorted(snrs)
+    for snr, bler, blocks, errors in rows:
+        assert float(bler) == pytest.approx(int(errors) / int(blocks), rel=1e-5)
+
+
+def test_minsnr_json_output(tmp_path, capsys):
+    out = tmp_path / "minsnr.json"
+    assert main(MINSNR_ARGS + ["--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert f"required snr {data['snr_db']:.3f} dB" in text
+    assert data["warned"] is False
+    assert data["config"]["mcs_index"] == 1 and data["config"]["n"] == 32
+    assert len(data["probes"]) >= 2
+    for p in data["probes"]:
+        assert p["value"] == p["errors"] / p["blocks"]
+        assert f"{p['snr_db']:8.2f}" in text
+
+
+def test_minsnr_csv_output(tmp_path, capsys):
+    out = tmp_path / "minsnr.csv"
+    assert main(MINSNR_ARGS + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["snr_db", "bler", "blocks", "errors"]
+    # printed: result line, header, one line per probe, "wrote ..."
+    assert len(rows) - 1 == len(printed) - 3
+    assert [float(r[0]) for r in rows[1:]] == \
+           [float(line.split()[0]) for line in printed[2:-1]]
+
+
+def test_minsnr_default_list_size(capsys):
+    # without --list-size the search runs at the default list size 8
+    assert main(["minsnr", "--mcs-index", "1", "--target-bler", "0.2",
+                 "--n", "32", "--method", "rf1", "--max-blocks", "40",
+                 "--max-errors", "20"]) == 0
+    assert "required snr" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", (["--config", "cfg.json"], ["--snr-db", "3"],
+                                   ["--snr-start", "0", "--snr-stop", "4"],
+                                   ["--snr-step", "0.25"], ["--k", "32"],
+                                   ["--m", "4"]))
+def test_minsnr_rejects_flags_it_cannot_honour(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(MINSNR_ARGS + flags)
+    assert exc.value.code == 2
+    assert f"minsnr takes no {flags[0]}" in capsys.readouterr().err
+
+
 def test_throughput_csv(tmp_path):
     out = tmp_path / "tp.csv"
     assert main(["throughput", "--method", "rf2", "--n", "32",

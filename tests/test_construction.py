@@ -255,6 +255,15 @@ def test_rf_full_rate_saturated():
     assert all(np.array_equal(a, np.arange(64)) for a in cons.info_sets)
 
 
+@pytest.mark.parametrize("eps", (0.0, 1.0, 1.5, float("nan")))
+def test_rf2_saturated_rejects_bad_eps(eps):
+    # K = mN skips the SNR solve, and so its eps check, unless checked first
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        construct_rf2(2, 64, 32, eps=eps)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        construct_rf2(2, 63, 32, eps=eps)
+
+
 def test_rf_m1_degenerates_to_plain_polar():
     seq = five_g_sequence()
     for build in (construct_rf1, lambda m, k, n: construct_rf2(m, k, n, eps=0.1)):

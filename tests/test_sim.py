@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,135 @@ def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
     # log-linear between 0.04 at 9.75 dB and 0.00125 at 10 dB, target 0.01
     assert res.snr_db == pytest.approx(9.75 + 0.25 * np.log10(4) / np.log10(32))
     assert [p.snr_db for p in res.probes] == sorted(p.snr_db for p in res.probes)
+
+
+# Real walks of each kind, each checked at 1, 2 and 3 workers:
+# walk -> (method, mcs, n, target_bler, max_blocks, max_errors, seed)
+SPECULATION_WALKS = {
+    "ascent": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.2, 200, 40, 5),
+    "descent": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.9, 100, 40, 5),
+    "backfill": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.01, 20, 20, 6),
+    "backfill-ga": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 64, 0.01, 20, 20, 3),
+}
+
+
+@pytest.mark.parametrize("walk", SPECULATION_WALKS)
+def test_min_required_snr_worker_invariant(walk):
+    method, mcs, n, target, blocks, errors, seed = SPECULATION_WALKS[walk]
+    results = [min_required_snr(method, mcs, n, target, list_size=2, seed=seed,
+                                max_blocks=blocks, max_errors=errors,
+                                workers=workers)
+               for workers in (1, 2, 3)]
+    assert results[1] == results[0] and results[2] == results[0]
+    assert multiprocessing.active_children() == []
+    probes = results[0].probes
+    below = [p.value < target for p in probes]
+    if walk == "ascent":  # up from the lowest probe until the last one
+        assert below == [False] * (len(probes) - 1) + [True]
+    elif walk == "descent":  # down from the anchor to the lowest probe
+        assert below == [False] + [True] * (len(probes) - 1)
+    else:  # a 1 dB stride, then grid points filled in below its end
+        gaps = np.diff([p.snr_db for p in probes])
+        assert 1.0 in gaps and 0.25 in gaps
+
+
+def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
+    """Stub run_bler as _stub_min_snr does: BLER 0.04 below the threshold
+    SNR and 0.00125 from it on. Every call appends its SNR to ``log``; calls
+    above ``fail_above`` then raise. Forked pool workers inherit the stub."""
+    def stub_run_bler(cfg, workers=1):
+        s = cfg.snr_grid_db[0]
+        with open(log, "a") as fh:
+            fh.write(f"{s!r}\n")
+        if s > fail_above:
+            raise ValueError(f"stub probe at {s} dB")
+        errors, blocks = (4, 100) if s < threshold else (1, 800)
+        return SimCurve(metric="bler", points=[
+            SimPoint(snr_db=s, value=errors / blocks, blocks=blocks, errors=errors)])
+    monkeypatch.setattr(sim, "run_bler", stub_run_bler)
+
+
+def _stub_walk(workers):
+    # QPSK at one bit per symbol: the capacity anchor is at 0 dB on the grid
+    return min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
+                            0.01, workers=workers)
+
+
+def _logged(log):
+    return {float(line) for line in log.read_text().split()}
+
+
+@pytest.mark.parametrize("threshold", (10.0, -5.0))
+def test_min_required_snr_speculation_never_shows(monkeypatch, tmp_path,
+                                                  threshold):
+    log = tmp_path / "probes.txt"
+    _stub_probes(monkeypatch, threshold, log)
+    walk = _stub_walk(1)
+    asked = [p.snr_db for p in walk.probes]
+    assert sorted(_logged(log)) == asked  # one worker does not speculate
+    for workers in (2, 3):
+        log.unlink()
+        assert _stub_walk(workers) == walk
+        assert set(asked) <= _logged(log)
+        if threshold < 0:
+            # the descent never asks for the points above the anchor that
+            # were sent out with it; they run before the walk can end
+            assert set(asked) < _logged(log)
+    assert multiprocessing.active_children() == []
+
+
+def test_min_required_snr_unrequested_failure_is_ignored(monkeypatch, tmp_path):
+    # the walk descends from the 0 dB anchor; the probes speculated above it
+    # at the start (an ascent guess) raise, and the walk never asks for them
+    log = tmp_path / "probes.txt"
+    _stub_probes(monkeypatch, -5.0, log)
+    want = _stub_walk(1)
+    _stub_probes(monkeypatch, -5.0, log, fail_above=0.0)
+    for workers in (2, 3):
+        log.unlink(missing_ok=True)
+        assert _stub_walk(workers) == want
+        assert 1.0 in _logged(log)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_min_required_snr_requested_failure_surfaces(monkeypatch, tmp_path,
+                                                     workers):
+    _stub_probes(monkeypatch, 10.0, tmp_path / "probes.txt", fail_above=4.9)
+    with pytest.raises(ValueError, match="stub probe at 5.0 dB"):
+        _stub_walk(workers)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_min_required_snr_guard_leaves_no_children(monkeypatch, tmp_path,
+                                                   workers):
+    # every probe below target: the descent runs into the 60 dB guard
+    _stub_probes(monkeypatch, -np.inf, tmp_path / "probes.txt")
+    with pytest.raises(RuntimeError, match="within 60 dB"):
+        _stub_walk(workers)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("target", (0.0, 1.0, 1.5, -0.1, float("nan")))
+def test_min_required_snr_rejects_target_outside_unit_interval(target):
+    with pytest.raises(ValueError, match="target_bler"):
+        min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
+                         target)
+
+
+@pytest.mark.parametrize("workers", (0, -1))
+def test_worker_count_below_one_rejected(workers):
+    cfg = _small_cfg()
+    table = _tiny_table()
+    calls = (lambda: run_bler(cfg, workers=workers),
+             lambda: run_throughput(cfg, table, {}, workers=workers),
+             lambda: build_bler_lut("rf2", table, 32, workers=workers),
+             lambda: min_required_snr("rf1", table[0], 32, 0.1,
+                                      workers=workers))
+    for call in calls:
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call()
 
 
 def _tiny_table():
