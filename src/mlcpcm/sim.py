@@ -16,7 +16,7 @@ import csv
 import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import groupby
@@ -228,45 +228,28 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-@contextmanager
-def _worker_pool(workers: int):
-    """One process pool for a whole call, or None for a single worker.
-
-    On exit, also by an exception, queued tasks are cancelled and running ones
-    waited for, so no child process outlives the block.
-    """
-    if workers == 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _in_order(fn, arg_list: list[tuple], pool: ProcessPoolExecutor | None,
-              workers: int):
+def _in_order(fn, arg_list: list[tuple], workers: int):
     """Yield fn(*args) for each entry of arg_list, in list order.
 
-    With a pool the calls run there, at most workers + 1 in flight; closing
-    the generator cancels those not yet started.
+    With workers > 1 the calls run in a process pool, at most workers + 1 in
+    flight; closing the generator cancels those not yet started.
     """
-    if pool is None:
+    if workers <= 1:
         for args in arg_list:
             yield fn(*args)
         return
-    pending = deque()
-    try:
-        for args in arg_list:
-            pending.append(pool.submit(fn, *args))
-            if len(pending) > workers:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        try:
+            for args in arg_list:
+                pending.append(pool.submit(fn, *args))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for f in pending:
-            f.cancel()
+        finally:
+            for f in pending:
+                f.cancel()
 
 
 def _consume(flags: np.ndarray, blocks: int, errors: int,
@@ -281,13 +264,13 @@ def _consume(flags: np.ndarray, blocks: int, errors: int,
 
 
 def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
-                    pool: ProcessPoolExecutor | None, workers: int) -> SimPoint:
+                    workers: int) -> SimPoint:
     blocks = errors = 0
     batch = _batch_size(cfg.m, cfg.n, cfg.max_blocks)
     args = [(cons, c, cfg.list_size, snr_db, cfg.seed, snr_idx, start,
              min(batch, cfg.max_blocks - start))
             for start in range(0, cfg.max_blocks, batch)]
-    with closing(_in_order(_bler_chunk, args, pool, workers)) as chunks:
+    with closing(_in_order(_bler_chunk, args, workers)) as chunks:
         for flags in chunks:
             blocks, errors, done = _consume(flags, blocks, errors, cfg.max_errors)
             if done:
@@ -297,10 +280,7 @@ def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
 
 
 def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
-    """BLER on the config's SNR grid; frame errors judged by payload equality.
-
-    The chunks of each point run on ``workers`` processes of one pool.
-    """
+    """BLER on the config's SNR grid; frame errors judged by payload equality."""
     _check_workers(workers)
     if cfg.k < 1:
         raise ValueError("k must be positive for BLER simulation")
@@ -310,12 +290,11 @@ def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
     if cfg.method in ("rf1", "rf2"):
         cons = build_construction(cfg.method, c, cfg.k, cfg.n, cfg.eps)
     curve = SimCurve(metric="bler", config=asdict(cfg))
-    with _worker_pool(workers) as pool:
-        for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-            point_cons = cons if cons is not None else build_construction(
-                "ga", c, cfg.k, cfg.n, cfg.eps, snr_db)
-            curve.points.append(_simulate_point(point_cons, c, cfg, snr_db,
-                                                snr_idx, pool, workers))
+    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
+        point_cons = cons if cons is not None else build_construction(
+            "ga", c, cfg.k, cfg.n, cfg.eps, snr_db)
+        curve.points.append(_simulate_point(point_cons, c, cfg, snr_db,
+                                            snr_idx, workers))
     curve.wall_time_s = time.perf_counter() - t0
     return curve
 
@@ -353,10 +332,13 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     below the lower one's, the result is the bracket midpoint and ``warned``
     is set.
 
-    Each probe runs whole in one process. With ``workers`` > 1, up to
-    ``workers`` probes run at once on one pool that lives for the call: the
-    probe the walk asks for and, speculatively, the grid points the walk
-    visits next if that probe does not end its phase. A probe depends only on
+    With ``workers`` > 1 the probes use the workers in one of two ways. When
+    a probe is one chunk of frames (``max_blocks`` at most the batch size of
+    the scheme), up to ``workers`` whole probes, construction included, run
+    at once on one pool that lives for the call: the probe the walk asks for
+    and, speculatively, the grid points the walk visits next if that probe
+    does not end its phase. Longer probes run one at a time and spread their
+    chunks over the workers, as ``run_bler`` does. A probe depends only on
     (config, SNR) and ``probes`` lists only the probes the walk asks for, so
     the result does not depend on ``workers``.
     """
@@ -384,13 +366,16 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
                 if t not in cache and t not in flight and (j == 0 or t < below):
                     flight[t] = pool.submit(_probe_point, config(t))
         if s not in cache:
-            cache[s] = (_probe_point(config(s)) if pool is None
-                        else flight.pop(s).result())
+            cache[s] = (run_bler(config(s), workers=workers).points[0]
+                        if pool is None else flight.pop(s).result())
         return cache[s]
 
     anchor = solve_snr_capacity(c, k / n)
     s = np.floor(anchor / step) * step
-    with _worker_pool(workers) as pool:
+    one_chunk = _batch_size(mcs.m, n, max_blocks) >= max_blocks
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 and one_chunk else None)
+    try:
         # speculate an ascent: the capacity-matched anchor is usually below
         # the waterfall, at a BLER near 1
         p = probe(s, 1.0 if 30 * target_bler <= 1.0 else step)
@@ -418,6 +403,11 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
                         lo = q
                 break
             lo = p
+    finally:
+        # cancel the queued probes and wait for the running ones, so no
+        # child process outlives the call
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     llo, lhi, lt = _log_bler(lo), _log_bler(hi), np.log10(target_bler)
     warned = lhi >= llo
@@ -522,7 +512,7 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     subject to predicted BLER <= cfg.eps. Delivered bits count K per correct
     frame; throughput is delivered bits per symbol. cfg.m/cfg.k are ignored
     (the MCS table governs); the grid is mean SNR. Chunks of 256 frames run
-    on ``workers`` processes of one pool.
+    on ``workers`` processes.
     """
     _check_workers(workers)
     t0 = time.perf_counter()
@@ -531,17 +521,16 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
                                       mcs.k_for(cfg.n), cfg.n, cfg.eps)
         for mcs in mcs_table}
     curve = SimCurve(metric="throughput", config=asdict(cfg))
-    with _worker_pool(workers) as pool:
-        for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
-            delivered = errors = 0
-            args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
-                     min(256, cfg.max_blocks - start))
-                    for start in range(0, cfg.max_blocks, 256)]
-            for d, e in _in_order(_throughput_chunk, args, pool, workers):
-                delivered += d
-                errors += e
-            curve.points.append(SimPoint(
-                snr_db=mean_snr, value=delivered / (cfg.max_blocks * cfg.n),
-                blocks=cfg.max_blocks, errors=errors))
+    for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
+        delivered = errors = 0
+        args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
+                 min(256, cfg.max_blocks - start))
+                for start in range(0, cfg.max_blocks, 256)]
+        for d, e in _in_order(_throughput_chunk, args, workers):
+            delivered += d
+            errors += e
+        curve.points.append(SimPoint(snr_db=mean_snr,
+                                     value=delivered / (cfg.max_blocks * cfg.n),
+                                     blocks=cfg.max_blocks, errors=errors))
     curve.wall_time_s = time.perf_counter() - t0
     return curve

@@ -1,4 +1,6 @@
+import functools
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,11 +283,14 @@ def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
 # walk -> (method, mcs, n, target_bler, max_blocks, max_errors, seed)
+# All but "chunked" probe one chunk of frames and so run speculatively;
+# "chunked" probes up to 600 frames in chunks of 512 and spreads the chunks.
 SPECULATION_WALKS = {
     "ascent": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.2, 200, 40, 5),
     "descent": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.9, 100, 40, 5),
     "backfill": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.01, 20, 20, 6),
     "backfill-ga": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 64, 0.01, 20, 20, 3),
+    "chunked": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 32, 0.01, 600, 5, 4),
 }
 
 
@@ -304,54 +309,100 @@ def test_min_required_snr_worker_invariant(walk):
         assert below == [False] * (len(probes) - 1) + [True]
     elif walk == "descent":  # down from the anchor to the lowest probe
         assert below == [False] + [True] * (len(probes) - 1)
+    elif walk == "chunked":  # some probe ran past its first chunk
+        assert max(p.blocks for p in probes) > 512
     else:  # a 1 dB stride, then grid points filled in below its end
         gaps = np.diff([p.snr_db for p in probes])
         assert 1.0 in gaps and 0.25 in gaps
 
 
 def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
-    """Stub run_bler as _stub_min_snr does: BLER 0.04 below the threshold
-    SNR and 0.00125 from it on. Every call appends its SNR to ``log``; calls
-    above ``fail_above`` then raise. Forked pool workers inherit the stub."""
+    """Stub run_bler as _stub_min_snr does: BLER 0.4 below the threshold SNR
+    and 0.00125 from it on. Every call appends its SNR and worker count to
+    ``log``; calls above ``fail_above`` then raise. Pool workers are forked,
+    so they run the stub too."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the stub reaches pool workers only through fork")
+
     def stub_run_bler(cfg, workers=1):
         s = cfg.snr_grid_db[0]
         with open(log, "a") as fh:
-            fh.write(f"{s!r}\n")
+            fh.write(f"{s!r} {workers}\n")
         if s > fail_above:
             raise ValueError(f"stub probe at {s} dB")
-        errors, blocks = (4, 100) if s < threshold else (1, 800)
+        errors, blocks = (40, 100) if s < threshold else (1, 800)
         return SimCurve(metric="bler", points=[
             SimPoint(snr_db=s, value=errors / blocks, blocks=blocks, errors=errors)])
     monkeypatch.setattr(sim, "run_bler", stub_run_bler)
+    # fork whatever the platform's default start method
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
-def _stub_walk(workers):
-    # QPSK at one bit per symbol: the capacity anchor is at 0 dB on the grid
+def _stub_walk(workers, max_blocks=128):
+    # QPSK at one bit per symbol: the capacity anchor is at 0 dB on the grid;
+    # at N=32 a probe of up to 512 frames is one chunk
     return min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
-                            0.01, workers=workers)
+                            0.01, max_blocks=max_blocks, workers=workers)
 
 
 def _logged(log):
-    return {float(line) for line in log.read_text().split()}
+    """(SNR, workers) of every logged stub call."""
+    rows = [line.split() for line in log.read_text().splitlines()]
+    return [(float(s), int(w)) for s, w in rows]
 
 
-@pytest.mark.parametrize("threshold", (10.0, -5.0))
+def _logged_snrs(log):
+    return {s for s, _ in _logged(log)}
+
+
+@pytest.mark.parametrize("threshold", (9.6, -5.0))
 def test_min_required_snr_speculation_never_shows(monkeypatch, tmp_path,
                                                   threshold):
     log = tmp_path / "probes.txt"
     _stub_probes(monkeypatch, threshold, log)
     walk = _stub_walk(1)
     asked = [p.snr_db for p in walk.probes]
-    assert sorted(_logged(log)) == asked  # one worker does not speculate
+    assert sorted(_logged_snrs(log)) == asked  # one worker does not speculate
     for workers in (2, 3):
         log.unlink()
         assert _stub_walk(workers) == walk
-        assert set(asked) <= _logged(log)
+        assert set(asked) <= _logged_snrs(log)
+        # whole probes run in the workers, each on one process
+        assert {w for _, w in _logged(log)} == {1}
         if threshold < 0:
             # the descent never asks for the points above the anchor that
             # were sent out with it; they run before the walk can end
-            assert set(asked) < _logged(log)
+            assert set(asked) < _logged_snrs(log)
     assert multiprocessing.active_children() == []
+
+
+def test_min_required_snr_backfill_speculates_below_bracket(monkeypatch,
+                                                            tmp_path):
+    # 1 dB strides from the 0 dB anchor bracket the 9.6 dB step as [9, 10];
+    # the backfill then probes 9.25, 9.5 and 9.75. Speculating four points
+    # ahead, it sends out no grid point above 10 dB: the strides' own
+    # speculation sends out only whole dB values there.
+    log = tmp_path / "probes.txt"
+    _stub_probes(monkeypatch, 9.6, log)
+    walk = _stub_walk(5)
+    asked = [p.snr_db for p in walk.probes]
+    assert asked == sorted([float(s) for s in range(11)] + [9.25, 9.5, 9.75])
+    above = {s for s in _logged_snrs(log) if s > 10.0}
+    assert above and all(s == round(s) for s in above)
+    assert multiprocessing.active_children() == []
+
+
+def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
+                                                          tmp_path):
+    # 600 frames at N=32 are two chunks: each probe spreads its chunks over
+    # the workers instead, and only the probes the walk asks for run
+    log = tmp_path / "probes.txt"
+    _stub_probes(monkeypatch, 9.6, log)
+    want = _stub_walk(1, max_blocks=600)
+    log.unlink()
+    assert _stub_walk(2, max_blocks=600) == want
+    assert sorted(_logged(log)) == [(p.snr_db, 2) for p in want.probes]
 
 
 def test_min_required_snr_unrequested_failure_is_ignored(monkeypatch, tmp_path):
@@ -364,7 +415,7 @@ def test_min_required_snr_unrequested_failure_is_ignored(monkeypatch, tmp_path):
     for workers in (2, 3):
         log.unlink(missing_ok=True)
         assert _stub_walk(workers) == want
-        assert 1.0 in _logged(log)
+        assert 1.0 in _logged_snrs(log)
     assert multiprocessing.active_children() == []
 
 
