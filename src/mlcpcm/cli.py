@@ -22,6 +22,10 @@ from .sim import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_ERRORS, SimConfig, SimCurve,
                   run_throughput)
 
 
+class _UsageError(Exception):
+    """Bad command-line input, reported as a usage error of the subcommand."""
+
+
 def _parse_grid(args) -> tuple[float, ...]:
     if args.snr_db:
         return tuple(float(s) for s in args.snr_db)
@@ -130,7 +134,8 @@ def _load_config(args, need_mk: bool = True) -> SimConfig:
         raise SystemExit("an SNR grid is required (--snr-db / --snr-start or config)")
     merged = dict(
         method=args.method or raw.get("method", "rf2"),
-        m=args.m or raw.get("m", 0),
+        # throughput takes m and k from its MCS table: placeholders then
+        m=args.m or raw.get("m", 0 if need_mk else 2),
         n=args.n or raw.get("n", 256),
         k=args.k if args.k is not None else raw.get("k", 0),
         snr_grid_db=tuple(grid),
@@ -142,7 +147,10 @@ def _load_config(args, need_mk: bool = True) -> SimConfig:
     )
     if need_mk and merged["k"] == 0 and args.rate is not None:
         merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
-    return SimConfig(**merged)
+    try:
+        return SimConfig(**merged)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_bler(args) -> None:
@@ -275,7 +283,10 @@ def main(argv: list[str] | None = None) -> int:
             ap.error("construct requires --k or --rate")
         if args.method is None:
             args.method = "rf2"
-    args.fn(args)
+    try:
+        args.fn(args)
+    except _UsageError as exc:
+        sub.choices[args.command].error(str(exc))
     return 0
 
 

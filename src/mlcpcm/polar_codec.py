@@ -90,13 +90,33 @@ def polar_encode(u: np.ndarray) -> np.ndarray:
     return x
 
 
+def _crc16_byte_table() -> np.ndarray:
+    """Register update of each input byte from a zero register: entry b is
+    eight shift steps from register b << 8 with zero input bits."""
+    reg = np.arange(256, dtype=np.uint16) << np.uint16(8)
+    for _ in range(8):
+        reg = (reg << np.uint16(1)) ^ ((reg >> np.uint16(15)) * np.uint16(CRC16_POLY))
+    return reg
+
+
+_CRC16_TABLE = _crc16_byte_table()
+
+
 def _crc16_register(bits: np.ndarray) -> np.ndarray:
-    """Run the gCRC16 shift register over the last axis, MSB-first, zero init."""
+    """Run the gCRC16 shift register over the last axis, MSB-first, zero init.
+
+    Works a byte at a time through a 256-entry table. Each row is left-padded
+    with zeros to whole bytes, which a zero register ignores.
+    """
     bits = np.asarray(bits)
+    pad = -bits.shape[-1] % 8
+    if pad:
+        widths = [(0, 0)] * (bits.ndim - 1) + [(pad, 0)]
+        bits = np.pad(bits, widths)
+    data = np.packbits(bits, axis=-1)
     reg = np.zeros(bits.shape[:-1], dtype=np.uint16)
-    for i in range(bits.shape[-1]):
-        fb = (reg >> 15) ^ bits[..., i].astype(np.uint16)
-        reg = ((reg << 1) & np.uint16(0xFFFF)) ^ (fb * np.uint16(CRC16_POLY))
+    for j in range(data.shape[-1]):
+        reg = (reg << np.uint16(8)) ^ _CRC16_TABLE[(reg >> np.uint16(8)) ^ data[..., j]]
     return reg
 
 
@@ -169,9 +189,12 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     pm = np.zeros((frames, 1))
     # bit and flat parent row of every path at each information leaf, for
     # the final backtrack; allocated up front, because hundreds of small
-    # arrays kept alive through the loop fragment the heap and raise peak RSS
+    # arrays kept alive through the loop fragment the heap and raise peak RSS.
+    # Parent rows lie below F L, so they fit int32, which halves the largest
+    # bookkeeping array
     leaf_bits = np.empty((code.k, frames * list_size), dtype=np.int8)
-    leaf_parent = np.empty((code.k, frames * list_size), dtype=np.intp)
+    assert frames * list_size < 1 << 31, "F L overflows the int32 parent rows"
+    leaf_parent = np.empty((code.k, frames * list_size), dtype=np.int32)
     decided = 0
 
     def store(i: int, value: np.ndarray) -> None:

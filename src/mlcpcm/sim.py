@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import time
 from collections import deque
+from collections.abc import Iterable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from itertools import groupby
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class SimConfig:
     """One link simulation. Fields:
 
     method       "rf1", "rf2" or "ga" (ga is rebuilt at every SNR point)
-    m, n, k      bits per symbol, component block length N and total
-                 information bits K (CRC included); run_throughput ignores
-                 m and k, which the MCS table sets per frame
+    m, n, k      bits per symbol (1 or even), component block length N (a
+                 power of two) and total information bits K in [0, mN]
+                 (CRC included); run_throughput ignores m and k, which the
+                 MCS table sets per frame
     snr_grid_db  strictly increasing Es/N0 points in dB (mean SNRs for fading)
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
@@ -109,6 +110,13 @@ class SimConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.m != 1 and (self.m < 2 or self.m % 2):
+            raise ValueError(f"m must be 1 or an even number >= 2, got {self.m}")
+        if self.n < 1 or self.n & (self.n - 1):
+            raise ValueError(f"n must be a power of two, got {self.n}")
+        if not 0 <= self.k <= self.m * self.n:
+            raise ValueError(f"k must lie in [0, m n] = [0, {self.m * self.n}], "
+                             f"got {self.k}")
         grid = tuple(float(s) for s in self.snr_grid_db)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be non-empty and strictly increasing")
@@ -185,11 +193,12 @@ def _batch_size(m: int, n: int, cap: int) -> int:
 
 
 def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
-                  snr_db: float, rngs: list[np.random.Generator],
+                  snr_db: Sequence[float], rngs: list[np.random.Generator],
                   gains: np.ndarray | None = None) -> np.ndarray:
     """Send one frame per substream through the link; per-frame error flags.
 
-    Each frame draws its payload bits level by level, then its noise. With
+    Frame i runs at SNR ``snr_db[i]``, so one batch may mix SNR points. Each
+    frame draws its payload bits level by level, then its noise. With
     ``gains`` (one complex coefficient per frame) the symbols are scaled by
     the fading and the receiver decodes y/g at noise variance N0/|g|^2.
     """
@@ -203,8 +212,11 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
         symbols = gains[:, None] * symbols
     y = np.empty_like(symbols)
     for i, rng in enumerate(rngs):
-        y[i] = awgn_transmit(symbols[i], snr_db, rng)
-    noise_var = 10.0 ** (-min(snr_db, SNR_CLIP_DB) / 10.0)
+        y[i] = awgn_transmit(symbols[i], snr_db[i], rng)
+    # the scalar expression per frame: a vectorised power may differ in the
+    # last ulp
+    noise_var = np.array([10.0 ** (-min(s, SNR_CLIP_DB) / 10.0)
+                          for s in snr_db])[:, None]
     if gains is not None:
         y = y / gains[:, None]
         noise_var = noise_var / np.maximum(np.abs(gains) ** 2, 1e-30)[:, None]
@@ -220,7 +232,7 @@ def _bler_chunk(cons: CodeConstruction, c: Constellation, list_size: int,
                 count: int) -> np.ndarray:
     """Simulate frames [start, start+count) of one SNR point; per-frame error flags."""
     rngs = [frame_rng(seed, snr_idx, start + i) for i in range(count)]
-    return _frame_errors(cons, c, list_size, snr_db, rngs)
+    return _frame_errors(cons, c, list_size, [snr_db] * count, rngs)
 
 
 def _check_workers(workers: int) -> None:
@@ -228,20 +240,21 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _in_order(fn, arg_list: list[tuple], workers: int):
-    """Yield fn(*args) for each entry of arg_list, in list order.
+def _in_order(fn, arg_tuples: Iterable[tuple], workers: int):
+    """Yield fn(*args) for each tuple of arg_tuples, in their order.
 
-    With workers > 1 the calls run in a process pool, at most workers + 1 in
-    flight; closing the generator cancels those not yet started.
+    The tuples are drawn lazily. With workers > 1 the calls run in a process
+    pool, at most workers + 1 in flight; closing the generator cancels those
+    not yet started and waits for the running ones.
     """
     if workers <= 1:
-        for args in arg_list:
+        for args in arg_tuples:
             yield fn(*args)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
-            for args in arg_list:
+            for args in arg_tuples:
                 pending.append(pool.submit(fn, *args))
                 if len(pending) > workers:
                     yield pending.popleft().result()
@@ -463,43 +476,63 @@ def _select_mcs(mcs_table: tuple[McsEntry, ...], lut: dict[int, SimCurve],
     return best
 
 
-def _throughput_chunk(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
-                      bler_lut: dict[int, SimCurve],
-                      rf_cons: dict[int, CodeConstruction] | None, snr_idx: int,
-                      start: int, count: int) -> tuple[int, int]:
-    """Frames [start, start+count) of one mean SNR; (delivered bits, errors).
+def _fading_batches(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
+                    bler_lut: dict[int, SimCurve],
+                    cons: dict[McsEntry, CodeConstruction | None]):
+    """Arguments of ``_fading_batch``: every frame of a throughput run, in
+    batches of frames that share a construction.
 
-    Each frame draws its fading coefficient first and gets the MCS chosen
-    for its instantaneous SNR. ``rf_cons`` maps MCS index to its offline
-    construction; None means GA, constructed per frame at that SNR. Frames
-    sharing a construction decode as one batch, so GA frames decode singly.
+    Frames are walked in (snr_idx, frame) order. Each draws its fading
+    coefficient, gets the MCS chosen for its instantaneous SNR and joins that
+    entry's pending batch, which goes out once it holds ``_batch_size``
+    frames; the partial batches go out at the end. At most one partial batch
+    per entry is held, whatever ``max_blocks``. ``cons`` maps each entry to
+    its rf1/rf2 construction, or to None for GA, where every frame has its
+    own construction and so its own batch.
     """
-    mean_snr = cfg.snr_grid_db[snr_idx]
-    c_by_m = {mcs.m: build_constellation(mcs.m) for mcs in mcs_table}
-    picks = []
-    for i in range(count):
-        rng = frame_rng(cfg.seed, snr_idx, start + i)
-        hr, hi = rng.standard_normal(2)
-        h = complex(hr, hi) / np.sqrt(2.0)
-        inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, 1e-30))
-        mcs = _select_mcs(mcs_table, bler_lut, inst, cfg.eps)
-        c = c_by_m[mcs.m]
-        cons = rf_cons[mcs.index] if rf_cons is not None else build_construction(
-            "ga", c, mcs.k_for(cfg.n), cfg.n, cfg.eps, inst)
-        picks.append((mcs.index, cons, c, rng, h))
-    picks.sort(key=lambda p: p[0])
-    groups = [list(g) for _, g in groupby(picks, key=lambda p: p[0])]
-    if rf_cons is None:
-        groups = [[p] for g in groups for p in g]
-    delivered = errors = 0
-    for group in groups:
-        _, cons, c, _, _ = group[0]
-        gains = np.array([p[4] for p in group], dtype=np.complex128)
-        err = _frame_errors(cons, c, cfg.list_size, mean_snr,
-                            [p[3] for p in group], gains)
-        delivered += int((~err).sum()) * cons.k_total
-        errors += int(err.sum())
-    return delivered, errors
+    total = cfg.max_blocks * len(cfg.snr_grid_db)
+    limit = {mcs: 1 if cons[mcs] is None else _batch_size(mcs.m, cfg.n, total)
+             for mcs in mcs_table}
+    pending: dict[McsEntry, list] = {}
+    for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
+        for frame in range(cfg.max_blocks):
+            rng = frame_rng(cfg.seed, snr_idx, frame)
+            hr, hi = rng.standard_normal(2)
+            h = complex(hr, hi) / np.sqrt(2.0)
+            inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, 1e-30))
+            mcs = _select_mcs(mcs_table, bler_lut, inst, cfg.eps)
+            batch = pending.setdefault(mcs, [])
+            batch.append((snr_idx, rng, h, inst))
+            if len(batch) == limit[mcs]:
+                del pending[mcs]
+                yield cfg, mcs, cons[mcs], batch
+    for mcs, batch in pending.items():
+        yield cfg, mcs, cons[mcs], batch
+
+
+def _fading_batch(cfg: SimConfig, mcs: McsEntry, cons: CodeConstruction | None,
+                  frames: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one batch of fading frames that picked ``mcs``; per mean-SNR
+    point (delivered bits, frame errors).
+
+    ``frames`` holds (snr_idx, rng, h, instantaneous SNR) per frame, each rng
+    past its fading draw. ``cons`` None means GA: the batch is one frame,
+    constructed here at its instantaneous SNR so that pool workers share the
+    construction work.
+    """
+    c = build_constellation(mcs.m)
+    if cons is None:
+        (_, _, _, inst), = frames
+        cons = build_construction("ga", c, mcs.k_for(cfg.n), cfg.n, cfg.eps,
+                                  inst)
+    point = np.array([f[0] for f in frames])
+    gains = np.array([f[2] for f in frames], dtype=np.complex128)
+    err = _frame_errors(cons, c, cfg.list_size,
+                        [cfg.snr_grid_db[i] for i in point],
+                        [f[1] for f in frames], gains)
+    points = len(cfg.snr_grid_db)
+    return (np.bincount(point[~err], minlength=points) * cons.k_total,
+            np.bincount(point[err], minlength=points))
 
 
 def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
@@ -511,26 +544,26 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     instantaneous SNR, picking the MCS that maximizes m R (1 - predicted BLER)
     subject to predicted BLER <= cfg.eps. Delivered bits count K per correct
     frame; throughput is delivered bits per symbol. cfg.m/cfg.k are ignored
-    (the MCS table governs); the grid is mean SNR. Chunks of 256 frames run
-    on ``workers`` processes.
+    (the MCS table governs); the grid is mean SNR. Frames that picked the
+    same rf1/rf2 construction decode as one batch across mean-SNR points (see
+    ``_fading_batches``), and the batches run on ``workers`` processes.
     """
     _check_workers(workers)
     t0 = time.perf_counter()
-    rf_cons = None if cfg.method == "ga" else {
-        mcs.index: build_construction(cfg.method, build_constellation(mcs.m),
-                                      mcs.k_for(cfg.n), cfg.n, cfg.eps)
-        for mcs in mcs_table}
+    cons = {mcs: None if cfg.method == "ga" else build_construction(
+                cfg.method, build_constellation(mcs.m), mcs.k_for(cfg.n),
+                cfg.n, cfg.eps)
+            for mcs in mcs_table}
+    delivered = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
+    errors = np.zeros_like(delivered)
+    batches = _fading_batches(cfg, mcs_table, bler_lut, cons)
+    for d, e in _in_order(_fading_batch, batches, workers):
+        delivered += d
+        errors += e
     curve = SimCurve(metric="throughput", config=asdict(cfg))
-    for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
-        delivered = errors = 0
-        args = [(cfg, mcs_table, bler_lut, rf_cons, snr_idx, start,
-                 min(256, cfg.max_blocks - start))
-                for start in range(0, cfg.max_blocks, 256)]
-        for d, e in _in_order(_throughput_chunk, args, workers):
-            delivered += d
-            errors += e
-        curve.points.append(SimPoint(snr_db=mean_snr,
-                                     value=delivered / (cfg.max_blocks * cfg.n),
-                                     blocks=cfg.max_blocks, errors=errors))
+    curve.points = [SimPoint(snr_db=mean_snr,
+                             value=int(d) / (cfg.max_blocks * cfg.n),
+                             blocks=cfg.max_blocks, errors=int(e))
+                    for mean_snr, d, e in zip(cfg.snr_grid_db, delivered, errors)]
     curve.wall_time_s = time.perf_counter() - t0
     return curve

@@ -145,6 +145,19 @@ def test_minsnr_rejects_flags_it_cannot_honour(capsys, flags):
     assert f"minsnr takes no {flags[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", (
+    ([], "m must be 1 or an even number >= 2, got 0"),
+    (["--m", "2", "--n", "24"], "n must be a power of two"),
+    (["--m", "2", "--k", "65"], "k must lie in [0, m n] = [0, 64]"),
+))
+def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bler", "--n", "32", "--k", "24", "--snr-db", "1"] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlcpcm bler") and message in err
+
+
 def test_throughput_csv(tmp_path):
     out = tmp_path / "tp.csv"
     assert main(["throughput", "--method", "rf2", "--n", "32",

@@ -5,12 +5,14 @@ from mlcpcm.construction import construct_rf1, five_g_sequence
 from mlcpcm.polar_codec import (
     CRC_LEN,
     ComponentCode,
+    _crc16_register,
     crc_attach,
     crc_check,
     crc_len_for_k,
     polar_encode,
     scl_decode_batch,
 )
+from scl_reference import _crc16_register as reference_crc16_register
 from scl_reference import scl_decode_batch as reference_scl_decode_batch
 
 
@@ -52,6 +54,20 @@ def test_crc_known_check_value():
     msg = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
     parity = crc_attach(msg)[-16:]
     assert int("".join(map(str, parity)), 2) == 0x31C3
+
+
+@pytest.mark.parametrize("shape", ((), (7,), (3, 5), (4, 8, 2)))
+def test_crc_register_matches_bitwise_reference(shape):
+    # byte table with zero left-padding against the bit-serial register, on
+    # whole bytes, ragged lengths and the decoder's (F, P, k) stacks
+    rng = np.random.default_rng(sum(shape) + 17)
+    for length in [*range(41), 77, 164, 234]:
+        for dtype in (np.int8, np.uint8):
+            bits = rng.integers(0, 2, shape + (length,)).astype(dtype)
+            got = _crc16_register(bits)
+            want = reference_crc16_register(bits)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (shape, length, dtype)
 
 
 def test_crc_round_trip_and_single_flip():

@@ -1,6 +1,8 @@
 import functools
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mlcpcm.sim import (
     run_bler,
     run_throughput,
 )
+import throughput_reference
 
 
 def _small_cfg(**kw):
@@ -81,6 +84,18 @@ def test_sim_config_validation():
         for eps in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValueError, match="eps"):
                 _small_cfg(method=method, eps=eps)
+    for m in (0, -2, 3, 5):
+        with pytest.raises(ValueError, match="m must be 1 or an even number"):
+            _small_cfg(m=m)
+    for n in (0, -4, 12, 48):
+        with pytest.raises(ValueError, match="n must be a power of two"):
+            _small_cfg(n=n)
+    for m, k in ((2, -1), (2, 65), (1, 33)):
+        with pytest.raises(ValueError, match="k must lie in"):
+            _small_cfg(m=m, k=k)
+    for m, n, k in ((1, 1, 0), (1, 32, 32), (2, 32, 0), (2, 32, 64), (8, 4, 32)):
+        _small_cfg(m=m, n=n, k=k)
+    _small_cfg(m=2, n=256, k=1)  # the placeholders of a throughput run
 
 
 # ----------------------------------------------------------------- channels
@@ -445,6 +460,26 @@ def test_min_required_snr_rejects_target_outside_unit_interval(target):
                          target)
 
 
+def _negate(x):
+    return -x
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_in_order_draws_lazily_and_closes_cleanly(workers):
+    drawn = []
+
+    def arg_tuples():
+        for i in range(100):
+            drawn.append(i)
+            yield (i,)
+
+    with closing(sim._in_order(_negate, arg_tuples(), workers)) as results:
+        assert [next(results) for _ in range(3)] == [0, -1, -2]
+    # at most workers + 1 calls in flight beyond those already yielded
+    assert len(drawn) <= 3 + workers
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", (0, -1))
 def test_worker_count_below_one_rejected(workers):
     cfg = _small_cfg()
@@ -488,6 +523,53 @@ def test_throughput_reproducible():
     a = run_throughput(cfg, table, lut).points[0]
     b = run_throughput(cfg, table, lut).points[0]
     assert (a.value, a.blocks, a.errors) == (b.value, b.blocks, b.errors)
+
+
+def _scheduler_lut(table):
+    return build_bler_lut("rf2", table, 32, span_db=2.0, step_db=2.0,
+                          list_size=2, seed=1, max_blocks=60, max_errors=20)
+
+
+@pytest.mark.parametrize("method,points,frames,workers", (
+    ("rf2", 2, 300, 1), ("rf2", 3, 513, 2), ("rf1", 3, 300, 2),
+    ("rf1", 2, 513, 1), ("ga", 2, 10, 2), ("ga", 3, 6, 1),
+))
+def test_throughput_scheduler_matches_per_chunk_reference(method, points,
+                                                          frames, workers):
+    table = _tiny_table()
+    lut = _scheduler_lut(table)
+    cfg = _small_cfg(method=method, snr_grid_db=(4.0, 8.0, 12.0)[-points:],
+                     max_blocks=frames, seed=6, eps=0.5)
+    got = [(p.value, p.blocks, p.errors)
+           for p in run_throughput(cfg, table, lut, workers=workers).points]
+    want = [(p.value, p.blocks, p.errors)
+            for p in throughput_reference.run_throughput(cfg, table, lut)]
+    assert got == want
+
+
+def test_throughput_batches_fill_across_points():
+    table = _tiny_table()
+    lut = _scheduler_lut(table)
+    cfg = _small_cfg(snr_grid_db=(4.0, 8.0, 12.0), max_blocks=513, seed=6,
+                     eps=0.5)
+    cons = {mcs: build_construction("rf2", sim.build_constellation(mcs.m),
+                                    mcs.k_for(32), 32, cfg.eps)
+            for mcs in table}
+    batches = list(sim._fading_batches(cfg, table, lut, cons))
+    limit = sim._batch_size(2, 32, 3 * 513)
+    assert limit == 512 == sim._batch_size(4, 32, 3 * 513)
+    sizes: dict = {}
+    for _, mcs, c, frames in batches:
+        assert c is cons[mcs]
+        sizes.setdefault(mcs, []).append(len(frames))
+    # every batch is full but the last of each entry: one partial batch each
+    assert all(s[-1] <= limit and set(s[:-1]) <= {limit} for s in sizes.values())
+    assert any(len(s) > 1 for s in sizes.values())
+    points = Counter(f[0] for *_, frames in batches for f in frames)
+    assert points == {0: 513, 1: 513, 2: 513}
+    # some full batch mixes mean-SNR points
+    assert any(len({f[0] for f in frames}) > 1
+               for *_, frames in batches if len(frames) == limit)
 
 
 # ------------------------------------------------------------ golden values
