@@ -149,7 +149,7 @@ def _load_config(args, need_mk: bool = True) -> SimConfig:
         merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
     try:
         return SimConfig(**merged)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
 
 

@@ -27,6 +27,16 @@ at the end recovers every survivor's information bits for the CRC. The
 selected path's codeword is polar_encode of its decisions, the same bits the
 partial sums would give. The outputs are bit-identical to those of the
 full-copy decoder kept in tests/scl_reference.py.
+
+Every decoder buffer is stored stage-major, as (width, frame, path). The
+f/g halves of a stage are then contiguous leading-axis blocks, partial sums
+concatenate along axis 0 and the leaf LLRs are row 0 of stage 0. In a
+(frame, path, width) layout the narrow stages split into 1-4 element inner
+loops over strided views, which cost numpy up to twice as much per element.
+Boxplus on arrays larger than _BLOCK elements runs block by block over the
+flattened array, so its nineteen ufunc passes reuse data in cache instead
+of each streaming the whole stage through memory. Boxplus is elementwise,
+so blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -41,6 +51,10 @@ CRC16_POLY = 0x1021  # D^16 + D^12 + D^5 + 1, TS 38.212 gCRC16
 # Metric offset that dominates any achievable path metric (clipped LLRs bound
 # a path by N * 600) while staying far from float saturation.
 _CRC_FAIL_PENALTY = 1e12
+
+# Elements per boxplus block: both inputs, the output and one temporary of
+# 2^14 float64 each take 512 KiB, which stays in a typical L2 cache.
+_BLOCK = 1 << 14
 
 
 def crc_len_for_k(k: int) -> int:
@@ -135,15 +149,18 @@ def crc_check(bits: np.ndarray) -> bool | np.ndarray:
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _boxplus(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """Exact LLR check-node combination ln[(1+e^{a+b})/(e^a+e^b)].
 
     Evaluates sign(a) sign(b) min(|a|, |b|) + log1p(e^{-|a+b|})
     - log1p(e^{-|a-b|}) one ufunc at a time into two buffers, so the result
     is bit-identical to the plain expression; a and b have the same shape.
+    The buffers out and tmp, C-ordered when allocated here, may be passed
+    in; the result is written to out.
     """
-    out = np.sign(a)
-    tmp = np.sign(b)
+    out = np.sign(a, out=out, order="C")
+    tmp = np.sign(b, out=tmp, order="C")
     out *= tmp
     np.minimum(np.abs(a, out=tmp), np.abs(b), out=tmp)
     out *= tmp
@@ -154,6 +171,24 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.exp(tmp, out=tmp)
         np.log1p(tmp, out=tmp)
         op(out, tmp, out=out)
+    return out
+
+
+def _boxplus_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_boxplus over flat blocks of _BLOCK elements, bit-identical to it.
+
+    Only C-contiguous inputs are blocked, as runs of the flattened arrays
+    with a partial last block; other layouts (the channel LLRs read through
+    a transposed view) go to _boxplus whole rather than be copied.
+    """
+    if a.size <= _BLOCK or not (a.flags.c_contiguous and b.flags.c_contiguous):
+        return _boxplus(a, b)
+    out = np.empty(a.shape)
+    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    tmp = np.empty(_BLOCK)
+    for r in range(0, a.size, _BLOCK):
+        block = slice(r, r + _BLOCK)
+        _boxplus(flat_a[block], flat_b[block], flat_out[block], tmp[:a.size - r])
     return out
 
 
@@ -170,6 +205,11 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         raise ValueError(f"LLR length {n} != code length {code.n}")
     if list_size < 1 or (list_size & (list_size - 1)):
         raise ValueError("list size must be a power of two >= 1")
+    # parent rows lie below F L and are stored as int32, which halves the
+    # largest bookkeeping array
+    if frames * list_size >= 1 << 31:
+        raise ValueError(f"{frames} frames x list size {list_size} overflows "
+                         "the int32 parent rows; decode fewer frames per call")
     stages = n.bit_length() - 1
     frozen = np.ones(n, dtype=bool)
     frozen[code.info_set] = False
@@ -177,23 +217,24 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     col = fidx[:, None]
 
     # Buffer s < stages holds the LLRs of stage s (2^s per path) and buffer
-    # stages + s the completed left-child partial sums of stage s, each of
-    # shape (F, P', width) for the path count P' when it was written. Path p
-    # of frame f reads flat row rows[f * P + p, i] of buffer i unless the
-    # buffer is fresh, i.e. already in path order. A fork or prune only
-    # composes these row maps, in one gather; a stale buffer is gathered into
-    # path order when it is next read. The channel LLRs are path-independent.
+    # stages + s the completed left-child partial sums of stage s, each
+    # stored stage-major with shape (width, F, P') for the path count P' when
+    # it was written: the f/g halves of a stage are then contiguous
+    # leading-axis blocks, where a (F, P', width) layout would split into
+    # short strided inner loops on the narrow stages. Path p of frame f reads
+    # flat column rows[f * P + p, i] of buffer i reshaped to (width, F P')
+    # unless the buffer is fresh, i.e. already in path order. A fork or prune
+    # only composes these row maps, in one gather; a stale buffer is gathered
+    # into path order when it is next read. The channel LLRs are
+    # path-independent and read through the stage-major view chan.T.
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     rows = np.empty((frames, 2 * stages), dtype=np.intp)
     fresh = np.ones(2 * stages, dtype=bool)
     pm = np.zeros((frames, 1))
     # bit and flat parent row of every path at each information leaf, for
     # the final backtrack; allocated up front, because hundreds of small
-    # arrays kept alive through the loop fragment the heap and raise peak RSS.
-    # Parent rows lie below F L, so they fit int32, which halves the largest
-    # bookkeeping array
+    # arrays kept alive through the loop fragment the heap and raise peak RSS
     leaf_bits = np.empty((code.k, frames * list_size), dtype=np.int8)
-    assert frames * list_size < 1 << 31, "F L overflows the int32 parent rows"
     leaf_parent = np.empty((code.k, frames * list_size), dtype=np.int32)
     decided = 0
 
@@ -204,8 +245,8 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     def aligned(i: int) -> np.ndarray:
         if not fresh[i]:
             buf = bufs[i]
-            flat = buf.reshape(-1, buf.shape[2]).take(rows[:, i], axis=0)
-            store(i, flat.reshape(frames, -1, buf.shape[2]))
+            flat = buf.reshape(len(buf), -1).take(rows[:, i], axis=1)
+            store(i, flat.reshape(len(buf), frames, -1))
         return bufs[i]
 
     for phi in range(n):
@@ -213,18 +254,18 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         top = (phi & -phi).bit_length() - 1 if phi else stages
         for s in range(top - 1 if phi == 0 else top, -1, -1):
             half = 1 << s
-            above = chan[:, None, :] if s == stages - 1 else aligned(s + 1)
-            a, b = above[:, :, :half], above[:, :, half:]
+            above = chan.T[:, :, None] if s == stages - 1 else aligned(s + 1)
+            a, b = above[:half], above[half:]
             if phi and s == top:  # right child: g update with left sums
                 u = aligned(stages + s)
                 g = np.subtract(1, 2 * u, dtype=np.float64)  # 1 - 2u, exact
                 g *= a
                 store(s, np.add(b, g, out=g))
             else:  # left child: f update
-                store(s, _boxplus(a, b))
+                store(s, _boxplus_blocked(a, b))
 
         paths = pm.shape[1]
-        leaf = bufs[0][:, :, 0] if stages else chan[:, None, 0].repeat(paths, 1)
+        leaf = bufs[0][0] if stages else chan[:, None, 0].repeat(paths, 1)
         if frozen[phi]:
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
@@ -250,10 +291,10 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
 
         # propagate partial sums while closing right children; the last leaf
         # closes the root, whose sums are the codeword re-encoded below
-        cur = bits[:, :, None]
+        cur = bits[None]
         s = 0
         while (phi >> s) & 1:
-            cur = np.concatenate([aligned(stages + s) ^ cur, cur], axis=2)
+            cur = np.concatenate([aligned(stages + s) ^ cur, cur], axis=0)
             s += 1
         if s < stages:
             store(stages + s, cur)

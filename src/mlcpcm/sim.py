@@ -13,6 +13,7 @@ noise (real parts, then imaginary parts).
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -94,6 +95,10 @@ class SimConfig:
     seed         simulation seed in [0, 2^64)
     eps          the rf2 frame error target, and in run_throughput also the
                  predicted-BLER limit of the MCS choice
+
+    m, n, k, list_size, max_blocks, max_errors and seed must be integers
+    (numbers.Integral, bool excluded; TypeError otherwise) and are stored as
+    int. Out-of-range values raise ValueError.
     """
 
     method: str
@@ -110,6 +115,12 @@ class SimConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("m", "n", "k", "list_size", "max_blocks", "max_errors", "seed"):
+            value = getattr(self, name)
+            # bool is an Integral too, but m=True is a mistake, not BPSK
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m != 1 and (self.m < 2 or self.m % 2):
             raise ValueError(f"m must be 1 or an even number >= 2, got {self.m}")
         if self.n < 1 or self.n & (self.n - 1):

@@ -73,6 +73,20 @@ def test_config_file_merge(tmp_path, capsys):
     assert "2.0" in out
 
 
+@pytest.mark.parametrize("key,value", (("n", 32.0), ("list_size", 2.0),
+                                       ("max_blocks", 10.5), ("m", True)))
+def test_config_file_rejects_non_integer_fields(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    raw = {"method": "rf1", "m": 2, "n": 32, "k": 24, "snr_grid_db": [2.0],
+           "list_size": 2, "max_blocks": 30, "max_errors": 30}
+    cfg.write_text(json.dumps(dict(raw, **{key: value})))
+    with pytest.raises(SystemExit) as exc:
+        main(["bler", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlcpcm bler") and f"{key} must be an integer" in err
+
+
 def test_minsnr_smoke(capsys):
     assert main(["minsnr", "--mcs-index", "1", "--target-bler", "0.2",
                  "--n", "32", "--method", "rf1", "--list-size", "2",

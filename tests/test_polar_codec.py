@@ -3,8 +3,11 @@ import pytest
 
 from mlcpcm.construction import construct_rf1, five_g_sequence
 from mlcpcm.polar_codec import (
+    _BLOCK,
     CRC_LEN,
     ComponentCode,
+    _boxplus,
+    _boxplus_blocked,
     _crc16_register,
     crc_attach,
     crc_check,
@@ -208,3 +211,45 @@ def test_decoder_matches_frozen_reference():
         for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
             assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), (
                 f"{name} differ at N={code.n} K={code.k} CRC={code.crc_len} L={lsize}")
+
+
+@pytest.mark.parametrize("n,lsize,frames", ((64, 8, 130), (256, 2, 130), (256, 8, 130),
+                                            (1024, 2, 33), (1024, 8, 33)))
+def test_decoder_matches_frozen_reference_on_large_batches(n, lsize, frames):
+    # F P half exceeds _BLOCK on the wide stages, so these batches run the
+    # blocked boxplus with a partial last block; rounded LLRs near the
+    # waterfall tie path metrics and let the CRC pass on some frames and
+    # fail on others
+    rng = np.random.default_rng(n + lsize)
+    code = _make_code(n, n // 2, CRC_LEN)
+    u = np.zeros((frames, n), np.uint8)
+    u[:, code.info_set] = crc_attach(rng.integers(0, 2, (frames, code.payload_len)))
+    llr = np.rint(_bpsk_llr(polar_encode(u), 0.9, rng))
+    got = scl_decode_batch(llr, code, lsize)
+    want = reference_scl_decode_batch(llr, code, lsize)
+    for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), name
+    assert 0 < got[2].sum() < frames  # both CRC outcomes occur
+
+
+def test_blocked_boxplus_matches_boxplus():
+    rng = np.random.default_rng(14)
+
+    def draw(shape):
+        # integers (zeros and ties included) and wide-range reals
+        return np.where(rng.random(shape) < 0.5, rng.integers(-3, 4, shape),
+                        rng.normal(0.0, 8.0, shape))
+
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        a, b = draw(size), draw(size)
+        assert np.array_equal(_boxplus_blocked(a, b), _boxplus(a, b)), size
+    # the decoder reads the channel LLRs as halves of a transposed view,
+    # which is computed whole into a C-ordered result
+    chan = draw((33, 1024))
+    a, b = chan.T[:512, :, None], chan.T[512:, :, None]
+    assert a.size > _BLOCK and not a.flags.c_contiguous
+    got = _boxplus_blocked(a, b)
+    assert got.flags.c_contiguous and np.array_equal(got, _boxplus(a, b))
+    # stage-major decoder buffers are blocked through their flat view
+    a, b = draw((4, 130, 8, 16)), draw((4, 130, 8, 16))
+    assert np.array_equal(_boxplus_blocked(a, b), _boxplus(a, b))

@@ -96,6 +96,14 @@ def test_sim_config_validation():
     for m, n, k in ((1, 1, 0), (1, 32, 32), (2, 32, 0), (2, 32, 64), (8, 4, 32)):
         _small_cfg(m=m, n=n, k=k)
     _small_cfg(m=2, n=256, k=1)  # the placeholders of a throughput run
+    # integer fields take integers only, checked before their ranges
+    for field_name in ("m", "n", "k", "list_size", "max_blocks", "max_errors", "seed"):
+        for bad in (2.0, 10.5, True, "2", None):
+            with pytest.raises(TypeError, match=f"{field_name} must be an integer"):
+                _small_cfg(**{field_name: bad})
+    cfg = _small_cfg(m=np.int64(2), n=np.int32(32), seed=np.uint64(2**64 - 1))
+    assert (type(cfg.m), type(cfg.n), type(cfg.seed)) == (int, int, int)
+    assert cfg.seed == 2**64 - 1
 
 
 # ----------------------------------------------------------------- channels
