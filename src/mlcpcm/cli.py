@@ -26,10 +26,24 @@ class _UsageError(Exception):
     """Bad command-line input, reported as a usage error of the subcommand."""
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ValueError on bad input as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _parse_grid(args) -> tuple[float, ...]:
     if args.snr_db:
         return tuple(float(s) for s in args.snr_db)
+    if args.snr_stop is None:
+        raise _UsageError("--snr-stop required with --snr-start")
     step = 0.5 if args.snr_step is None else args.snr_step
+    if not step > 0.0:
+        raise _UsageError(f"--snr-step must be positive, got {step}")
+    if args.snr_stop < args.snr_start:
+        raise _UsageError("--snr-stop lies below --snr-start")
     return tuple(np.arange(args.snr_start, args.snr_stop + step / 2, step))
 
 
@@ -67,8 +81,8 @@ def _print_rows(curve: SimCurve) -> None:
 
 def _cmd_analyze(args) -> None:
     if not args.snr_db and args.snr_start is None:
-        raise SystemExit("analyze needs --snr-db or --snr-start/--snr-stop")
-    c = build_constellation(args.m)
+        raise _UsageError("analyze needs --snr-db or --snr-start/--snr-stop")
+    c = _checked(build_constellation, args.m)
     rows = []
     for snr in _parse_grid(args):
         cap, disp, total = level_stats(c, snr)
@@ -77,7 +91,7 @@ def _cmd_analyze(args) -> None:
             row[f"i_w{k + 1}"] = cap[k]
             row[f"v_w{k + 1}"] = disp[k]
         if args.n:
-            mv = finite_bl_values(c, snr, args.n, args.eps)
+            mv = _checked(finite_bl_values, c, snr, args.n, args.eps)
             for k in range(c.m):
                 row[f"m_w{k + 1}"] = mv[k]
         rows.append(row)
@@ -95,17 +109,17 @@ def _write_rows(rows: list[dict], cols: list[str], out: str) -> None:
 
 def _cmd_construct(args) -> None:
     k = args.k if args.k is not None else int(np.floor(args.m * args.n * args.rate + 0.5))
-    seq = pw_sequence(args.n) if args.seq == "pw" else None
+    seq = _checked(pw_sequence, args.n) if args.seq == "pw" else None
     if args.method == "rf1":
-        cc = construct_rf1(args.m, k, args.n, seq=seq)
+        cc = _checked(construct_rf1, args.m, k, args.n, seq=seq)
     elif args.method == "rf2":
         eps = args.eps if args.eps is not None else DEFAULT_EPS
-        cc = construct_rf2(args.m, k, args.n, eps=eps, seq=seq)
+        cc = _checked(construct_rf2, args.m, k, args.n, eps=eps, seq=seq)
     else:
         if args.snr_db is None or len(args.snr_db) != 1:
-            raise SystemExit("ga construction needs exactly one --snr-db")
-        cc = construct_ga(build_constellation(args.m), k, args.n,
-                          float(args.snr_db[0]))
+            raise _UsageError("ga construction needs exactly one --snr-db")
+        cc = _checked(construct_ga, _checked(build_constellation, args.m), k,
+                      args.n, float(args.snr_db[0]))
     print(f"# method={cc.method} m={cc.m} n={cc.n} k={cc.k_total} "
           f"design_snr_db={cc.design_snr_db} eps={cc.eps}")
     rows = []
@@ -126,9 +140,6 @@ def _load_config(args, need_mk: bool = True) -> SimConfig:
             raw = json.load(fh)
     grid = raw.get("snr_grid_db")
     if args.snr_db or args.snr_start is not None:
-        if args.snr_start is not None and not args.snr_db:
-            if args.snr_stop is None:
-                raise SystemExit("--snr-stop required with --snr-start")
         grid = list(_parse_grid(args))
     if grid is None:
         raise SystemExit("an SNR grid is required (--snr-db / --snr-start or config)")

@@ -66,6 +66,8 @@ class RankSequence:
 
     def restrict(self, n: int) -> np.ndarray:
         """Nested extraction: entries < n in original order."""
+        if n < 1 or n & (n - 1):
+            raise ValueError(f"N={n} is not a power of two")
         if n > self.max_len:
             raise ValueError(f"N={n} exceeds sequence coverage {self.max_len}")
         return self.order[self.order < n]
@@ -77,15 +79,10 @@ class RankSequence:
         return np.sort(self.restrict(n)[-k:])
 
 
-def load_rank_sequence(path, n: int | None = None) -> RankSequence:
+def load_rank_sequence(path) -> RankSequence:
     """Load a whitespace-separated reliability order and validate it."""
     order = np.loadtxt(path, dtype=np.int64).ravel()
-    seq = RankSequence("FiveG_Polar", order, order.size)
-    if n is not None:
-        if n & (n - 1):
-            raise ValueError(f"N={n} is not a power of two")
-        return RankSequence(seq.name, seq.restrict(n), n)
-    return seq
+    return RankSequence("FiveG_Polar", order, order.size)
 
 
 @lru_cache(maxsize=1)
@@ -243,6 +240,15 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
+def _solve_snr(f, target_sum_rate: float) -> float:
+    """Root of the sum-rate excess f(snr_db) on SNR_BRACKET_DB."""
+    lo, hi = SNR_BRACKET_DB
+    if f(lo) > 0.0 or f(hi) < 0.0:
+        raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
+                         f"[{lo}, {hi}] dB")
+    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+
+
 def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
     """SNR (dB) where the coded-modulation capacity equals the target.
 
@@ -251,15 +257,9 @@ def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
     solvers agree bitwise there.
     """
     _check_sum_rate(c.m, target_sum_rate)
-
-    def f(snr_db: float) -> float:
-        return float(np.sum(level_stats(c, snr_db)[0])) - target_sum_rate
-
-    lo, hi = SNR_BRACKET_DB
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
-                         f"[{lo}, {hi}] dB")
-    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return _solve_snr(
+        lambda snr_db: float(np.sum(level_stats(c, snr_db)[0])) - target_sum_rate,
+        target_sum_rate)
 
 
 def _check_eps(eps: float) -> None:
@@ -272,18 +272,10 @@ def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
     """SNR (dB) where the clamped finite-blocklength sum-rate equals the target."""
     _check_sum_rate(c.m, target_sum_rate)
     _check_eps(eps)
-    qv = q_inverse(eps)
-
-    def f(snr_db: float) -> float:
-        cap, disp, _ = level_stats(c, snr_db)
-        mvals = cap - np.sqrt(disp / n) * qv
-        return float(np.sum(np.maximum(mvals, 0.0))) - target_sum_rate
-
-    lo, hi = SNR_BRACKET_DB
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
-                         f"[{lo}, {hi}] dB")
-    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return _solve_snr(
+        lambda snr_db: (float(np.sum(finite_bl_values(c, snr_db, n, eps)))
+                        - target_sum_rate),
+        target_sum_rate)
 
 
 def finite_bl_values(c: Constellation, snr_db: float, n: int,

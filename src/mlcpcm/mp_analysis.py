@@ -8,18 +8,16 @@ per-level dispersion V(W_k), the total coded-modulation capacity I(X;Y), and
 the normal-approximation finite-blocklength rate built from them.
 
 All integrals are tensor-product Gauss-Hermite quadrature over the complex
-noise around each conditional mean. The default is 256 nodes per real
+noise around each conditional mean, with one rule of 256 nodes per real
 dimension: at high SNR the log-mixture integrands develop sharp transitions
 and coarser rules leave errors around 1e-5; 256 nodes keeps the change under
 node doubling below 1e-8 everywhere on m <= 8, -10..30 dB. For square
 Gray-labeled QAM the integrand of every level depends on one noise axis only,
 so the tensor product collapses exactly to a one-dimensional rule; BPSK is a
 single real axis, so it takes the same rule. Constellations without product
-structure are not supported. The 256-node rule is packaged data
-(``data/gauss_hermite_256.txt``) and Qinv is an in-package port of Cephes
-``ndtri``, so rf2 and the finite-blocklength rates need no SciPy; only Q and
-Gauss-Hermite rules with another node count import ``scipy.special`` when
-first used.
+structure are not supported. The rule is packaged data
+(``data/gauss_hermite_256.txt``), Q is libm ``erfc`` and Qinv an in-package
+port of Cephes ``ndtri``, so nothing here imports SciPy.
 
 SNR is Es/N0 in dB with unit symbol energy, so N0 = 10^(-snr_db/10) and the
 per-real-dimension noise variance is N0/2. Information is measured in bits.
@@ -35,17 +33,23 @@ import numpy as np
 
 from .constellation import Constellation, pam_tables
 
-GH_NODES = 256
 LN2 = np.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 _stats_cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
 
 
+def _per_element(fn, x: np.ndarray) -> float | np.ndarray:
+    """fn on each element of x as a Python float (libm, not numpy's SIMD
+    loops, which may differ in the last ulp); a float for a 0-d x."""
+    out = [fn(v) for v in x.ravel().tolist()]
+    return out[0] if x.ndim == 0 else np.array(out).reshape(x.shape)
+
+
 def q_function(x: float | np.ndarray) -> float | np.ndarray:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    from scipy.special import erfc
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = P(N(0,1) > x) = 0.5 erfc(x / sqrt 2)."""
+    return _per_element(lambda v: 0.5 * math.erfc(v / _SQRT2),
+                        np.asarray(x, dtype=np.float64))
 
 
 # Cephes ndtri (S. L. Moshier, Cephes Math Library), the routine behind
@@ -120,15 +124,12 @@ def q_inverse(p: float | np.ndarray) -> float | np.ndarray:
     """Inverse of q_function on (0, 1).
 
     Evaluates sqrt(2) erfcinv(2p) with erfcinv(y) = -ndtri(y/2) * M_SQRT1_2,
-    as SciPy does, element by element in Python floats: numpy's SIMD ``log``
-    may differ from libm's in the last ulp.
+    as SciPy does.
     """
     p = np.asarray(p, dtype=np.float64)
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
         raise ValueError("q_inverse needs 0 < p < 1")
-    out = [_SQRT2 * (-_ndtri(0.5 * (2.0 * v)) * _SQRT1_2)
-           for v in p.ravel().tolist()]
-    return out[0] if p.ndim == 0 else np.array(out).reshape(p.shape)
+    return _per_element(lambda v: _SQRT2 * (-_ndtri(0.5 * (2.0 * v)) * _SQRT1_2), p)
 
 
 def per_level_error_prob(eps_total: float, m: int) -> float:
@@ -160,23 +161,16 @@ def noise_sigma(snr_db: float) -> float:
     return np.sqrt(n0 / 2.0)
 
 
-@lru_cache(maxsize=8)
-def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite (nodes, weights), loaded once per node count.
-
-    The GH_NODES rule is read bit-exact from the packaged float.hex table;
-    any other count is computed by SciPy.
-    """
-    if nodes == GH_NODES:
-        text = resources.files("mlcpcm").joinpath(
-            f"data/gauss_hermite_{GH_NODES}.txt").read_text()
-        rows = [line.split() for line in text.splitlines()
-                if not line.startswith("#")]
-        t = np.array([float.fromhex(a) for a, _ in rows])
-        w = np.array([float.fromhex(b) for _, b in rows])
-    else:
-        from scipy.special import roots_hermite
-        t, w = roots_hermite(nodes)
+@lru_cache(maxsize=1)
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 256-node Gauss-Hermite (nodes, weights), loaded once,
+    bit-exact from the packaged float.hex table."""
+    text = resources.files("mlcpcm").joinpath(
+        "data/gauss_hermite_256.txt").read_text()
+    rows = [line.split() for line in text.splitlines()
+            if not line.startswith("#")]
+    t = np.array([float.fromhex(a) for a, _ in rows])
+    w = np.array([float.fromhex(b) for _, b in rows])
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -211,35 +205,38 @@ def _info_density_moments(t_tables: list[np.ndarray], leaf_labels: np.ndarray,
     return cap, disp, total
 
 
-def _pam_stats(amp_by_label: np.ndarray, sigma: float,
-               nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-level statistics of a Gray-labeled PAM axis with noise std sigma."""
+def _pam_stats(amp_by_label: np.ndarray, sigma: float, t: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-level statistics of a Gray-labeled PAM axis with noise std sigma,
+    integrated with the Gauss-Hermite rule (t, w)."""
     half = amp_by_label.size
-    t, w = _gauss_hermite(nodes)
     y = amp_by_label[:, None] + np.sqrt(2.0) * sigma * t[None, :]  # (S, Q)
     tables = pam_tables(amp_by_label, y, 2.0 * sigma**2)
     weights = np.full((half, 1), 1.0 / half) * (w[None, :] / np.sqrt(np.pi))
     return _info_density_moments(tables, np.arange(half), weights)
 
 
-def level_stats(c: Constellation, snr_db: float,
-                nodes: int = GH_NODES) -> tuple[np.ndarray, np.ndarray, float]:
+def level_stats(c: Constellation,
+                snr_db: float) -> tuple[np.ndarray, np.ndarray, float]:
     """(I(W_k) for k=1..m, V(W_k) for k=1..m, I(X;Y)) at the given SNR.
 
     For square Gray QAM the odd levels are the in-phase axis subchannels and
     the even levels the quadrature ones; the two axes carry the same PAM, so
     levels pair up with equal statistics and I(X;Y) is twice the axis total.
     BPSK is the one-axis case: its imaginary noise carries no information.
+    The arrays are cached and shared between calls, hence read-only.
     """
-    key = (c.name, float(snr_db), nodes)
+    key = (c.name, float(snr_db))
     if key in _stats_cache:
         return _stats_cache[key]
     sigma = noise_sigma(snr_db)
-    cap, disp, total = _pam_stats(c.axis_amp_by_label(), sigma, nodes)
+    cap, disp, total = _pam_stats(c.axis_amp_by_label(), sigma, *_gauss_hermite())
     if c.m > 1:  # square QAM: two identical axes, levels interleaved
         cap, disp, total = np.repeat(cap, 2), np.repeat(disp, 2), 2.0 * total
     # quadrature roundoff can leave tiny negatives on saturated levels
     disp = np.maximum(disp, 0.0)
+    cap.flags.writeable = False
+    disp.flags.writeable = False
     out = (cap, disp, total)
     if len(_stats_cache) >= 8192:  # online constructions probe arbitrary SNRs
         _stats_cache.clear()
@@ -247,44 +244,42 @@ def level_stats(c: Constellation, snr_db: float,
     return out
 
 
-def channel_capacity(c: Constellation, snr_db: float, nodes: int = GH_NODES) -> float:
+def channel_capacity(c: Constellation, snr_db: float) -> float:
     """Coded-modulation capacity I(X;Y) in bits per symbol, uniform inputs."""
-    return level_stats(c, snr_db, nodes)[2]
+    return level_stats(c, snr_db)[2]
 
 
-def subchannel_capacity(c: Constellation, k: int, snr_db: float,
-                        nodes: int = GH_NODES) -> float:
+def subchannel_capacity(c: Constellation, k: int, snr_db: float) -> float:
     """I(W_k) of bit level k (1-based) in bits."""
     if not 1 <= k <= c.m:
         raise ValueError(f"level k={k} outside 1..{c.m}")
-    return float(level_stats(c, snr_db, nodes)[0][k - 1])
+    return float(level_stats(c, snr_db)[0][k - 1])
 
 
-def subchannel_dispersion(c: Constellation, k: int, snr_db: float,
-                          nodes: int = GH_NODES) -> float:
+def subchannel_dispersion(c: Constellation, k: int, snr_db: float) -> float:
     """V(W_k) of bit level k (1-based) in bits^2."""
     if not 1 <= k <= c.m:
         raise ValueError(f"level k={k} outside 1..{c.m}")
-    return float(level_stats(c, snr_db, nodes)[1][k - 1])
+    return float(level_stats(c, snr_db)[1][k - 1])
 
 
-def biawgn_capacity(sigma: float, nodes: int = GH_NODES) -> float:
+def biawgn_capacity(sigma: float) -> float:
     """Capacity of binary-input +-1 real AWGN with noise std sigma, in bits."""
-    t, w = _gauss_hermite(nodes)
+    t, w = _gauss_hermite()
     y = 1.0 + np.sqrt(2.0) * sigma * t
     # log2(1 + exp(-2y/sigma^2)) evaluated stably
     loss = np.logaddexp(0.0, -2.0 * y / sigma**2) / LN2
     return 1.0 - float(np.sum(w * loss)) / np.sqrt(np.pi)
 
 
-def biawgn_sigma_for_capacity(cap: float, nodes: int = GH_NODES) -> float:
+def biawgn_sigma_for_capacity(cap: float) -> float:
     """Noise std of the binary-input AWGN surrogate with the given capacity."""
     if not 0.0 < cap < 1.0:
         raise ValueError("surrogate capacity must lie in (0, 1)")
     lo, hi = 1e-3, 1e3  # capacity ~1 at lo, ~0 at hi
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        if biawgn_capacity(mid, nodes) > cap:
+        if biawgn_capacity(mid) > cap:
             lo = mid
         else:
             hi = mid

@@ -172,6 +172,30 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
     assert err.startswith("usage: mlcpcm bler") and message in err
 
 
+@pytest.mark.parametrize("argv,message", (
+    (["analyze", "--m", "4", "--snr-start", "0", "--snr-stop", "2",
+      "--snr-step", "0"], "--snr-step must be positive"),
+    (["bler", "--m", "4", "--n", "32", "--k", "64", "--snr-start", "0",
+      "--snr-stop", "2", "--snr-step", "0"], "--snr-step must be positive"),
+    (["analyze", "--m", "4", "--snr-start", "0"], "--snr-stop required"),
+    (["analyze", "--m", "4", "--snr-start", "1", "--snr-stop", "0"],
+     "--snr-stop lies below --snr-start"),
+    (["analyze", "--m", "3", "--snr-db", "1"], "square QAM needs even m"),
+    (["construct", "--m", "4", "--n", "32", "--k", "500"],
+     "target sum-rate 15.625 outside"),
+    (["construct", "--m", "3", "--n", "32", "--k", "40"],
+     "square QAM needs even m"),
+    (["construct", "--m", "4", "--n", "100", "--k", "40"],
+     "N=100 is not a power of two"),
+))
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mlcpcm {argv[0]}") and message in err
+
+
 def test_throughput_csv(tmp_path):
     out = tmp_path / "tp.csv"
     assert main(["throughput", "--method", "rf2", "--n", "32",

@@ -16,6 +16,7 @@ from mlcpcm.mp_analysis import (
     subchannel_capacity,
     subchannel_dispersion,
     _gauss_hermite,
+    _pam_stats,
 )
 
 from demap_reference import demap_tables
@@ -169,11 +170,15 @@ def test_dispersion_nonnegative_and_vanishes():
 
 
 def test_quadrature_convergence():
+    # the packaged 256-node rule against SciPy's 128- and 512-node rules
+    from scipy.special import roots_hermite
     c = build_qam(4)
+    amps = c.axis_amp_by_label()
     for snr in (0.0, 10.0):
-        a = level_stats(c, snr, nodes=128)[0]
-        b = level_stats(c, snr, nodes=256)[0]
-        d = level_stats(c, snr, nodes=512)[0]
+        sigma = noise_sigma(snr)
+        a = np.repeat(_pam_stats(amps, sigma, *roots_hermite(128))[0], 2)
+        b = level_stats(c, snr)[0]
+        d = np.repeat(_pam_stats(amps, sigma, *roots_hermite(512))[0], 2)
         assert np.max(np.abs(a - b)) < 1e-9
         assert np.max(np.abs(b - d)) < 1e-10
 
@@ -221,10 +226,21 @@ def test_qam_axis_levels_pair_up():
 
 def test_packaged_gauss_hermite_rule_is_scipys_bitwise():
     from scipy.special import roots_hermite
-    for nodes in (256, 64):  # the packaged rule, then one computed by scipy
-        t, w = _gauss_hermite(nodes)
-        want_t, want_w = roots_hermite(nodes)
-        assert t.dtype == w.dtype == np.float64 and t.shape == w.shape == (nodes,)
-        assert t.tobytes() == want_t.tobytes()
-        assert w.tobytes() == want_w.tobytes()
-        assert not t.flags.writeable and not w.flags.writeable
+    t, w = _gauss_hermite()
+    want_t, want_w = roots_hermite(256)
+    assert t.dtype == w.dtype == np.float64 and t.shape == w.shape == (256,)
+    assert t.tobytes() == want_t.tobytes()
+    assert w.tobytes() == want_w.tobytes()
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("m", (1, 4))
+def test_cached_level_stats_are_read_only(m):
+    c = build_qam(m) if m > 1 else build_bpsk()
+    cap, disp, _ = level_stats(c, 5.0)
+    want = (cap.copy(), disp.copy())
+    for arr in (cap, disp):
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+    again = level_stats(c, 5.0)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
