@@ -1,7 +1,13 @@
 """Command line front end: analysis tables, constructions, BLER and
-throughput simulations. Configuration comes from flags or a JSON file whose
-keys mirror SimConfig; flags override the file. Results print as text and can
-be written to .csv or .json (JSON carries a config echo)."""
+throughput simulations and required-SNR searches.
+
+Each subcommand parses only the flags it reads; any other flag is a usage
+error (exit 2), as is bad input, which is refused before the first frame is
+simulated. Flags default to unset. ``bler`` and ``throughput`` also read a
+JSON file (``--config``) whose keys are SimConfig's fields: an unset flag
+falls back to the file, then to SimConfig's default, and an unknown key is a
+usage error. ``minsnr`` falls back to SimConfig's defaults. Results print as
+text and can be written to .csv or .json (JSON carries a config echo)."""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -17,9 +23,8 @@ from .constellation import build_constellation
 from .construction import (DEFAULT_EPS, construct_ga, construct_rf1,
                            construct_rf2, finite_bl_values, pw_sequence)
 from .mp_analysis import level_stats
-from .sim import (DEFAULT_MAX_BLOCKS, DEFAULT_MAX_ERRORS, SimConfig, SimCurve,
-                  build_bler_lut, load_mcs_table, min_required_snr, run_bler,
-                  run_throughput)
+from .sim import (SimConfig, SimCurve, build_bler_lut, load_mcs_table,
+                  min_required_snr, run_bler, run_throughput)
 
 
 class _UsageError(Exception):
@@ -34,9 +39,12 @@ def _checked(fn, *args, **kwargs):
         raise _UsageError(str(exc)) from None
 
 
-def _parse_grid(args) -> tuple[float, ...]:
-    if args.snr_db:
-        return tuple(float(s) for s in args.snr_db)
+def _parse_grid(args) -> tuple[float, ...] | None:
+    """The SNR grid the flags give, or None if they give none."""
+    if args.snr_start is None:
+        if args.snr_stop is not None or args.snr_step is not None:
+            raise _UsageError("--snr-stop and --snr-step need --snr-start")
+        return None if args.snr_db is None else tuple(args.snr_db)
     if args.snr_stop is None:
         raise _UsageError("--snr-stop required with --snr-start")
     step = 0.5 if args.snr_step is None else args.snr_step
@@ -52,13 +60,11 @@ def _write(out: str, doc, header: list[str], rows) -> None:
     if out.endswith(".json"):
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2)
-    elif out.endswith(".csv"):
+    else:
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
-    else:
-        raise SystemExit(f"unsupported output extension: {out}")
     print(f"wrote {out}")
 
 
@@ -80,18 +86,22 @@ def _print_rows(curve: SimCurve) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    if not args.snr_db and args.snr_start is None:
+    grid = _parse_grid(args)
+    if grid is None:
         raise _UsageError("analyze needs --snr-db or --snr-start/--snr-stop")
+    if args.eps is not None and args.n is None:
+        raise _UsageError("--eps needs --n: it sets the finite-N rates")
+    eps = DEFAULT_EPS if args.eps is None else args.eps
     c = _checked(build_constellation, args.m)
     rows = []
-    for snr in _parse_grid(args):
+    for snr in grid:
         cap, disp, total = level_stats(c, snr)
         row = {"snr_db": snr, "capacity_total": total}
         for k in range(c.m):
             row[f"i_w{k + 1}"] = cap[k]
             row[f"v_w{k + 1}"] = disp[k]
-        if args.n:
-            mv = _checked(finite_bl_values, c, snr, args.n, args.eps)
+        if args.n is not None:
+            mv = _checked(finite_bl_values, c, snr, args.n, eps)
             for k in range(c.m):
                 row[f"m_w{k + 1}"] = mv[k]
         rows.append(row)
@@ -108,18 +118,24 @@ def _write_rows(rows: list[dict], cols: list[str], out: str) -> None:
 
 
 def _cmd_construct(args) -> None:
+    if args.eps is not None and args.method != "rf2":
+        raise _UsageError("--eps applies to --method rf2 only")
+    if args.seq is not None and args.method == "ga":
+        raise _UsageError("--seq applies to --method rf1 and rf2 only")
+    if args.snr_db is not None and args.method != "ga":
+        raise _UsageError("--snr-db applies to --method ga only")
+    if args.snr_db is None and args.method == "ga":
+        raise _UsageError("ga construction needs --snr-db")
     k = args.k if args.k is not None else int(np.floor(args.m * args.n * args.rate + 0.5))
     seq = _checked(pw_sequence, args.n) if args.seq == "pw" else None
     if args.method == "rf1":
         cc = _checked(construct_rf1, args.m, k, args.n, seq=seq)
     elif args.method == "rf2":
-        eps = args.eps if args.eps is not None else DEFAULT_EPS
+        eps = DEFAULT_EPS if args.eps is None else args.eps
         cc = _checked(construct_rf2, args.m, k, args.n, eps=eps, seq=seq)
     else:
-        if args.snr_db is None or len(args.snr_db) != 1:
-            raise _UsageError("ga construction needs exactly one --snr-db")
         cc = _checked(construct_ga, _checked(build_constellation, args.m), k,
-                      args.n, float(args.snr_db[0]))
+                      args.n, args.snr_db)
     print(f"# method={cc.method} m={cc.m} n={cc.n} k={cc.k_total} "
           f"design_snr_db={cc.design_snr_db} eps={cc.eps}")
     rows = []
@@ -133,52 +149,65 @@ def _cmd_construct(args) -> None:
         _write_rows(rows, ["level", "k", "crc_len", "info_set"], args.out)
 
 
-def _load_config(args, need_mk: bool = True) -> SimConfig:
-    raw = {}
+def _given(args) -> dict:
+    """The SimConfig fields set by flags: the flags left unset are None."""
+    return {f.name: getattr(args, f.name) for f in fields(SimConfig)
+            if getattr(args, f.name, None) is not None}
+
+
+def _sim_config(args, base: dict) -> SimConfig:
+    """``base``, overridden by the --config file, overridden by the flags."""
+    merged = dict(base)
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    grid = raw.get("snr_grid_db")
-    if args.snr_db or args.snr_start is not None:
-        grid = list(_parse_grid(args))
-    if grid is None:
-        raise SystemExit("an SNR grid is required (--snr-db / --snr-start or config)")
-    merged = dict(
-        method=args.method or raw.get("method", "rf2"),
-        # throughput takes m and k from its MCS table: placeholders then
-        m=args.m or raw.get("m", 0 if need_mk else 2),
-        n=args.n or raw.get("n", 256),
-        k=args.k if args.k is not None else raw.get("k", 0),
-        snr_grid_db=tuple(grid),
-        list_size=args.list_size or raw.get("list_size", 8),
-        max_blocks=args.max_blocks or raw.get("max_blocks", DEFAULT_MAX_BLOCKS),
-        max_errors=args.max_errors or raw.get("max_errors", DEFAULT_MAX_ERRORS),
-        seed=args.seed if args.seed is not None else raw.get("seed", 0),
-        eps=args.eps if args.eps is not None else raw.get("eps", DEFAULT_EPS),
-    )
-    if need_mk and merged["k"] == 0 and args.rate is not None:
-        merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"--config: {exc}") from None
+        if not isinstance(raw, dict):
+            raise _UsageError("--config must hold a JSON object")
+        merged.update(raw)
+    merged.update(_given(args))
+    grid = _parse_grid(args)
+    if grid is not None:
+        merged["snr_grid_db"] = grid
+    if "snr_grid_db" not in merged:
+        raise _UsageError("an SNR grid is required (--snr-db / --snr-start or config)")
     try:
+        if getattr(args, "rate", None) is not None:
+            merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
         return SimConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _cmd_bler(args) -> None:
-    cfg = _load_config(args)
+    # m and k have no default: 0 is refused below and by SimConfig
+    cfg = _sim_config(args, dict(method="rf2", n=256, m=0, k=0))
+    if cfg.k < 1:
+        raise _UsageError("bler needs k >= 1: give --k, --rate or k in --config")
     curve = run_bler(cfg, workers=args.workers)
     _print_curve(curve)
     _write_curve(curve, args.out)
 
 
+def _mcs_table(path: str | None):
+    try:
+        return load_mcs_table(path)
+    except (OSError, KeyError, ValueError) as exc:
+        raise _UsageError(f"--mcs-table: {exc}") from None
+
+
 def _cmd_throughput(args) -> None:
-    cfg = _load_config(args, need_mk=False)
-    table = load_mcs_table(args.mcs_table)
-    if args.mcs:
-        wanted = set(args.mcs)
-        table = tuple(e for e in table if e.index in wanted)
-        if not table:
-            raise SystemExit("no MCS entries left after --mcs filter")
+    # m and k are placeholders: the MCS table sets them per frame
+    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0))
+    table = _mcs_table(args.mcs_table)
+    if args.mcs is not None:
+        unknown = sorted(set(args.mcs) - {e.index for e in table})
+        if unknown:
+            raise _UsageError(f"--mcs {unknown} not in the MCS table "
+                              f"(0 .. {len(table) - 1})")
+        table = tuple(e for e in table if e.index in args.mcs)
     lut = build_bler_lut(cfg.method, table, cfg.n, list_size=cfg.list_size,
                          seed=(cfg.seed + 1) % 2**64, eps=cfg.eps,
                          max_blocks=args.lut_blocks, max_errors=args.lut_errors,
@@ -189,14 +218,18 @@ def _cmd_throughput(args) -> None:
 
 
 def _cmd_minsnr(args) -> None:
-    table = load_mcs_table(args.mcs_table)
+    table = _mcs_table(args.mcs_table)
+    if not 0 <= args.mcs_index < len(table):
+        raise _UsageError(f"--mcs-index must lie in [0, {len(table) - 1}], "
+                          f"got {args.mcs_index}")
     mcs = table[args.mcs_index]
-    search = dict(method=args.method or "rf2", n=args.n or 256,
-                  target_bler=args.target_bler, list_size=args.list_size or 8,
-                  seed=args.seed or 0,
-                  eps=args.eps if args.eps is not None else DEFAULT_EPS,
-                  max_blocks=args.max_blocks or DEFAULT_MAX_BLOCKS,
-                  max_errors=args.max_errors or DEFAULT_MAX_ERRORS)
+    settings = {"method": "rf2", "n": 256, **_given(args)}
+    # every probe of the search simulates this config at its own SNR
+    probe = _checked(SimConfig, m=mcs.m, k=mcs.k_for(settings["n"]),
+                     snr_grid_db=(0.0,), **settings)
+    search = dict(method=probe.method, n=probe.n, target_bler=args.target_bler,
+                  list_size=probe.list_size, seed=probe.seed, eps=probe.eps,
+                  max_blocks=probe.max_blocks, max_errors=probe.max_errors)
     res = min_required_snr(mcs=mcs, workers=args.workers, **search)
     flag = "  (warning: flat bracket)" if res.warned else ""
     print(f"mcs {mcs.index} (m={mcs.m}, rate {mcs.rate_x1024}/1024): "
@@ -211,93 +244,110 @@ def _cmd_minsnr(args) -> None:
                probes.rows())
 
 
-def _worker_count(text: str) -> int:
+def _count(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
 
 
-def _add_common(p) -> None:
-    p.add_argument("--config", help="JSON file with SimConfig keys")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output file (.csv or .json)")
-    p.add_argument("--workers", type=_worker_count, default=1)
-    p.add_argument("--method", choices=("rf1", "rf2", "ga"), default=None)
-    p.add_argument("--m", type=int, default=0, help="bits per symbol")
-    p.add_argument("--n", type=int, default=0, help="component block length")
-    p.add_argument("--k", type=int, default=None, help="total information bits")
-    p.add_argument("--rate", type=float, default=None, help="per-component rate K/(mN)")
-    p.add_argument("--list-size", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--max-blocks", type=int, default=0)
-    p.add_argument("--max-errors", type=int, default=0)
-    p.add_argument("--snr-db", type=float, nargs="*", default=None,
-                   help="explicit SNR grid points (dB)")
-    p.add_argument("--snr-start", type=float, default=None)
-    p.add_argument("--snr-stop", type=float, default=None)
-    p.add_argument("--snr-step", type=float, default=None, help="default 0.5")
+def _open_unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
+def _out_file(text: str) -> str:
+    if not text.endswith((".csv", ".json")):
+        raise argparse.ArgumentTypeError(f"must end in .csv or .json, got {text!r}")
+    return text
+
+
+def _add_grid(p) -> None:
+    first = p.add_mutually_exclusive_group()
+    first.add_argument("--snr-db", type=float, nargs="+",
+                       help="explicit SNR grid points (dB)")
+    first.add_argument("--snr-start", type=float)
+    p.add_argument("--snr-stop", type=float)
+    p.add_argument("--snr-step", type=float, help="default 0.5")
+
+
+def _add_k(p, required: bool) -> None:
+    k = p.add_mutually_exclusive_group(required=required)
+    k.add_argument("--k", type=int, help="total information bits")
+    k.add_argument("--rate", type=float, help="per-component rate K/(mN)")
+
+
+def _add_simulation(p) -> None:
+    """The flags of bler, throughput and minsnr: unset ones are None."""
+    p.add_argument("--method", choices=("rf1", "rf2", "ga"), help="default rf2")
+    p.add_argument("--n", type=int, help="component block length, default 256")
+    p.add_argument("--list-size", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--max-blocks", type=int)
+    p.add_argument("--max-errors", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=_count, default=1)
+    p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="mlcpcm",
+    ap = argparse.ArgumentParser(prog="mlcpcm", allow_abbrev=False,
                                  description="multilevel polar-coded modulation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="per-level capacity/dispersion table")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_analyze)
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("construct", help="emit per-level information sets")
-    _add_common(p)
-    p.add_argument("--seq", choices=("5g", "pw"), default="5g")
-    p.set_defaults(fn=_cmd_construct)
+    p = command("analyze", _cmd_analyze, "per-level capacity/dispersion table")
+    p.add_argument("--m", type=int, required=True, help="bits per symbol")
+    p.add_argument("--n", type=_count, help="block length of the finite-N rates")
+    p.add_argument("--eps", type=float, help="default 0.1")
+    _add_grid(p)
+    p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 
-    p = sub.add_parser("bler", help="Monte Carlo BLER curve")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bler)
+    p = command("construct", _cmd_construct, "emit per-level information sets")
+    p.add_argument("--method", choices=("rf1", "rf2", "ga"), default="rf2")
+    p.add_argument("--m", type=int, required=True, help="bits per symbol")
+    p.add_argument("--n", type=int, required=True, help="component block length")
+    _add_k(p, required=True)
+    p.add_argument("--eps", type=float, help="rf2 only, default 0.1")
+    p.add_argument("--snr-db", type=float, help="design SNR, ga only")
+    p.add_argument("--seq", choices=("5g", "pw"), help="rf1/rf2 only, default 5g")
+    p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 
-    p = sub.add_parser("throughput", help="adaptive-MCS fading throughput")
-    _add_common(p)
-    p.add_argument("--mcs-table", default=None, help="CSV overriding the packaged table")
-    p.add_argument("--mcs", type=int, nargs="*", default=None,
-                   help="restrict to these MCS indices")
-    p.add_argument("--lut-blocks", type=int, default=2000)
-    p.add_argument("--lut-errors", type=int, default=50)
-    p.set_defaults(fn=_cmd_throughput)
+    p = command("bler", _cmd_bler, "Monte Carlo BLER curve")
+    p.add_argument("--config", help="JSON file with SimConfig keys")
+    _add_simulation(p)
+    p.add_argument("--m", type=int, help="bits per symbol")
+    _add_k(p, required=False)
+    _add_grid(p)
 
-    p = sub.add_parser("minsnr", help="required SNR for a BLER target")
-    _add_common(p)
-    p.add_argument("--mcs-table", default=None)
+    p = command("throughput", _cmd_throughput, "adaptive-MCS fading throughput")
+    p.add_argument("--config", help="JSON file with SimConfig keys")
+    _add_simulation(p)
+    _add_grid(p)
+    p.add_argument("--mcs-table", help="CSV overriding the packaged table")
+    p.add_argument("--mcs", type=int, nargs="+", help="restrict to these MCS indices")
+    p.add_argument("--lut-blocks", type=_count, default=2000)
+    p.add_argument("--lut-errors", type=_count, default=50)
+
+    p = command("minsnr", _cmd_minsnr, "required SNR for a BLER target")
+    _add_simulation(p)
+    p.add_argument("--mcs-table", help="CSV overriding the packaged table")
     p.add_argument("--mcs-index", type=int, required=True)
-    p.add_argument("--target-bler", type=float, required=True)
-    p.set_defaults(fn=_cmd_minsnr)
+    p.add_argument("--target-bler", type=_open_unit, required=True)
 
-    args = ap.parse_args(argv)
-    if args.command == "analyze":
-        if not args.m:
-            ap.error("analyze requires --m")
-        if args.eps is None:
-            args.eps = DEFAULT_EPS
-    if args.command == "minsnr":
-        unused = [flag for flag, value in (
-            ("--config", args.config), ("--snr-db", args.snr_db),
-            ("--snr-start", args.snr_start), ("--snr-stop", args.snr_stop),
-            ("--snr-step", args.snr_step), ("--k", args.k),
-            ("--rate", args.rate), ("--m", args.m or None)) if value is not None]
-        if unused:
-            ap.error(f"minsnr takes no {', '.join(unused)}: it walks its own "
-                     "SNR grid and --mcs-index sets m and k")
-    if args.command == "construct":
-        if not args.m or not args.n:
-            ap.error("construct requires --m and --n")
-        if args.k is None and args.rate is None:
-            ap.error("construct requires --k or --rate")
-        if args.method is None:
-            args.method = "rf2"
+    args, unknown = ap.parse_known_args(argv)
+    parser = sub.choices[args.command]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         args.fn(args)
     except _UsageError as exc:
-        sub.choices[args.command].error(str(exc))
+        parser.error(str(exc))
     return 0
 
 

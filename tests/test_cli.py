@@ -73,6 +73,23 @@ def test_config_file_merge(tmp_path, capsys):
     assert "2.0" in out
 
 
+@pytest.mark.parametrize("text,message", (
+    (json.dumps({"method": "rf1", "m": 2, "n": 32, "k": 24, "snr_grid_db": [2.0],
+                 "list-size": 2, "max_erors": 5}),
+     "unexpected keyword argument 'list-size'"),
+    ("[2, 32]", "--config must hold a JSON object"),
+    ('{"m": 2,}', "--config: Expecting property name"),
+))
+def test_config_file_rejects_bad_files(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["bler", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlcpcm bler") and message in err
+
+
 @pytest.mark.parametrize("key,value", (("n", 32.0), ("list_size", 2.0),
                                        ("max_blocks", 10.5), ("m", True)))
 def test_config_file_rejects_non_integer_fields(tmp_path, capsys, key, value):
@@ -156,7 +173,7 @@ def test_minsnr_rejects_flags_it_cannot_honour(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(MINSNR_ARGS + flags)
     assert exc.value.code == 2
-    assert f"minsnr takes no {flags[0]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,message", (
@@ -187,6 +204,36 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
      "square QAM needs even m"),
     (["construct", "--m", "4", "--n", "100", "--k", "40"],
      "N=100 is not a power of two"),
+    (["bler", "--m", "2", "--n", "32", "--k", "24", "--snr-db", "1",
+      "--out", "x.txt"], "must end in .csv or .json"),
+    (["bler", "--m", "2", "--n", "32", "--snr-db", "1"], "bler needs k >= 1"),
+    (["bler", "--m", "2", "--n", "32", "--k", "24"], "an SNR grid is required"),
+    (["minsnr", "--mcs-index", "99", "--target-bler", "0.1"],
+     "--mcs-index must lie in [0, 27], got 99"),
+    (["minsnr", "--mcs-index", "1", "--target-bler", "0.1", "--list-size", "3"],
+     "list size must be a power of two"),
+    (["minsnr", "--mcs-index", "1", "--target-bler", "0.1", "--n", "24"],
+     "n must be a power of two, got 24"),
+    (["minsnr", "--mcs-index", "1", "--target-bler", "0.1", "--eps", "2"],
+     "eps must lie in (0, 1), got 2.0"),
+    (["minsnr", "--mcs-index", "1", "--target-bler", "2"],
+     "argument --target-bler: must lie in (0, 1)"),
+    (["throughput", "--snr-db", "6", "--mcs", "0", "77"],
+     "--mcs [77] not in the MCS table"),
+    (["throughput", "--snr-db", "6", "--lut-blocks", "0"],
+     "argument --lut-blocks: must be an integer >= 1"),
+    (["throughput", "--mcs", "0"], "an SNR grid is required"),
+    (["construct", "--m", "4", "--n", "32", "--k", "50", "--method", "rf1",
+      "--eps", "2"], "--eps applies to --method rf2 only"),
+    (["construct", "--m", "4", "--n", "32", "--k", "50", "--snr-db", "3"],
+     "--snr-db applies to --method ga only"),
+    (["construct", "--m", "4", "--n", "32", "--k", "50", "--method", "ga",
+      "--snr-db", "3", "--seq", "pw"], "--seq applies to --method rf1 and rf2"),
+    (["analyze", "--m", "4", "--snr-db", "6", "--eps", "0.2"], "--eps needs --n"),
+    (["analyze", "--m", "4", "--snr-db", "6", "--snr-stop", "8"],
+     "--snr-stop and --snr-step need --snr-start"),
+    (["minsnr", "--mcs-index", "1", "--target-bler", "0.1", "--mcs-table",
+      "no-such-table.csv"], "--mcs-table: [Errno 2] No such file"),
 ))
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +263,50 @@ def test_throughput_at_largest_seed(tmp_path):
                  "--mcs", "0", "--lut-blocks", "8", "--lut-errors", "4",
                  "--seed", str(2**64 - 1), "--out", str(out)]) == 0
     assert out.exists()
+
+
+THROUGHPUT_ARGS = ["throughput", "--n", "16", "--snr-db", "6",
+                   "--max-blocks", "8", "--list-size", "1", "--mcs", "0",
+                   "--lut-blocks", "8", "--lut-errors", "4"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["analyze", "--m", "4", "--snr-db", "6", "--workers", "7"],
+    ["analyze", "--m", "4", "--snr-db", "6", "--config", "cfg.json"],
+    ["construct", "--m", "4", "--n", "32", "--k", "64", "--max-blocks", "3"],
+    ["construct", "--m", "4", "--n", "32", "--k", "64", "--snr-start", "1"],
+    THROUGHPUT_ARGS + ["--m", "4"],
+    THROUGHPUT_ARGS + ["--k", "64"],
+    THROUGHPUT_ARGS + ["--rate", "0.5"],
+))
+def test_ignored_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mlcpcm {argv[0]}")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+BLER_ARGS = ["bler", "--m", "2", "--n", "16", "--k", "10", "--snr-db", "3",
+             "--max-errors", "5"]
+
+
+@pytest.mark.parametrize("argv,message", (
+    (BLER_ARGS + ["--max-blocks", "0"], "block and error budgets must be at least 1"),
+    (BLER_ARGS + ["--list-size", "0"], "list size must be a power of two"),
+    (["bler", "--config", "{cfg}", "--n", "16", "--k", "10", "--snr-db", "3",
+      "--m", "0"], "m must be 1 or an even number >= 2, got 0"),
+    (MINSNR_ARGS + ["--n", "0"], "n must be a power of two, got 0"),
+))
+def test_explicit_zero_reaches_validation(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mlcpcm {argv[0]}") and message in err
 
 
 def test_unknown_command_rejected():
