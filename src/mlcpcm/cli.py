@@ -6,8 +6,10 @@ error (exit 2), as is bad input, which is refused before the first frame is
 simulated. Flags default to unset. ``bler`` and ``throughput`` also read a
 JSON file (``--config``) whose keys are SimConfig's fields: an unset flag
 falls back to the file, then to SimConfig's default, and an unknown key is a
-usage error. ``minsnr`` falls back to SimConfig's defaults. Results print as
-text and can be written to .csv or .json (JSON carries a config echo)."""
+usage error, as are m and k for ``throughput``, which takes them per frame
+from the MCS table. ``minsnr`` falls back to SimConfig's defaults. Results
+print as text and can be written to .csv or .json (JSON carries a config
+echo)."""
 
 from __future__ import annotations
 
@@ -155,8 +157,11 @@ def _given(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _sim_config(args, base: dict) -> SimConfig:
-    """``base``, overridden by the --config file, overridden by the flags."""
+def _sim_config(args, base: dict, per_frame: tuple[str, ...] = ()) -> SimConfig:
+    """``base``, overridden by the --config file, overridden by the flags.
+
+    The file may not set the fields in ``per_frame``, which the MCS table
+    sets for each frame."""
     merged = dict(base)
     if args.config:
         try:
@@ -166,6 +171,10 @@ def _sim_config(args, base: dict) -> SimConfig:
             raise _UsageError(f"--config: {exc}") from None
         if not isinstance(raw, dict):
             raise _UsageError("--config must hold a JSON object")
+        refused = [key for key in per_frame if key in raw]
+        if refused:
+            raise _UsageError(f"--config may not set {', '.join(refused)}: "
+                              "set per frame by the MCS table")
         merged.update(raw)
     merged.update(_given(args))
     grid = _parse_grid(args)
@@ -200,7 +209,7 @@ def _mcs_table(path: str | None):
 
 def _cmd_throughput(args) -> None:
     # m and k are placeholders: the MCS table sets them per frame
-    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0))
+    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0), ("m", "k"))
     table = _mcs_table(args.mcs_table)
     if args.mcs is not None:
         unknown = sorted(set(args.mcs) - {e.index for e in table})

@@ -281,6 +281,8 @@ def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
 def finite_bl_values(c: Constellation, snr_db: float, n: int,
                      eps: float) -> np.ndarray:
     """Per-level max(0, I_k - sqrt(V_k/n) Qinv(eps)) at the given SNR."""
+    if not n >= 1:  # NaN fails too
+        raise ValueError(f"n must be >= 1, got {n}")
     qv = q_inverse(eps)
     cap, disp, _ = level_stats(c, snr_db)
     return np.maximum(cap - np.sqrt(disp / n) * qv, 0.0)

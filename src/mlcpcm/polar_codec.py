@@ -15,18 +15,25 @@ All decoder state is vectorized over a batch of independent frames and over
 the list dimension, so Monte Carlo runs decode hundreds of frames per pass.
 Path state is copied lazily (Tal & Vardy, "List decoding of polar codes",
 IEEE T-IT 2015). Each stage's LLR buffer and each stage's left partial-sum
-buffer has a row map from (frame, path) to the row that holds that path's
-data. A fork or prune composes all row maps with the surviving paths'
-parents in one gather of a small integer array and copies no buffer. A
-buffer is gathered into path order only when the next f/g update or
-partial-sum step reads it, which per leaf is the parent of the topmost
-refreshed stage and the left sums at that stage, so copying costs
-O(L N log N) per frame instead of O(L N^2). Bit decisions are not copied
-either: each information leaf records (bits, parent path), and one backtrack
-at the end recovers every survivor's information bits for the CRC. The
-selected path's codeword is polar_encode of its decisions, the same bits the
-partial sums would give. The outputs are bit-identical to those of the
-full-copy decoder kept in tests/scl_reference.py.
+buffer has its own row map: None while the buffer is in path order, else an
+int32 array from (frame, path) to the flat row that holds that path's data.
+A fork or prune copies no buffer. A buffer in path order takes the
+survivors' parent rows as its map, by reference; a stale one composes its
+map with them in one gather. Only buffers that are read again before being
+rewritten are kept: after the fork at leaf phi these are the LLRs of stage
+s + 1 while bit s of phi is 0 and the left sums of stage s while bit s of
+phi is 1. Every other buffer is released, which lowers peak memory and
+leaves fewer maps to compose. A buffer is gathered into path order only when
+the next f/g update or partial-sum step reads it, which per leaf is the
+parent of the topmost refreshed stage and the left sums at that stage, so
+copying costs O(L N log N) per frame instead of O(L N^2). Bit decisions are
+not copied either: each information leaf records (bits, parent path), and
+one backtrack at the end recovers every survivor's information bits for the
+CRC. The selected path's codeword is polar_encode of its decisions, the same
+bits the partial sums would give. Survivors are selected by a stable sort of
+the path metrics' int64 bit patterns, which order like the metrics because
+these are finite, nonnegative and never -0.0. The outputs are bit-identical
+to those of the full-copy decoder kept in tests/scl_reference.py.
 
 Every decoder buffer is stored stage-major, as (width, frame, path). The
 f/g halves of a stage are then contiguous leading-axis blocks, partial sums
@@ -34,7 +41,7 @@ concatenate along axis 0 and the leaf LLRs are row 0 of stage 0. In a
 (frame, path, width) layout the narrow stages split into 1-4 element inner
 loops over strided views, which cost numpy up to twice as much per element.
 Boxplus on arrays larger than _BLOCK elements runs block by block over the
-flattened array, so its nineteen ufunc passes reuse data in cache instead
+flattened array, so its seventeen ufunc passes reuse data in cache instead
 of each streaming the whole stage through memory. Boxplus is elementwise,
 so blocking changes no output bit.
 """
@@ -153,17 +160,25 @@ def _boxplus(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
     """Exact LLR check-node combination ln[(1+e^{a+b})/(e^a+e^b)].
 
-    Evaluates sign(a) sign(b) min(|a|, |b|) + log1p(e^{-|a+b|})
-    - log1p(e^{-|a-b|}) one ufunc at a time into two buffers, so the result
-    is bit-identical to the plain expression; a and b have the same shape.
-    The buffers out and tmp, C-ordered when allocated here, may be passed
-    in; the result is written to out.
+    Evaluates copysign(min(|a|, |b|), a b) + log1p(e^{-|a+b|})
+    - log1p(e^{-|a-b|}) one ufunc at a time into two buffers; a and b have
+    the same shape. The buffers out and tmp, C-ordered when allocated here,
+    may be passed in; the result is written to out.
+
+    The result is bit-identical to the textbook sign(a) sign(b) min(|a|, |b|)
+    + ... of earlier releases. The sign of a product is the XOR of the
+    operand signs even when it underflows to +-0, so for nonzero a and b
+    both first terms are the same +-min(|a|, |b|), infinities included. If a
+    or b is +-0, both are a zero, possibly of opposite signs, and the next
+    step adds log1p(e^{-|a+b|}), which is either positive, so the zero's
+    sign is lost, or +0, and -0 + +0 = +0 like +0 + +0. Only NaN inputs can
+    give other bits, and there the result is NaN either way.
     """
-    out = np.sign(a, out=out, order="C")
-    tmp = np.sign(b, out=tmp, order="C")
-    out *= tmp
-    np.minimum(np.abs(a, out=tmp), np.abs(b), out=tmp)
-    out *= tmp
+    out = np.abs(a, out=out, order="C")
+    tmp = np.abs(b, out=tmp, order="C")
+    np.minimum(out, tmp, out=out)
+    np.multiply(a, b, out=tmp)
+    np.copysign(out, tmp, out=out)
     for op in (np.add, np.subtract):  # + log1p(e^{-|a+b|}), - log1p(e^{-|a-b|})
         op(a, b, out=tmp)
         np.abs(tmp, out=tmp)
@@ -221,15 +236,14 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     # stored stage-major with shape (width, F, P') for the path count P' when
     # it was written: the f/g halves of a stage are then contiguous
     # leading-axis blocks, where a (F, P', width) layout would split into
-    # short strided inner loops on the narrow stages. Path p of frame f reads
-    # flat column rows[f * P + p, i] of buffer i reshaped to (width, F P')
-    # unless the buffer is fresh, i.e. already in path order. A fork or prune
-    # only composes these row maps, in one gather; a stale buffer is gathered
-    # into path order when it is next read. The channel LLRs are
-    # path-independent and read through the stage-major view chan.T.
+    # short strided inner loops on the narrow stages. maps[i] is None while
+    # buffer i is in path order; otherwise path p of frame f reads flat
+    # column maps[i][f * P + p] of buffer i reshaped to (width, F P'). A
+    # stale buffer is gathered into path order when it is next read. The
+    # channel LLRs are path-independent and read through the stage-major
+    # view chan.T.
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
-    rows = np.empty((frames, 2 * stages), dtype=np.intp)
-    fresh = np.ones(2 * stages, dtype=bool)
+    maps: list[np.ndarray | None] = [None] * (2 * stages)
     pm = np.zeros((frames, 1))
     # bit and flat parent row of every path at each information leaf, for
     # the final backtrack; allocated up front, because hundreds of small
@@ -239,13 +253,12 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     decided = 0
 
     def store(i: int, value: np.ndarray) -> None:
-        bufs[i] = value
-        fresh[i] = True
+        bufs[i], maps[i] = value, None
 
     def aligned(i: int) -> np.ndarray:
-        if not fresh[i]:
+        if maps[i] is not None:
             buf = bufs[i]
-            flat = buf.reshape(len(buf), -1).take(rows[:, i], axis=1)
+            flat = buf.reshape(len(buf), -1).take(maps[i], axis=1)
             store(i, flat.reshape(len(buf), frames, -1))
         return bufs[i]
 
@@ -270,21 +283,39 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
         else:
-            # children ordered (parent 0: bit 0, bit 1, parent 1: ...) so the
+            # child c of frame f is path c >> 1 taking bit c & 1, so the
             # stable sort below breaks metric ties by smaller path index
-            pm2 = np.stack([pm + np.maximum(-leaf, 0.0),
-                            pm + np.maximum(leaf, 0.0)], axis=2).reshape(frames, -1)
+            pm2 = np.empty((frames, paths, 2))
+            np.add(pm, np.maximum(-leaf, 0.0), out=pm2[:, :, 0])
+            np.add(pm, np.maximum(leaf, 0.0), out=pm2[:, :, 1])
+            pm2 = pm2.reshape(frames, -1)
             if 2 * paths <= list_size:  # keep every child
-                sel = np.broadcast_to(np.arange(2 * paths), pm2.shape)
-                pm = pm2
+                child = np.arange(frames * 2 * paths).reshape(frames, -1)
             else:
-                sel = np.argsort(pm2, axis=1, kind="stable")[:, :list_size]
-                pm = pm2[col, sel]
-            bits = (sel & 1).astype(np.int8)
-            parent = (col * paths + (sel >> 1)).ravel()
-            rows = rows.take(parent, axis=0)
-            rows[:, fresh] = parent[:, None]
-            fresh[:] = False
+                # Metrics start at +0.0 and only add max(+-leaf, 0.0), so
+                # for finite LLRs they are finite, nonnegative and never
+                # -0.0 (+0 + -0 is +0). Their int64 bit patterns then order exactly like
+                # the floats, ties stay ties, and the stable integer sort
+                # returns the same permutation faster.
+                sel = np.argsort(pm2.view(np.int64), axis=1, kind="stable")
+                child = sel[:, :list_size] + 2 * paths * col
+            pm = pm2.ravel().take(child)
+            bits = (child & 1).astype(np.int8)
+            parent = (child >> 1).astype(np.int32).ravel()
+            # After the fork at leaf phi, only two kinds of stale buffer are
+            # read again before being rewritten: the LLRs of stage s + 1
+            # while bit s of phi is 0 (the g update of stage s is still
+            # ahead) and the left sums of stage s while bit s of phi is 1.
+            # Every other buffer, stage 0's LLRs always, is released.
+            for s in range(stages):
+                for i, live in ((s, s and not (phi >> (s - 1)) & 1),
+                                (stages + s, (phi >> s) & 1)):
+                    if not live:
+                        bufs[i] = maps[i] = None
+                    elif maps[i] is None:
+                        maps[i] = parent
+                    else:
+                        maps[i] = maps[i].take(parent)
             leaf_bits[decided, :parent.size] = bits.ravel()
             leaf_parent[decided, :parent.size] = parent
             decided += 1

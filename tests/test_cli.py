@@ -288,6 +288,22 @@ def test_ignored_flags_are_refused(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
+@pytest.mark.parametrize("raw,message", (
+    ({"m": 4, "k": 9}, "--config may not set m, k: set per frame by the MCS table"),
+    ({"k": 999}, "--config may not set k: set per frame by the MCS table"),
+))
+def test_throughput_config_refuses_m_and_k(tmp_path, capsys, raw, message):
+    # run_throughput takes m and k from the MCS table, so a config that sets
+    # them would be echoed into the output of a run that read neither
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main(THROUGHPUT_ARGS + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlcpcm throughput") and message in err
+
+
 BLER_ARGS = ["bler", "--m", "2", "--n", "16", "--k", "10", "--snr-db", "3",
              "--max-errors", "5"]
 

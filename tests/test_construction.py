@@ -227,6 +227,17 @@ def test_finite_bl_values_composition():
     assert np.allclose(finite_bl_values(c, snr, n, eps), want, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_bl_values_rejects_n_below_one():
+    # n = 0 used to divide by zero and return values
+    c = build_qam(4)
+    for n in (0, -256, 0.5, float("nan")):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            finite_bl_values(c, 6.0, n, 0.1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        solve_snr_finite(c, 2.0, 0, 0.1)
+
+
 # ---------------------------------------------------------- RF constructions
 
 

@@ -15,6 +15,7 @@ from mlcpcm.polar_codec import (
     polar_encode,
     scl_decode_batch,
 )
+from scl_reference import _boxplus as reference_boxplus
 from scl_reference import _crc16_register as reference_crc16_register
 from scl_reference import scl_decode_batch as reference_scl_decode_batch
 
@@ -253,3 +254,81 @@ def test_blocked_boxplus_matches_boxplus():
     # stage-major decoder buffers are blocked through their flat view
     a, b = draw((4, 130, 8, 16)), draw((4, 130, 8, 16))
     assert np.array_equal(_boxplus_blocked(a, b), _boxplus(a, b))
+
+
+# signed zeros, subnormals, values whose products underflow, and +-300 and
+# beyond, where e^{-|a+b|} underflows to 0
+_BOXPLUS_EDGES = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
+                           1e-160, 1e-10, 0.5, 1.0, 2.0, 299.99999999999994,
+                           300.0, 745.5, 800.0, 1e5])
+_BOXPLUS_EDGES = np.concatenate([_BOXPLUS_EDGES, -_BOXPLUS_EDGES])
+
+
+def test_boxplus_matches_sign_product_bitwise():
+    # the copysign form against the sign(a) sign(b) min(|a|, |b|) form it
+    # replaced: every pair of edge values, then edge values mixed with
+    # Cauchy-tailed reals at unblocked and blocked sizes
+    rng = np.random.default_rng(13)
+
+    def draw(size):
+        edge = _BOXPLUS_EDGES[rng.integers(0, _BOXPLUS_EDGES.size, size)]
+        return np.where(rng.random(size) < 0.5, edge, rng.standard_cauchy(size))
+
+    pairs = [np.meshgrid(_BOXPLUS_EDGES, _BOXPLUS_EDGES)]
+    pairs += [(draw(size), draw(size)) for size in (7, _BLOCK - 1, 3 * _BLOCK + 5)]
+    with np.errstate(all="raise", under="ignore"):
+        for a, b in pairs:
+            want = reference_boxplus(a, b).view(np.int64)
+            assert np.array_equal(_boxplus(a, b).view(np.int64), want), a.size
+            assert np.array_equal(_boxplus_blocked(a, b).view(np.int64), want), a.size
+    a, b = pairs[0]
+    # the grid holds zeros of both signs and products that underflow to zero
+    assert (np.signbit(a) & (a == 0)).any() and ((a * b == 0) & (a != 0) & (b != 0)).any()
+
+
+def test_integer_key_argsort_matches_float_argsort():
+    # path metrics are finite, nonnegative and never -0.0, so the stable sort
+    # of their int64 bit patterns is the stable sort of the floats
+    rng = np.random.default_rng(15)
+    levels = np.array([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e12, 1e12 + 0.5])
+    for shape in ((1, 2), (3, 4), (512, 16), (64, 32)):
+        for draw in range(10):
+            pm = levels[rng.integers(0, levels.size if draw % 2 else 3, shape)]
+            if draw >= 6:
+                pm = pm + rng.integers(0, 3, shape) * rng.random(shape[0])[:, None]
+            want = np.argsort(pm, axis=1, kind="stable")
+            got = np.argsort(pm.view(np.int64), axis=1, kind="stable")
+            assert np.array_equal(got, want), (shape, draw)
+
+
+def _frozen_patterns(n, rng):
+    """Named information sets that stress the lazy-copy bookkeeping."""
+    idx = np.arange(n)
+    block = max(n // 8, 1)
+    runs = np.repeat(rng.random(n // block) < 0.5, block) & (rng.random(n) < 0.8)
+    return {"all frozen": idx[:0], "all info": idx, "rate-0 runs": idx[runs],
+            "alternating": idx[1::2], "alternating from 0": idx[::2]}
+
+
+def test_decoder_matches_frozen_reference_on_frozen_patterns():
+    # every N from 1 to 512 at every list size from 1 to 16: forks happen at
+    # leaves of every parity, so each stage's buffers are kept live and
+    # released in turn
+    rng = np.random.default_rng(512)
+    for stages in range(10):
+        n = 1 << stages
+        for name, info in _frozen_patterns(n, rng).items():
+            crc = CRC_LEN if info.size > CRC_LEN and name != "rate-0 runs" else 0
+            code = ComponentCode(n=n, info_set=info, crc_len=crc)
+            for lsize in (1, 2, 4, 8, 16):
+                # integer LLRs tie path metrics
+                if lsize % 4:
+                    llr = rng.integers(-2, 3, (3, n)).astype(np.float64)
+                else:
+                    llr = rng.normal(0.0, 2.0, (3, n))
+                got = scl_decode_batch(llr, code, lsize)
+                want = reference_scl_decode_batch(llr, code, lsize)
+                for field, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"),
+                                       got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(
+                        g, w), f"{field} differ at N={n} {name} L={lsize}"
