@@ -220,8 +220,8 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         raise ValueError(f"LLR length {n} != code length {code.n}")
     if list_size < 1 or (list_size & (list_size - 1)):
         raise ValueError("list size must be a power of two >= 1")
-    # parent rows lie below F L and are stored as int32, which halves the
-    # largest bookkeeping array
+    # parent rows and row maps lie below F L and are stored as int32, which
+    # halves the largest bookkeeping arrays
     if frames * list_size >= 1 << 31:
         raise ValueError(f"{frames} frames x list size {list_size} overflows "
                          "the int32 parent rows; decode fewer frames per call")
