@@ -7,9 +7,9 @@ simulated. Flags default to unset. ``bler`` and ``throughput`` also read a
 JSON file (``--config``) whose keys are SimConfig's fields: an unset flag
 falls back to the file, then to SimConfig's default, and an unknown key is a
 usage error, as are m and k for ``throughput``, which takes them per frame
-from the MCS table. ``minsnr`` falls back to SimConfig's defaults. Results
-print as text and can be written to .csv or .json (JSON carries a config
-echo)."""
+from the MCS table, and max_errors, since it simulates every frame.
+``minsnr`` falls back to SimConfig's defaults. Results print as text and can
+be written to .csv or .json (JSON carries a config echo)."""
 
 from __future__ import annotations
 
@@ -157,11 +157,12 @@ def _given(args) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _sim_config(args, base: dict, per_frame: tuple[str, ...] = ()) -> SimConfig:
+def _sim_config(args, base: dict,
+                unread: tuple[tuple[tuple[str, ...], str], ...] = ()) -> SimConfig:
     """``base``, overridden by the --config file, overridden by the flags.
 
-    The file may not set the fields in ``per_frame``, which the MCS table
-    sets for each frame."""
+    The file may not set the fields of ``unread``, pairs of (fields, why the
+    command does not read them)."""
     merged = dict(base)
     if args.config:
         try:
@@ -171,10 +172,11 @@ def _sim_config(args, base: dict, per_frame: tuple[str, ...] = ()) -> SimConfig:
             raise _UsageError(f"--config: {exc}") from None
         if not isinstance(raw, dict):
             raise _UsageError("--config must hold a JSON object")
-        refused = [key for key in per_frame if key in raw]
-        if refused:
-            raise _UsageError(f"--config may not set {', '.join(refused)}: "
-                              "set per frame by the MCS table")
+        for keys, why in unread:
+            refused = [key for key in keys if key in raw]
+            if refused:
+                raise _UsageError(f"--config may not set {', '.join(refused)}: "
+                                  f"{why}")
         merged.update(raw)
     merged.update(_given(args))
     grid = _parse_grid(args)
@@ -209,7 +211,9 @@ def _mcs_table(path: str | None):
 
 def _cmd_throughput(args) -> None:
     # m and k are placeholders: the MCS table sets them per frame
-    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0), ("m", "k"))
+    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0), (
+        (("m", "k"), "set per frame by the MCS table"),
+        (("max_errors",), "throughput simulates every frame")))
     table = _mcs_table(args.mcs_table)
     if args.mcs is not None:
         unknown = sorted(set(args.mcs) - {e.index for e in table})
@@ -294,7 +298,6 @@ def _add_simulation(p) -> None:
     p.add_argument("--list-size", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--max-blocks", type=int)
-    p.add_argument("--max-errors", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
@@ -330,6 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     p = command("bler", _cmd_bler, "Monte Carlo BLER curve")
     p.add_argument("--config", help="JSON file with SimConfig keys")
     _add_simulation(p)
+    p.add_argument("--max-errors", type=int)
     p.add_argument("--m", type=int, help="bits per symbol")
     _add_k(p, required=False)
     _add_grid(p)
@@ -345,6 +349,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = command("minsnr", _cmd_minsnr, "required SNR for a BLER target")
     _add_simulation(p)
+    p.add_argument("--max-errors", type=int)
     p.add_argument("--mcs-table", help="CSV overriding the packaged table")
     p.add_argument("--mcs-index", type=int, required=True)
     p.add_argument("--target-bler", type=_open_unit, required=True)

@@ -220,6 +220,10 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         raise ValueError(f"LLR length {n} != code length {code.n}")
     if list_size < 1 or (list_size & (list_size - 1)):
         raise ValueError("list size must be a power of two >= 1")
+    # finite LLRs keep every path metric finite, which the survivor sort on
+    # the metrics' bit patterns relies on
+    if not np.isfinite(chan).all():
+        raise ValueError("LLRs must be finite")
     # parent rows and row maps lie below F L and are stored as int32, which
     # halves the largest bookkeeping arrays
     if frames * list_size >= 1 << 31:

@@ -13,12 +13,13 @@ noise (real parts, then imaginary parts).
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 import time
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -85,20 +86,19 @@ class SimConfig:
     method       "rf1", "rf2" or "ga" (ga is rebuilt at every SNR point)
     m, n, k      bits per symbol (1 or even), component block length N (a
                  power of two) and total information bits K in [0, mN]
-                 (CRC included); run_throughput ignores m and k, which the
-                 MCS table sets per frame
+                 (CRC included)
     snr_grid_db  strictly increasing Es/N0 points in dB (mean SNRs for fading)
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
-    max_errors   frame errors that end a BLER point early; throughput runs
-                 always simulate max_blocks frames
+    max_errors   frame errors that end a BLER point early
     seed         simulation seed in [0, 2^64)
     eps          the rf2 frame error target, and in run_throughput also the
                  predicted-BLER limit of the MCS choice
 
-    m, n, k, list_size, max_blocks, max_errors and seed must be integers
-    (numbers.Integral, bool excluded; TypeError otherwise) and are stored as
-    int. Out-of-range values raise ValueError.
+    run_throughput reads neither m and k (set per frame by the MCS table) nor
+    max_errors (it simulates every frame) and leaves them out of its config
+    echo. Integer fields must be numbers.Integral, bool excluded (TypeError
+    otherwise), and are stored as int; out-of-range values raise ValueError.
     """
 
     method: str
@@ -203,6 +203,15 @@ def _batch_size(m: int, n: int, cap: int) -> int:
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16, min(512, max(cap, 1))))
 
 
+@functools.lru_cache(maxsize=16)
+def _construction(method: str, m: int, k: int, n: int, eps: float,
+                  snr_db: float | None) -> tuple[Constellation, CodeConstruction]:
+    """The constellation and construction of a task, built once per process;
+    ``snr_db`` is ga's operating SNR and None for rf1/rf2."""
+    c = build_constellation(m)
+    return c, build_construction(method, c, k, n, eps, snr_db)
+
+
 def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
                   snr_db: Sequence[float], rngs: list[np.random.Generator],
                   gains: np.ndarray | None = None) -> np.ndarray:
@@ -238,42 +247,49 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
     return err
 
 
-def _bler_chunk(cons: CodeConstruction, c: Constellation, list_size: int,
-                snr_db: float, seed: int, snr_idx: int, start: int,
+def _bler_chunk(cfg: SimConfig, snr_db: float, snr_idx: int, start: int,
                 count: int) -> np.ndarray:
     """Simulate frames [start, start+count) of one SNR point; per-frame error flags."""
-    rngs = [frame_rng(seed, snr_idx, start + i) for i in range(count)]
-    return _frame_errors(cons, c, list_size, [snr_db] * count, rngs)
+    c, cons = _construction(cfg.method, cfg.m, cfg.k, cfg.n, cfg.eps,
+                            snr_db if cfg.method == "ga" else None)
+    rngs = [frame_rng(cfg.seed, snr_idx, start + i) for i in range(count)]
+    return _frame_errors(cons, c, cfg.list_size, [snr_db] * count, rngs)
 
 
-def _check_workers(workers: int) -> None:
+@contextmanager
+def _pool(workers: int):
+    """The process pool of one simulation call, None at one worker; the only
+    place a pool is made. On exit it cancels the queued tasks and waits for
+    the running ones, so no child process outlives the call."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
-def _in_order(fn, arg_tuples: Iterable[tuple], workers: int):
-    """Yield fn(*args) for each tuple of arg_tuples, in their order.
-
-    The tuples are drawn lazily. With workers > 1 the calls run in a process
-    pool, at most workers + 1 in flight; closing the generator cancels those
-    not yet started and waits for the running ones.
-    """
-    if workers <= 1:
-        for args in arg_tuples:
-            yield fn(*args)
+def _in_order(submit: Callable | None, fn: Callable,
+              arg_tuples: Iterable[tuple], workers: int):
+    """Yield fn(*args) for each tuple of arg_tuples, drawn lazily, in order:
+    here without ``submit``, else at most workers + 1 in flight through it.
+    Closing the generator cancels those not yet started."""
+    if submit is None:
+        yield from (fn(*args) for args in arg_tuples)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        try:
-            for args in arg_tuples:
-                pending.append(pool.submit(fn, *args))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
+    pending = deque()
+    try:
+        for args in arg_tuples:
+            pending.append(submit(fn, *args))
+            if len(pending) > workers:
                 yield pending.popleft().result()
-        finally:
-            for f in pending:
-                f.cancel()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for f in pending:
+            f.cancel()
 
 
 def _consume(flags: np.ndarray, blocks: int, errors: int,
@@ -287,40 +303,61 @@ def _consume(flags: np.ndarray, blocks: int, errors: int,
     return blocks + flags.size, int(cum[-1]) if flags.size else errors, False
 
 
-def _simulate_point(cons, c, cfg: SimConfig, snr_db: float, snr_idx: int,
-                    workers: int) -> SimPoint:
-    blocks = errors = 0
+def _chunk_scheduler(cfg: SimConfig, pool: ProcessPoolExecutor | None,
+                     workers: int) -> Callable[..., SimPoint]:
+    """The chunk scheduler of one config on a call's pool (None at one
+    worker): point(snr_idx, snr_db, ahead) is a BLER point, its chunks folded
+    in order by ``_consume``. If it has fewer chunks than workers, the first
+    chunks of the ``ahead`` points ((snr_idx, snr_db), nearest first) take
+    the idle workers, to be reused if asked for and otherwise never read."""
     batch = _batch_size(cfg.m, cfg.n, cfg.max_blocks)
-    args = [(cons, c, cfg.list_size, snr_db, cfg.seed, snr_idx, start,
-             min(batch, cfg.max_blocks - start))
-            for start in range(0, cfg.max_blocks, batch)]
-    with closing(_in_order(_bler_chunk, args, workers)) as chunks:
-        for flags in chunks:
-            blocks, errors, done = _consume(flags, blocks, errors, cfg.max_errors)
-            if done:
-                break
-    return SimPoint(snr_db=snr_db, value=errors / blocks, blocks=blocks,
-                    errors=errors)
+    early: dict[tuple, Future] = {}  # by (snr_db, snr_idx, start)
+
+    def submit(fn: Callable, *args) -> Future:
+        started = early.pop(args[1:4], None)
+        return pool.submit(fn, *args) if started is None else started
+
+    def point(snr_idx: int, snr_db: float,
+              ahead: Sequence[tuple[int, float]] = ()) -> SimPoint:
+        chunks = [(cfg, snr_db, snr_idx, start, min(batch, cfg.max_blocks - start))
+                  for start in range(0, cfg.max_blocks, batch)]
+
+        def tasks():
+            yield from chunks
+            # _in_order draws these before it waits on any own chunk
+            for i, s in ahead[:max(workers - len(chunks), 0)]:
+                early[s, i, 0] = submit(_bler_chunk, cfg, s, i, *chunks[0][3:])
+
+        blocks = errors = 0
+        flags = _in_order(pool and submit, _bler_chunk, tasks(), workers)
+        with closing(flags):
+            for f in flags:
+                blocks, errors, done = _consume(f, blocks, errors, cfg.max_errors)
+                if done:
+                    break
+        return SimPoint(snr_db=snr_db, value=errors / blocks, blocks=blocks,
+                        errors=errors)
+
+    return point
+
+
+def _bler_curve(cfg: SimConfig, pool: ProcessPoolExecutor | None,
+                workers: int) -> SimCurve:
+    """``run_bler`` on the caller's pool."""
+    if cfg.k < 1:
+        raise ValueError("k must be positive for BLER simulation")
+    t0 = time.perf_counter()
+    point = _chunk_scheduler(cfg, pool, workers)
+    grid = list(enumerate(cfg.snr_grid_db))
+    points = [point(i, s, grid[i + 1:]) for i, s in grid]
+    return SimCurve(metric="bler", points=points, config=asdict(cfg),
+                    wall_time_s=time.perf_counter() - t0)
 
 
 def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
     """BLER on the config's SNR grid; frame errors judged by payload equality."""
-    _check_workers(workers)
-    if cfg.k < 1:
-        raise ValueError("k must be positive for BLER simulation")
-    t0 = time.perf_counter()
-    c = build_constellation(cfg.m)
-    cons = None
-    if cfg.method in ("rf1", "rf2"):
-        cons = build_construction(cfg.method, c, cfg.k, cfg.n, cfg.eps)
-    curve = SimCurve(metric="bler", config=asdict(cfg))
-    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        point_cons = cons if cons is not None else build_construction(
-            "ga", c, cfg.k, cfg.n, cfg.eps, snr_db)
-        curve.points.append(_simulate_point(point_cons, c, cfg, snr_db,
-                                            snr_idx, workers))
-    curve.wall_time_s = time.perf_counter() - t0
-    return curve
+    with _pool(workers) as pool:
+        return _bler_curve(cfg, pool, workers)
 
 
 @dataclass(frozen=True)
@@ -333,11 +370,6 @@ class MinSnrResult:
 def _log_bler(p: SimPoint) -> float:
     # continuity correction so zero-error points stay interpolable
     return float(np.log10(max(p.value, 0.5 / p.blocks)))
-
-
-def _probe_point(cfg: SimConfig) -> SimPoint:
-    """One required-SNR probe, construction included: the config's one point."""
-    return run_bler(cfg, workers=1).points[0]
 
 
 def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
@@ -356,52 +388,36 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     below the lower one's, the result is the bracket midpoint and ``warned``
     is set.
 
-    With ``workers`` > 1 the probes use the workers in one of two ways. When
-    a probe is one chunk of frames (``max_blocks`` at most the batch size of
-    the scheme), up to ``workers`` whole probes, construction included, run
-    at once on one pool that lives for the call: the probe the walk asks for
-    and, speculatively, the grid points the walk visits next if that probe
-    does not end its phase. Longer probes run one at a time and spread their
-    chunks over the workers, as ``run_bler`` does. A probe depends only on
-    (config, SNR) and ``probes`` lists only the probes the walk asks for, so
-    the result does not depend on ``workers``.
+    Each probe is a BLER point (SNR index 0) of ``run_bler``'s chunk
+    scheduler, on one pool for the call; its look-ahead is the next workers
+    - 1 grid points of the walk, in the backfill only those below the
+    bracket. A probe depends only on (config, SNR) and ``probes`` lists only
+    the probes the walk asks for, so the result does not depend on workers.
     """
     if not 0.0 < target_bler < 1.0:  # NaN fails too
         raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")
-    _check_workers(workers)
     step = 0.25
     k = mcs.k_for(n)
-    c = build_constellation(mcs.m)
-    cache: dict[float, SimPoint] = {}
-    flight: dict[float, Future] = {}
-
-    def config(s: float) -> SimConfig:
-        return SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=(s,),
-                         list_size=list_size, max_blocks=max_blocks,
-                         max_errors=max_errors, seed=seed, eps=eps)
-
-    def probe(s: float, ahead: float, below: float = np.inf) -> SimPoint:
-        """The probe at grid point s. With a pool, s + j * ahead for
-        0 < j < workers, those below ``below``, run beside it."""
-        s = round(s / step) * step
-        if pool is not None:
-            for j in range(workers):
-                t = round((s + j * ahead) / step) * step
-                if t not in cache and t not in flight and (j == 0 or t < below):
-                    flight[t] = pool.submit(_probe_point, config(t))
-        if s not in cache:
-            cache[s] = (run_bler(config(s), workers=workers).points[0]
-                        if pool is None else flight.pop(s).result())
-        return cache[s]
-
-    anchor = solve_snr_capacity(c, k / n)
+    anchor = solve_snr_capacity(build_constellation(mcs.m), k / n)
     s = np.floor(anchor / step) * step
-    one_chunk = _batch_size(mcs.m, n, max_blocks) >= max_blocks
-    pool = (ProcessPoolExecutor(max_workers=workers)
-            if workers > 1 and one_chunk else None)
-    try:
-        # speculate an ascent: the capacity-matched anchor is usually below
-        # the waterfall, at a BLER near 1
+    cfg = SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=(s,),
+                    list_size=list_size, max_blocks=max_blocks,
+                    max_errors=max_errors, seed=seed, eps=eps)
+    cache: dict[float, SimPoint] = {}
+    with _pool(workers) as pool:
+        point = _chunk_scheduler(cfg, pool, workers)
+
+        def probe(s: float, ahead: float, below: float = np.inf) -> SimPoint:
+            # look ahead to s + j * ahead, 0 < j < workers, below ``below``
+            s = round(s / step) * step
+            if s not in cache:
+                nxt = [round((s + j * ahead) / step) * step for j in range(1, workers)]
+                cache[s] = point(0, s, [(0, t) for t in nxt
+                                        if t not in cache and t < below])
+            return cache[s]
+
+        # look ahead up the grid: the capacity-matched anchor is usually
+        # below the waterfall, at a BLER near 1
         p = probe(s, 1.0 if 30 * target_bler <= 1.0 else step)
         guard = 0
         while p.value < target_bler:  # walked in above the waterfall
@@ -427,11 +443,6 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
                         lo = q
                 break
             lo = p
-    finally:
-        # cancel the queued probes and wait for the running ones, so no
-        # child process outlives the call
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     llo, lhi, lt = _log_bler(lo), _log_bler(hi), np.log10(target_bler)
     warned = lhi >= llo
@@ -457,19 +468,19 @@ def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
                    max_errors: int = DEFAULT_MAX_ERRORS,
                    workers: int = 1) -> dict[int, SimCurve]:
     """Per-MCS BLER curves on a grid around each capacity-matched SNR."""
-    _check_workers(workers)
-    lut: dict[int, SimCurve] = {}
-    for mcs in mcs_table:
+    def config(mcs: McsEntry) -> SimConfig:
         c = build_constellation(mcs.m)
         k = mcs.k_for(n)
         anchor = round(solve_snr_capacity(c, k / n) / step_db) * step_db
         grid = tuple(anchor + d for d in np.arange(-step_db, span_db + step_db / 2,
                                                    step_db))
-        cfg = SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=grid,
-                        list_size=list_size, max_blocks=max_blocks,
-                        max_errors=max_errors, seed=seed, eps=eps)
-        lut[mcs.index] = run_bler(cfg, workers=workers)
-    return lut
+        return SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=grid,
+                         list_size=list_size, max_blocks=max_blocks,
+                         max_errors=max_errors, seed=seed, eps=eps)
+
+    with _pool(workers) as pool:
+        return {mcs.index: _bler_curve(config(mcs), pool, workers)
+                for mcs in mcs_table}
 
 
 def _select_mcs(mcs_table: tuple[McsEntry, ...], lut: dict[int, SimCurve],
@@ -488,21 +499,18 @@ def _select_mcs(mcs_table: tuple[McsEntry, ...], lut: dict[int, SimCurve],
 
 
 def _fading_batches(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
-                    bler_lut: dict[int, SimCurve],
-                    cons: dict[McsEntry, CodeConstruction | None]):
+                    bler_lut: dict[int, SimCurve]):
     """Arguments of ``_fading_batch``: every frame of a throughput run, in
-    batches of frames that share a construction.
+    batches of frames that share a construction (one frame each for GA).
 
     Frames are walked in (snr_idx, frame) order. Each draws its fading
     coefficient, gets the MCS chosen for its instantaneous SNR and joins that
     entry's pending batch, which goes out once it holds ``_batch_size``
-    frames; the partial batches go out at the end. At most one partial batch
-    per entry is held, whatever ``max_blocks``. ``cons`` maps each entry to
-    its rf1/rf2 construction, or to None for GA, where every frame has its
-    own construction and so its own batch.
+    frames; the partial batches, at most one per entry whatever
+    ``max_blocks``, go out at the end.
     """
     total = cfg.max_blocks * len(cfg.snr_grid_db)
-    limit = {mcs: 1 if cons[mcs] is None else _batch_size(mcs.m, cfg.n, total)
+    limit = {mcs: 1 if cfg.method == "ga" else _batch_size(mcs.m, cfg.n, total)
              for mcs in mcs_table}
     pending: dict[McsEntry, list] = {}
     for snr_idx, mean_snr in enumerate(cfg.snr_grid_db):
@@ -516,26 +524,21 @@ def _fading_batches(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
             batch.append((snr_idx, rng, h, inst))
             if len(batch) == limit[mcs]:
                 del pending[mcs]
-                yield cfg, mcs, cons[mcs], batch
+                yield cfg, mcs, batch
     for mcs, batch in pending.items():
-        yield cfg, mcs, cons[mcs], batch
+        yield cfg, mcs, batch
 
 
-def _fading_batch(cfg: SimConfig, mcs: McsEntry, cons: CodeConstruction | None,
+def _fading_batch(cfg: SimConfig, mcs: McsEntry,
                   frames: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Decode one batch of fading frames that picked ``mcs``; per mean-SNR
     point (delivered bits, frame errors).
 
     ``frames`` holds (snr_idx, rng, h, instantaneous SNR) per frame, each rng
-    past its fading draw. ``cons`` None means GA: the batch is one frame,
-    constructed here at its instantaneous SNR so that pool workers share the
-    construction work.
+    past its fading draw; a GA batch is one frame, constructed at its SNR.
     """
-    c = build_constellation(mcs.m)
-    if cons is None:
-        (_, _, _, inst), = frames
-        cons = build_construction("ga", c, mcs.k_for(cfg.n), cfg.n, cfg.eps,
-                                  inst)
+    c, cons = _construction(cfg.method, mcs.m, mcs.k_for(cfg.n), cfg.n, cfg.eps,
+                            frames[0][3] if cfg.method == "ga" else None)
     point = np.array([f[0] for f in frames])
     gains = np.array([f[2] for f in frames], dtype=np.complex128)
     err = _frame_errors(cons, c, cfg.list_size,
@@ -554,27 +557,23 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     h (decodes y/h at noise variance N0/|h|^2) and the transmitter knows the
     instantaneous SNR, picking the MCS that maximizes m R (1 - predicted BLER)
     subject to predicted BLER <= cfg.eps. Delivered bits count K per correct
-    frame; throughput is delivered bits per symbol. cfg.m/cfg.k are ignored
-    (the MCS table governs); the grid is mean SNR. Frames that picked the
-    same rf1/rf2 construction decode as one batch across mean-SNR points (see
-    ``_fading_batches``), and the batches run on ``workers`` processes.
+    frame; throughput is delivered bits per symbol. The grid is mean SNR;
+    cfg.m, cfg.k and cfg.max_errors are not read (see SimConfig). Frames that
+    picked the same rf1/rf2 construction decode as one batch across mean-SNR
+    points (see ``_fading_batches``), on one pool of ``workers`` processes.
     """
-    _check_workers(workers)
     t0 = time.perf_counter()
-    cons = {mcs: None if cfg.method == "ga" else build_construction(
-                cfg.method, build_constellation(mcs.m), mcs.k_for(cfg.n),
-                cfg.n, cfg.eps)
-            for mcs in mcs_table}
     delivered = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
     errors = np.zeros_like(delivered)
-    batches = _fading_batches(cfg, mcs_table, bler_lut, cons)
-    for d, e in _in_order(_fading_batch, batches, workers):
-        delivered += d
-        errors += e
-    curve = SimCurve(metric="throughput", config=asdict(cfg))
-    curve.points = [SimPoint(snr_db=mean_snr,
-                             value=int(d) / (cfg.max_blocks * cfg.n),
-                             blocks=cfg.max_blocks, errors=int(e))
-                    for mean_snr, d, e in zip(cfg.snr_grid_db, delivered, errors)]
-    curve.wall_time_s = time.perf_counter() - t0
-    return curve
+    with _pool(workers) as pool:
+        batches = _fading_batches(cfg, mcs_table, bler_lut)
+        for d, e in _in_order(pool and pool.submit, _fading_batch, batches, workers):
+            delivered += d
+            errors += e
+    points = [SimPoint(snr_db=mean_snr, value=int(d) / (cfg.max_blocks * cfg.n),
+                       blocks=cfg.max_blocks, errors=int(e))
+              for mean_snr, d, e in zip(cfg.snr_grid_db, delivered, errors)]
+    config = {key: value for key, value in asdict(cfg).items()
+              if key not in ("m", "k", "max_errors")}
+    return SimCurve(metric="throughput", points=points, config=config,
+                    wall_time_s=time.perf_counter() - t0)

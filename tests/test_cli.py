@@ -278,6 +278,7 @@ THROUGHPUT_ARGS = ["throughput", "--n", "16", "--snr-db", "6",
     THROUGHPUT_ARGS + ["--m", "4"],
     THROUGHPUT_ARGS + ["--k", "64"],
     THROUGHPUT_ARGS + ["--rate", "0.5"],
+    THROUGHPUT_ARGS + ["--max-errors", "5"],
 ))
 def test_ignored_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -291,10 +292,13 @@ def test_ignored_flags_are_refused(capsys, argv):
 @pytest.mark.parametrize("raw,message", (
     ({"m": 4, "k": 9}, "--config may not set m, k: set per frame by the MCS table"),
     ({"k": 999}, "--config may not set k: set per frame by the MCS table"),
+    ({"max_errors": 5},
+     "--config may not set max_errors: throughput simulates every frame"),
 ))
 def test_throughput_config_refuses_m_and_k(tmp_path, capsys, raw, message):
-    # run_throughput takes m and k from the MCS table, so a config that sets
-    # them would be echoed into the output of a run that read neither
+    # run_throughput takes m and k from the MCS table and simulates every
+    # frame, so a config that sets m, k or max_errors would be echoed into
+    # the output of a run that read none of them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     with pytest.raises(SystemExit) as exc:

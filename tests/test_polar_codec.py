@@ -103,6 +103,19 @@ def test_component_code_validation():
         ComponentCode(n=8, info_set=np.array([0, 1]), crc_len=7)
 
 
+@pytest.mark.parametrize("row", (
+    [1, np.inf, -2, 3, np.inf, -np.inf, 0.5, 1],
+    [1, 2, np.nan, -3, 0.5, 1, -1, 2],
+))
+def test_scl_decode_rejects_non_finite_llrs(row):
+    # inf - inf would put a NaN metric with its sign bit set first in the
+    # integer-key survivor sort, where the float sort puts it last
+    code = _make_code(8, 4, 0)
+    llrs = np.array([[0.5] * 8, row])
+    with pytest.raises(ValueError, match="LLRs must be finite"):
+        scl_decode_batch(llrs, code, 2)
+
+
 def test_noiseless_decode_zero_metric():
     rng = np.random.default_rng(3)
     code = _make_code(64, 32, 16)

@@ -1,5 +1,6 @@
 import functools
 import multiprocessing
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -185,8 +186,8 @@ def test_bler_estimator_unbiased_on_bernoulli_channel(monkeypatch):
     # drawn from the same per-frame substreams the real chunker uses
     p = 0.05
 
-    def fake_chunk(cons, c, list_size, snr_db, seed, snr_idx, start, count):
-        return np.array([frame_rng(seed, snr_idx, start + i).random() < p
+    def fake_chunk(cfg, snr_db, snr_idx, start, count):
+        return np.array([frame_rng(cfg.seed, snr_idx, start + i).random() < p
                          for i in range(count)])
 
     monkeypatch.setattr(sim, "_bler_chunk", fake_chunk)
@@ -204,12 +205,18 @@ def test_bler_estimator_unbiased_on_bernoulli_channel(monkeypatch):
 # ------------------------------------------------------------------ run_bler
 
 
-def test_run_bler_reproducible_and_worker_invariant():
-    cfg = _small_cfg(snr_grid_db=(2.0, 5.0), max_blocks=120, max_errors=30)
+@pytest.mark.parametrize("method", ("rf2", "ga"))
+def test_run_bler_reproducible_and_worker_invariant(method):
+    # every worker builds the construction of its chunks itself (ga at each
+    # point's SNR) and looks ahead to the next point
+    cfg = _small_cfg(method=method, snr_grid_db=(2.0, 5.0), max_blocks=120,
+                     max_errors=30)
     one = run_bler(cfg, workers=1)
-    two = run_bler(cfg, workers=2)
-    assert [(p.blocks, p.errors, p.value) for p in one.points] == \
-           [(p.blocks, p.errors, p.value) for p in two.points]
+    for workers in (2, 3):
+        many = run_bler(cfg, workers=workers)
+        assert [(p.blocks, p.errors, p.value) for p in one.points] == \
+               [(p.blocks, p.errors, p.value) for p in many.points]
+    assert multiprocessing.active_children() == []
     rerun = run_bler(cfg, workers=1)
     assert [(p.blocks, p.errors) for p in rerun.points] == \
            [(p.blocks, p.errors) for p in one.points]
@@ -280,12 +287,11 @@ def test_min_required_snr_orders_targets():
 def _stub_min_snr(monkeypatch, below, above, threshold=10.0):
     """min_required_snr over stub probes: (errors, blocks) ``below`` the
     threshold SNR and ``above`` it."""
-    def stub_run_bler(cfg, workers=1):
-        s = cfg.snr_grid_db[0]
+    def stub_point(snr_idx, s, ahead=()):
         errors, blocks = below if s < threshold else above
-        return SimCurve(metric="bler", points=[
-            SimPoint(snr_db=s, value=errors / blocks, blocks=blocks, errors=errors)])
-    monkeypatch.setattr(sim, "run_bler", stub_run_bler)
+        return SimPoint(snr_db=s, value=errors / blocks, blocks=blocks,
+                        errors=errors)
+    monkeypatch.setattr(sim, "_chunk_scheduler", lambda *args: stub_point)
     return min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.01)
 
 
@@ -306,8 +312,9 @@ def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
 # walk -> (method, mcs, n, target_bler, max_blocks, max_errors, seed)
-# All but "chunked" probe one chunk of frames and so run speculatively;
-# "chunked" probes up to 600 frames in chunks of 512 and spreads the chunks.
+# All but "chunked" probe one chunk of frames and so look ahead on the idle
+# workers; "chunked" probes up to 600 frames in chunks of 512, which fill two
+# workers and leave one idle at three.
 SPECULATION_WALKS = {
     "ascent": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.2, 200, 40, 5),
     "descent": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.9, 100, 40, 5),
@@ -339,24 +346,26 @@ def test_min_required_snr_worker_invariant(walk):
         assert 1.0 in gaps and 0.25 in gaps
 
 
+def _stub_chunk(threshold, log, fail_above, cfg, snr_db, snr_idx, start,
+                count):
+    """A chunk of a stub probe: 40 errors in every 100 frames below the
+    threshold SNR and 1 in every 800 from it on. Appends (SNR, start frame,
+    process id) to ``log``, then raises above ``fail_above``."""
+    with open(log, "a") as fh:
+        fh.write(f"{snr_db!r} {start} {os.getpid()}\n")
+    if snr_db > fail_above:
+        raise ValueError(f"stub probe at {snr_db} dB")
+    errors, blocks = (40, 100) if snr_db < threshold else (1, 800)
+    return np.arange(start, start + count) % blocks < errors
+
+
 def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
-    """Stub run_bler as _stub_min_snr does: BLER 0.4 below the threshold SNR
-    and 0.00125 from it on. Every call appends its SNR and worker count to
-    ``log``; calls above ``fail_above`` then raise. Pool workers are forked,
-    so they run the stub too."""
+    """Stub the chunks of min_required_snr's probes with ``_stub_chunk``.
+    Pool workers are forked, so they run the stub too."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the stub reaches pool workers only through fork")
-
-    def stub_run_bler(cfg, workers=1):
-        s = cfg.snr_grid_db[0]
-        with open(log, "a") as fh:
-            fh.write(f"{s!r} {workers}\n")
-        if s > fail_above:
-            raise ValueError(f"stub probe at {s} dB")
-        errors, blocks = (40, 100) if s < threshold else (1, 800)
-        return SimCurve(metric="bler", points=[
-            SimPoint(snr_db=s, value=errors / blocks, blocks=blocks, errors=errors)])
-    monkeypatch.setattr(sim, "run_bler", stub_run_bler)
+    monkeypatch.setattr(sim, "_bler_chunk", functools.partial(
+        _stub_chunk, threshold, log, fail_above))
     # fork whatever the platform's default start method
     monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
@@ -370,13 +379,13 @@ def _stub_walk(workers, max_blocks=128):
 
 
 def _logged(log):
-    """(SNR, workers) of every logged stub call."""
+    """(SNR, start frame, process id) of every logged stub chunk."""
     rows = [line.split() for line in log.read_text().splitlines()]
-    return [(float(s), int(w)) for s, w in rows]
+    return [(float(s), int(start), int(pid)) for s, start, pid in rows]
 
 
 def _logged_snrs(log):
-    return {s for s, _ in _logged(log)}
+    return {s for s, _, _ in _logged(log)}
 
 
 @pytest.mark.parametrize("threshold", (9.6, -5.0))
@@ -391,8 +400,9 @@ def test_min_required_snr_speculation_never_shows(monkeypatch, tmp_path,
         log.unlink()
         assert _stub_walk(workers) == walk
         assert set(asked) <= _logged_snrs(log)
-        # whole probes run in the workers, each on one process
-        assert {w for _, w in _logged(log)} == {1}
+        # each probe is one chunk, run in a pool worker
+        assert {start for _, start, _ in _logged(log)} == {0}
+        assert os.getpid() not in {pid for _, _, pid in _logged(log)}
         if threshold < 0:
             # the descent never asks for the points above the anchor that
             # were sent out with it; they run before the walk can end
@@ -418,14 +428,20 @@ def test_min_required_snr_backfill_speculates_below_bracket(monkeypatch,
 
 def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
                                                           tmp_path):
-    # 600 frames at N=32 are two chunks: each probe spreads its chunks over
-    # the workers instead, and only the probes the walk asks for run
+    # 600 frames at N=32 are two chunks, as many as the workers: each probe
+    # spreads its chunks over the workers instead, and only the probes the
+    # walk asks for run
     log = tmp_path / "probes.txt"
     _stub_probes(monkeypatch, 9.6, log)
     want = _stub_walk(1, max_blocks=600)
     log.unlink()
     assert _stub_walk(2, max_blocks=600) == want
-    assert sorted(_logged(log)) == [(p.snr_db, 2) for p in want.probes]
+    logged = _logged(log)
+    assert sorted({s for s, _, _ in logged}) == [p.snr_db for p in want.probes]
+    # the probes that run to 600 frames ran both of their chunks
+    assert {s for s, start, _ in logged if start == 512} >= \
+           {p.snr_db for p in want.probes if p.blocks == 600}
+    assert os.getpid() not in {pid for _, _, pid in logged}
 
 
 def test_min_required_snr_unrequested_failure_is_ignored(monkeypatch, tmp_path):
@@ -481,8 +497,11 @@ def test_in_order_draws_lazily_and_closes_cleanly(workers):
             drawn.append(i)
             yield (i,)
 
-    with closing(sim._in_order(_negate, arg_tuples(), workers)) as results:
-        assert [next(results) for _ in range(3)] == [0, -1, -2]
+    with sim._pool(workers) as pool:
+        submit = None if pool is None else pool.submit
+        with closing(sim._in_order(submit, _negate, arg_tuples(),
+                                   workers)) as results:
+            assert [next(results) for _ in range(3)] == [0, -1, -2]
     # at most workers + 1 calls in flight beyond those already yielded
     assert len(drawn) <= 3 + workers
     assert multiprocessing.active_children() == []
@@ -500,6 +519,40 @@ def test_worker_count_below_one_rejected(workers):
     for call in calls:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             call()
+
+
+def test_each_entry_point_starts_one_pool(monkeypatch):
+    made = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+    table = _tiny_table()
+    method, mcs, n, target, blocks, errors, seed = SPECULATION_WALKS["chunked"]
+    calls = {
+        "run_bler over 3 points": lambda: run_bler(
+            _small_cfg(snr_grid_db=(1.0, 2.0, 3.0), max_blocks=40,
+                       max_errors=10), workers=2),
+        "build_bler_lut over 2 entries": lambda: build_bler_lut(
+            "rf2", table[:2], 32, span_db=1.0, step_db=1.0, list_size=2,
+            max_blocks=30, max_errors=10, workers=2),
+        "multi-chunk min_required_snr": lambda: min_required_snr(
+            method, mcs, n, target, list_size=2, seed=seed, max_blocks=blocks,
+            max_errors=errors, workers=2),
+        "run_throughput": lambda: run_throughput(
+            _small_cfg(snr_grid_db=(8.0, 12.0), max_blocks=20), table,
+            _scheduler_lut(table), workers=2),
+    }
+    for name, call in calls.items():
+        made.clear()
+        result = call()
+        assert made == [2], name
+        assert multiprocessing.active_children() == [], name
+        if name.startswith("multi-chunk"):
+            assert max(p.blocks for p in result.probes) > 512
 
 
 def _tiny_table():
@@ -528,9 +581,14 @@ def test_throughput_reproducible():
     lut = build_bler_lut("rf2", table, 32, span_db=2.0, step_db=2.0,
                          list_size=2, seed=1, max_blocks=100, max_errors=30)
     cfg = _small_cfg(snr_grid_db=(10.0,), max_blocks=80, seed=6)
-    a = run_throughput(cfg, table, lut).points[0]
+    curve = run_throughput(cfg, table, lut)
+    a = curve.points[0]
     b = run_throughput(cfg, table, lut).points[0]
     assert (a.value, a.blocks, a.errors) == (b.value, b.blocks, b.errors)
+    # the echo leaves out the config fields a throughput run never reads
+    echo = curve.config
+    assert not {"m", "k", "max_errors"} & set(echo)
+    assert echo["max_blocks"] == 80 and echo["seed"] == 6
 
 
 def _scheduler_lut(table):
@@ -560,15 +618,14 @@ def test_throughput_batches_fill_across_points():
     lut = _scheduler_lut(table)
     cfg = _small_cfg(snr_grid_db=(4.0, 8.0, 12.0), max_blocks=513, seed=6,
                      eps=0.5)
-    cons = {mcs: build_construction("rf2", sim.build_constellation(mcs.m),
-                                    mcs.k_for(32), 32, cfg.eps)
-            for mcs in table}
-    batches = list(sim._fading_batches(cfg, table, lut, cons))
+    batches = list(sim._fading_batches(cfg, table, lut))
     limit = sim._batch_size(2, 32, 3 * 513)
     assert limit == 512 == sim._batch_size(4, 32, 3 * 513)
     sizes: dict = {}
-    for _, mcs, c, frames in batches:
-        assert c is cons[mcs]
+    for _, mcs, frames in batches:
+        # every frame picked the batch's entry, so they share its construction
+        assert all(sim._select_mcs(table, lut, f[3], cfg.eps) is mcs
+                   for f in frames)
         sizes.setdefault(mcs, []).append(len(frames))
     # every batch is full but the last of each entry: one partial batch each
     assert all(s[-1] <= limit and set(s[:-1]) <= {limit} for s in sizes.values())
