@@ -13,8 +13,8 @@ from .mp_analysis import (channel_capacity, finite_bl_rate, level_stats,
                           q_inverse, subchannel_capacity, subchannel_dispersion)
 from .mlc_system import (component_codes, mlc_encode_batch,
                          multistage_decode_batch)
-from .polar_codec import (ComponentCode, crc_attach, crc_check, crc_len_for_k,
-                          polar_encode, scl_decode_batch)
+from .polar_codec import (ComponentCode, RowBlocks, crc_attach, crc_check,
+                          crc_len_for_k, polar_encode, scl_decode_batch)
 from .sim import (McsEntry, MinSnrResult, SimConfig, SimCurve, SimPoint,
                   awgn_transmit, build_bler_lut, frame_rng, load_mcs_table,
                   min_required_snr, predict_bler, run_bler, run_throughput)

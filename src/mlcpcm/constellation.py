@@ -193,6 +193,30 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
     return np.clip(num - den, -LLR_CLIP, LLR_CLIP)
 
 
+def last_level_llr(c: Constellation, y: np.ndarray,
+                   noise_var: float | np.ndarray, k: int,
+                   prefix_labels: np.ndarray) -> np.ndarray:
+    """LLR of bit level k (1-based), the last level on its axis, without tables.
+
+    The last level of an axis has one label completion per hypothesis, so
+    its LLR is the difference of two -(y - a)^2 / N0 terms. These are the
+    two entries of the deepest ``demap_tables`` depth that
+    ``level_llr_from_tables`` would read, formed per symbol by the same
+    elementwise operations, so the result is bit-identical to it.
+    """
+    axis = (k - 1) % 2
+    if (k - 1) // 2 + 1 != (c.m + 1 - axis) // 2:
+        raise ValueError(f"level {k} is not the last level on its axis")
+    amps = c.axis_amp_by_label()
+    part = np.asarray(y, dtype=np.complex128)
+    part = part.imag if axis else part.real
+    scale = np.asarray(noise_var, dtype=np.float64)
+    p = 2 * _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
+    num = -(part - amps[p]) ** 2 / scale
+    den = -(part - amps[p + 1]) ** 2 / scale
+    return np.clip(num - den, -LLR_CLIP, LLR_CLIP)
+
+
 def level_llr(c: Constellation, y: complex, noise_var: float,
               prefix: np.ndarray | tuple[int, ...] = ()) -> float:
     """Bit-level LLR for level k = len(prefix)+1 of a single received symbol.

@@ -7,15 +7,25 @@ level k sees LLRs conditioned on the re-encoded hard decisions of levels
 0..k-1 (codeword-domain feedback), decodes with CA-SCL, and feeds its own
 re-encoded row forward. Encoder and decoder work on batches of frames; a
 single frame is a batch of one.
+
+Under the per-axis Gray labelling, even levels ride the in-phase axis and
+odd levels the quadrature axis, and a level's LLR depends only on the
+decided bits of its own axis. Level 2j + 1 therefore does not read level
+2j's decision, and its LLR is formed before that decision is made, with a
+zero standing in for it, exactly as it would be after. Both levels of a
+pair then decode as one 2F-row call with a code per row block; BPSK's
+single level decodes alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellation import Constellation, demap_tables, level_llr_from_tables
+from .constellation import (Constellation, demap_tables, last_level_llr,
+                            level_llr_from_tables)
 from .construction import CodeConstruction
-from .polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
+from .polar_codec import (ComponentCode, RowBlocks, crc_attach, polar_encode,
+                          scl_decode_batch)
 
 
 def component_codes(cons: CodeConstruction) -> tuple[ComponentCode, ...]:
@@ -60,22 +70,43 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     when forming the next level's prefix, leaving that level's own outputs
     untouched (for error-propagation analysis).
     """
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=np.complex128)
     f, n = y.shape
     tables = demap_tables(c, y, noise_var)
+    # depth 0 is never read, and an axis's deepest depth only by its last
+    # level, whose LLR is formed per symbol instead; neither is kept
+    depth = len(tables[0]) - 1
+    for axis in tables:
+        axis[0] = axis[depth] = None
+
+    def llr(k: int, prefix: np.ndarray) -> np.ndarray:
+        if k // 2 + 1 == depth:
+            return last_level_llr(c, y, noise_var, k + 1, prefix)
+        return level_llr_from_tables(tables, k + 1, prefix)
+
     codes = component_codes(cons)
     prefix = np.zeros((f, n), dtype=np.int64)
     coded = np.zeros((f, cons.m, n), dtype=np.uint8)
     payloads: list[np.ndarray] = []
     oks = np.zeros((f, cons.m), dtype=bool)
-    for k, code in enumerate(codes):
-        llr = level_llr_from_tables(tables, k + 1, prefix)
-        pay, cw, ok, _ = scl_decode_batch(llr, code, list_size)
-        payloads.append(pay)
-        coded[:, k] = cw
-        oks[:, k] = ok
-        feed = cw
-        if feedback_override and k in feedback_override:
-            feed = feedback_override[k]
-        prefix = (prefix << 1) | feed.astype(np.int64)
+    for k in range(0, cons.m, 2):
+        if k + 1 < cons.m:
+            # level k + 1 reads only the prefix bits of the other axis, so
+            # a zero stands in for level k's decision and both levels
+            # decode as one call of 2F rows
+            llrs = np.concatenate([llr(k, prefix), llr(k + 1, prefix << 1)])
+            pays, cws, ok, _ = scl_decode_batch(
+                llrs, RowBlocks(codes[k:k + 2], (f, f)), list_size)
+        else:
+            pay, cws, ok, _ = scl_decode_batch(llr(k, prefix), codes[k], list_size)
+            pays = (pay,)
+        for j, pay in enumerate(pays):
+            level = k + j
+            payloads.append(pay)
+            coded[:, level] = cws[j * f:(j + 1) * f]
+            oks[:, level] = ok[j * f:(j + 1) * f]
+            feed = coded[:, level]
+            if feedback_override and level in feedback_override:
+                feed = feedback_override[level]
+            prefix = (prefix << 1) | feed.astype(np.int64)
     return payloads, oks, oks.all(axis=1), coded

@@ -27,12 +27,12 @@ leaves fewer maps to compose. A buffer is gathered into path order only when
 the next f/g update or partial-sum step reads it, which per leaf is the
 parent of the topmost refreshed stage and the left sums at that stage, so
 copying costs O(L N log N) per frame instead of O(L N^2). Bit decisions are
-not copied either: each information leaf records (bits, parent path), and
-one backtrack at the end recovers every survivor's information bits for the
+not copied either: each fork records (bits, parent path), and one
+backtrack at the end recovers every survivor's information bits for the
 CRC. The selected path's codeword is polar_encode of its decisions, the same
-bits the partial sums would give. Survivors are selected by a stable sort of
-the path metrics' int64 bit patterns, which order like the metrics because
-these are finite, nonnegative and never -0.0. The outputs are bit-identical
+bits the partial sums would give. The survivors of a full list are selected
+by a stable sort of the path metrics' int64 bit patterns, which order like
+the metrics because these are finite, nonnegative and never -0.0. The outputs are bit-identical
 to those of the full-copy decoder kept in tests/scl_reference.py.
 
 Every decoder buffer is stored stage-major, as (width, frame, path). The
@@ -44,6 +44,17 @@ Boxplus on arrays larger than _BLOCK elements runs block by block over the
 flattened array, so its seventeen ufunc passes reuse data in cache instead
 of each streaming the whole stage through memory. Boxplus is elementwise,
 so blocking changes no output bit.
+
+The rows of one call may come in blocks with their own component codes
+(RowBlocks), so each row has its own frozen set and CRC flag. The decoder
+forks at the union of the blocks' information leaves, and the list stays
+rectangular at the largest path count: a row with fewer paths of its own
+keeps them first and pads with junk paths at metric +inf. At each fork every
+row selects its children by its own rule: in child order where it is frozen
+at the leaf (bit 0 only; its bit-1 children become junk) or where its list
+keeps every child, by metric where its list is full. Each row therefore gets
+exactly the outputs of decoding it alone; a junk path never outranks a real
+one, and its +inf metric meets only additions of finite values.
 """
 
 from __future__ import annotations
@@ -207,21 +218,99 @@ def _boxplus_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
-                     list_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class RowBlocks:
+    """Consecutive blocks of LLR rows that decode in one call, each block
+    with its own component code: the first rows[0] rows use codes[0], the
+    next rows[1] rows codes[1], and so on. All codes share one block length.
+    """
+
+    codes: tuple[ComponentCode, ...]
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        codes, rows = tuple(self.codes), tuple(int(r) for r in self.rows)
+        if not codes or len(codes) != len(rows):
+            raise ValueError("need one row count per code and at least one code")
+        if min(rows) < 0:
+            raise ValueError("row counts must be nonnegative")
+        if len({code.n for code in codes}) != 1:
+            raise ValueError("the codes of one call must share a block length")
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def n(self) -> int:
+        return self.codes[0].n
+
+    @property
+    def k(self) -> float:
+        """Mean information bits per row, so rows times k is the call's total."""
+        total = sum(self.rows)
+        bits = sum(code.k * r for code, r in zip(self.codes, self.rows))
+        return bits / total if total else 0.0
+
+    @property
+    def crc_len(self) -> int:
+        """The longest CRC of any block; 0 when no block carries one."""
+        return max(code.crc_len for code in self.codes)
+
+
+def _survivors(pm2: np.ndarray, rule: str, r: int, width: int) -> np.ndarray:
+    """The ``width`` children that rows with child metrics pm2 (rows, P, 2)
+    and r real paths keep at a fork, as indices into each row's 2P children
+    (child c is path c >> 1 taking bit c & 1): shape (rows, width), or
+    (1, width) when every row keeps the same children.
+
+    "sort" rows have a full list and keep their best children. "keep" rows
+    keep every child of their real paths, in order, with junk children
+    after. "frozen" rows are frozen at this leaf: each real path takes bit
+    0 and its bit-1 child, whose metric becomes +inf here, joins the junk.
+    """
+    paths = pm2.shape[1]
+    if rule == "sort":
+        # the stable sort breaks metric ties by smaller path index. Metrics
+        # start at +0.0 and only add max(+-leaf, 0.0), so for finite LLRs
+        # the real ones are finite, nonnegative and never -0.0 (+0 + -0 is
+        # +0), and a full list has no junk. Their int64 bit patterns then
+        # order exactly like the floats, ties stay ties, and the stable
+        # integer sort returns the same permutation faster.
+        keys = pm2.reshape(len(pm2), 2 * paths).view(np.int64)
+        return np.argsort(keys, axis=1, kind="stable")[:, :width]
+    if rule == "keep":
+        return np.arange(width)[None]
+    pm2[:, :, 1] = np.inf
+    order = np.concatenate([np.arange(0, 2 * r, 2), np.arange(1, 2 * r, 2),
+                            np.arange(2 * r, 2 * paths)])
+    return order[None, :width]
+
+
+def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
+                     list_size: int) -> tuple:
     """Decode a batch of frames; returns (payloads, codewords, crc_ok, metrics).
 
-    llrs has shape (F, N). Every frame follows the same fork/prune schedule, so
-    the list dimension stays rectangular and all updates are array ops.
+    llrs has shape (F, N); codewords are (F, N) and crc_ok and metrics (F,).
+    With one ComponentCode, payloads is an (F, payload_len) array. With
+    RowBlocks, each block of rows decodes with its own code and payloads is
+    a tuple of one (rows, payload_len) array per block. Either way every row
+    gets exactly the outputs of decoding it alone.
+
+    The list stays rectangular: the decoder forks at the union of the
+    blocks' information leaves, and a row whose own list is shorter keeps
+    its real paths first and pads with junk paths at metric +inf. A junk
+    path never outranks a real one, so it is never selected.
     """
     chan = np.asarray(llrs, dtype=np.float64)
     frames, n = chan.shape
-    if n != code.n:
-        raise ValueError(f"LLR length {n} != code length {code.n}")
+    blocks = code if isinstance(code, RowBlocks) else RowBlocks((code,), (frames,))
+    if n != blocks.n:
+        raise ValueError(f"LLR length {n} != code length {blocks.n}")
+    if sum(blocks.rows) != frames:
+        raise ValueError(f"{frames} LLR rows != {sum(blocks.rows)} block rows")
     if list_size < 1 or (list_size & (list_size - 1)):
         raise ValueError("list size must be a power of two >= 1")
-    # finite LLRs keep every path metric finite, which the survivor sort on
-    # the metrics' bit patterns relies on
+    # finite LLRs keep every real path metric finite, which the survivor
+    # sort on the metrics' bit patterns relies on
     if not np.isfinite(chan).all():
         raise ValueError("LLRs must be finite")
     # parent rows and row maps lie below F L and are stored as int32, which
@@ -230,8 +319,14 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
         raise ValueError(f"{frames} frames x list size {list_size} overflows "
                          "the int32 parent rows; decode fewer frames per call")
     stages = n.bit_length() - 1
-    frozen = np.ones(n, dtype=bool)
-    frozen[code.info_set] = False
+    edges = np.cumsum((0,) + blocks.rows).tolist()
+    spans = list(zip(edges[:-1], edges[1:]))
+    is_info = np.zeros((len(blocks.codes), n), dtype=bool)
+    for i, block_code in enumerate(blocks.codes):
+        is_info[i, block_code.info_set] = True
+    frozen = ~is_info.any(axis=0)
+    forks = np.flatnonzero(~frozen)  # the union of the information leaves
+    real = [1] * len(spans)  # real paths per row of each block
     fidx = np.arange(frames)
     col = fidx[:, None]
 
@@ -249,11 +344,11 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     maps: list[np.ndarray | None] = [None] * (2 * stages)
     pm = np.zeros((frames, 1))
-    # bit and flat parent row of every path at each information leaf, for
-    # the final backtrack; allocated up front, because hundreds of small
-    # arrays kept alive through the loop fragment the heap and raise peak RSS
-    leaf_bits = np.empty((code.k, frames * list_size), dtype=np.int8)
-    leaf_parent = np.empty((code.k, frames * list_size), dtype=np.int32)
+    # bit and flat parent row of every path at each fork, for the final
+    # backtrack; allocated up front, because hundreds of small arrays kept
+    # alive through the loop fragment the heap and raise peak RSS
+    leaf_bits = np.empty((forks.size, frames * list_size), dtype=np.int8)
+    leaf_parent = np.empty((forks.size, frames * list_size), dtype=np.int32)
     decided = 0
 
     def store(i: int, value: np.ndarray) -> None:
@@ -287,23 +382,32 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
         else:
-            # child c of frame f is path c >> 1 taking bit c & 1, so the
-            # stable sort below breaks metric ties by smaller path index
+            # child c of frame f is path c >> 1 taking bit c & 1. Each row
+            # selects its children by its own rule; adjacent blocks with
+            # the same rule and path count select as one run of rows.
+            runs: list[list] = []
+            for i, (lo, hi) in enumerate(spans):
+                if is_info[i, phi]:
+                    rule = ("sort" if 2 * real[i] > list_size else "keep", real[i])
+                    real[i] = min(2 * real[i], list_size)
+                else:
+                    rule = ("frozen", real[i])
+                if runs and runs[-1][2] == rule:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi, rule])
             pm2 = np.empty((frames, paths, 2))
             np.add(pm, np.maximum(-leaf, 0.0), out=pm2[:, :, 0])
             np.add(pm, np.maximum(leaf, 0.0), out=pm2[:, :, 1])
-            pm2 = pm2.reshape(frames, -1)
-            if 2 * paths <= list_size:  # keep every child
-                child = np.arange(frames * 2 * paths).reshape(frames, -1)
+            width = min(2 * paths, list_size)
+            if len(runs) == 1:
+                sel = _survivors(pm2, *runs[0][2], width)
             else:
-                # Metrics start at +0.0 and only add max(+-leaf, 0.0), so
-                # for finite LLRs they are finite, nonnegative and never
-                # -0.0 (+0 + -0 is +0). Their int64 bit patterns then order exactly like
-                # the floats, ties stay ties, and the stable integer sort
-                # returns the same permutation faster.
-                sel = np.argsort(pm2.view(np.int64), axis=1, kind="stable")
-                child = sel[:, :list_size] + 2 * paths * col
-            pm = pm2.ravel().take(child)
+                sel = np.empty((frames, width), dtype=np.intp)
+                for lo, hi, (rule, r) in runs:
+                    sel[lo:hi] = _survivors(pm2[lo:hi], rule, r, width)
+            child = sel + 2 * paths * col
+            pm = pm2.reshape(-1).take(child)
             bits = (child & 1).astype(np.int8)
             parent = (child >> 1).astype(np.int32).ravel()
             # After the fork at leaf phi, only two kinds of stale buffer are
@@ -336,21 +440,29 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode,
 
     # backtrack every surviving path through its forks to its decisions
     paths = pm.shape[1]
-    info = np.empty((code.k, frames * paths), dtype=np.int8)
+    decisions = np.empty((forks.size, frames * paths), dtype=np.int8)
     path = np.arange(frames * paths)
-    for j in range(code.k - 1, -1, -1):
-        leaf_bits[j].take(path, out=info[j])
+    for j in range(forks.size - 1, -1, -1):
+        leaf_bits[j].take(path, out=decisions[j])
         path = leaf_parent[j].take(path)
-    info = info.T.reshape(frames, paths, code.k)
-    if code.crc_len:
-        ok = _crc16_register(info) == 0
-        key = np.where(ok, pm, pm + _CRC_FAIL_PENALTY)
-    else:
-        ok = np.ones(pm.shape, dtype=bool)
-        key = pm
-    best = np.argmin(key, axis=1)  # first minimum: smaller path index wins
-    chosen = info[fidx, best]
+    decisions = decisions.T.reshape(frames, paths, forks.size)
+    # per block: its own decisions, CRC and best path; a junk path's +inf
+    # metric stays +inf with the CRC penalty and never wins
+    ok = np.ones(pm.shape, dtype=bool)
+    best = np.empty(frames, dtype=np.intp)
     u = np.zeros((frames, n), dtype=np.int8)
-    u[:, code.info_set] = chosen
-    return (chosen[:, :code.payload_len], polar_encode(u),
-            ok[fidx, best], pm[fidx, best])
+    payloads = []
+    for (lo, hi), block_code in zip(spans, blocks.codes):
+        info = decisions[lo:hi]
+        if block_code.k < forks.size:
+            info = info[:, :, np.searchsorted(forks, block_code.info_set)]
+        key = pm[lo:hi]
+        if block_code.crc_len:
+            ok[lo:hi] = _crc16_register(info) == 0
+            key = np.where(ok[lo:hi], key, key + _CRC_FAIL_PENALTY)
+        best[lo:hi] = np.argmin(key, axis=1)  # first minimum: smaller path wins
+        chosen = info[fidx[:hi - lo], best[lo:hi]]
+        u[lo:hi, block_code.info_set] = chosen
+        payloads.append(chosen[:, :block_code.payload_len])
+    return ((tuple(payloads) if isinstance(code, RowBlocks) else payloads[0]),
+            polar_encode(u), ok[fidx, best], pm[fidx, best])

@@ -35,6 +35,7 @@ DEFAULT_MAX_BLOCKS = 100_000
 DEFAULT_MAX_ERRORS = 100
 METHODS = ("rf1", "rf2", "ga")
 _BATCH_BYTES = 1 << 25  # per-axis demap table budget per batch
+_MAX_ROWS = 512  # LLR rows per decoder call
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,13 @@ def build_construction(method: str, c: Constellation, k: int, n: int,
 
 
 def _batch_size(m: int, n: int, cap: int) -> int:
+    """Frames per chunk: within the demap table budget, at most ``cap``, and
+    at most _MAX_ROWS rows per decoder call, where a level pair decodes as
+    one call of two rows per frame."""
     per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8  # two axes of float64 trees
-    return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16, min(512, max(cap, 1))))
+    rows = 1 if m == 1 else 2
+    return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16,
+                       min(_MAX_ROWS // rows, max(cap, 1))))
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import multistage_reference
 from mlcpcm.constellation import build_constellation, build_qam, labels_from_bits
-from mlcpcm.construction import construct_rf1, construct_rf2
+from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2
 from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 from mlcpcm.polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
+from mlcpcm.sim import load_mcs_table
 
 
 def _payloads(cons, rng, frames=1):
@@ -174,3 +176,73 @@ def test_payload_length_validation():
     bad = [np.zeros((1, 3), np.uint8), np.zeros((1, 1), np.uint8)]
     with pytest.raises(ValueError):
         mlc_encode_batch(bad, cons, c)
+
+
+# name -> (construction, Es/N0 in dB, list size); each runs near its
+# waterfall so that levels fail and the fed-back decisions are wrong at times
+PAIRED_CASES = {
+    "bpsk": (lambda: construct_rf2(1, 40, 64), 1.0, 4),
+    "qpsk": (lambda: construct_rf2(2, 70, 64), 2.0, 4),
+    # MCS 9 at N=256: each pair splits one bit apart
+    "16qam-mcs9": (lambda: construct_rf2(4, load_mcs_table()[9].k_for(256), 256),
+                   8.0, 8),
+    "16qam-ga": (lambda: construct_ga(build_qam(4), 128, 64, 6.0), 6.0, 4),
+    # levels 4 and 5 carry 8 and 7 bits and no CRC
+    "64qam": (lambda: construct_rf2(6, 150, 64), 11.0, 2),
+    "64qam-ga": (lambda: construct_ga(build_qam(6), 200, 64, 12.0), 12.0, 2),
+    "256qam": (lambda: construct_rf2(8, 200, 32), 20.0, 4),
+}
+
+
+def _received(cons, c, snr_db, frames, rng, per_frame):
+    """Payloads, coded rows, received symbols and noise variance of a batch;
+    with ``per_frame`` the noise variance is a (frames, 1) column spread
+    over 3 dB around ``snr_db``."""
+    pay = _payloads(cons, rng, frames)
+    symbols, coded = mlc_encode_batch(pay, cons, c)
+    snr = snr_db + (rng.uniform(-1.5, 1.5, (frames, 1)) if per_frame else 0.0)
+    nv = 10.0 ** (-snr / 10.0)
+    y = symbols + _noise(rng, symbols.shape, np.sqrt(nv / 2.0))
+    return pay, coded, y, nv
+
+
+def _assert_same_outputs(got, want):
+    got_pay, *got_rest = got
+    want_pay, *want_rest = want
+    assert len(got_pay) == len(want_pay)
+    for g, w in zip([*got_pay, *got_rest], [*want_pay, *want_rest]):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", PAIRED_CASES)
+def test_paired_levels_match_level_by_level_reference(name):
+    make, snr_db, lsize = PAIRED_CASES[name]
+    cons = make()
+    c = build_constellation(cons.m)
+    counts = list(cons.allocation.counts)
+    if name == "16qam-mcs9":
+        assert counts == [185, 184, 124, 123]
+    if name.endswith("-ga"):  # GA gives both levels of a pair one code
+        assert all(np.array_equal(cons.info_sets[k], cons.info_sets[k + 1])
+                   for k in range(0, cons.m, 2))
+    if name == "64qam":
+        assert counts[4:] == [8, 7] and cons.crc_lens[4:] == (0, 0)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    failed = 0
+    for per_frame in (False, True):
+        pay, coded, y, nv = _received(cons, c, snr_db, 24, rng, per_frame)
+        got = multistage_decode_batch(y, nv, cons, c, lsize)
+        want = multistage_reference.multistage_decode_batch(y, nv, cons, c, lsize)
+        _assert_same_outputs(got, want)
+        failed += int((~got[1]).sum())
+        # wrong feedback on an even (in-phase) and an odd (quadrature) level
+        garbage = rng.integers(0, 2, coded[:, 0].shape, dtype=np.uint8)
+        for levels in ({0}, {1}, {cons.m - 2, cons.m - 1}):
+            override = {k: coded[:, k] ^ garbage for k in levels
+                        if 0 <= k < cons.m}
+            got = multistage_decode_batch(y, nv, cons, c, lsize,
+                                          feedback_override=override)
+            want = multistage_reference.multistage_decode_batch(
+                y, nv, cons, c, lsize, feedback_override=override)
+            _assert_same_outputs(got, want)
+    assert failed > 0  # some level failed its CRC or ranked a wrong path

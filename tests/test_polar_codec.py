@@ -6,6 +6,7 @@ from mlcpcm.polar_codec import (
     _BLOCK,
     CRC_LEN,
     ComponentCode,
+    RowBlocks,
     _boxplus,
     _boxplus_blocked,
     _crc16_register,
@@ -345,3 +346,96 @@ def test_decoder_matches_frozen_reference_on_frozen_patterns():
                                        got, want):
                     assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(
                         g, w), f"{field} differ at N={n} {name} L={lsize}"
+
+
+def _mixed_block_cases():
+    """Seeded (blocks, list size, LLRs) cases of two or three row blocks
+    with their own codes: random, nested 5G top-k, disjoint, all-frozen and
+    full-rate information sets, a CRC on some blocks only, and integer LLRs
+    half of the time, which tie path metrics."""
+    rng = np.random.default_rng(20261019)
+    seq = five_g_sequence()
+
+    def crc(info):
+        return CRC_LEN if info.size > CRC_LEN and rng.random() < 0.5 else 0
+
+    for case in range(240):
+        n = 1 << int(rng.integers(1, 8))
+        kind = case % 4
+        if kind == 0:  # random information sets
+            infos = [np.sort(rng.choice(n, int(rng.integers(0, n + 1)),
+                                        replace=False))
+                     for _ in range(int(rng.integers(2, 4)))]
+        elif kind == 1:  # nested top-k sets 1-3 positions apart
+            n = max(n, 4)
+            k = int(rng.integers(0, n - 2))
+            infos = [seq.top_k(n, k), seq.top_k(n, k + int(rng.integers(1, 4)))]
+            infos = infos[::-1] if rng.random() < 0.5 else infos
+        elif kind == 2:  # disjoint sets
+            perm = rng.permutation(n)
+            cut = int(rng.integers(0, n + 1))
+            infos = [np.sort(perm[:cut]),
+                     np.sort(perm[cut:cut + int(rng.integers(0, n - cut + 1))])]
+        else:  # all-frozen and full-rate blocks beside a random one
+            infos = [np.arange(0), np.arange(n),
+                     np.sort(rng.choice(n, int(rng.integers(0, n + 1)),
+                                        replace=False))]
+            rng.shuffle(infos)
+        codes = tuple(ComponentCode(n=n, info_set=info, crc_len=crc(info))
+                      for info in infos)
+        rows = tuple(int(r) for r in rng.integers(1, 4, len(codes)))
+        if rng.random() < 0.5:
+            llr = rng.integers(-3, 4, (sum(rows), n)).astype(np.float64)
+        else:
+            llr = rng.normal(0.0, rng.uniform(0.5, 8.0), (sum(rows), n))
+        yield RowBlocks(codes, rows), 1 << case % 4, llr
+
+
+def _first_mixed_fork(codes):
+    """Index among the union's information leaves of the first leaf that
+    is information for some blocks and frozen for others, or None."""
+    union = np.unique(np.concatenate([code.info_set for code in codes]))
+    shared = set(union.tolist())
+    for code in codes:
+        shared &= set(code.info_set.tolist())
+    mixed = [j for j, leaf in enumerate(union) if leaf not in shared]
+    return mixed[0] if mixed else None
+
+
+def test_mixed_row_blocks_match_per_block_reference():
+    # every row of a mixed call decodes exactly as its block's code alone
+    cases = list(_mixed_block_cases())
+    assert {lsize for _, lsize, _ in cases} == {1, 2, 4, 8}
+    assert any(len({code.crc_len for code in blocks.codes}) > 1
+               for blocks, _, _ in cases)
+    # some nested pair differs at a fork taken before the list fills
+    assert any((j := _first_mixed_fork(blocks.codes)) is not None
+               and 1 << j < lsize
+               for blocks, lsize, _ in cases[1::4])
+    for blocks, lsize, llr in cases:
+        payloads, *rest = scl_decode_batch(llr, blocks, lsize)
+        assert len(payloads) == len(blocks.codes)
+        lo = 0
+        for code, rows, payload in zip(blocks.codes, blocks.rows, payloads):
+            got = (payload, *(out[lo:lo + rows] for out in rest))
+            want = reference_scl_decode_batch(llr[lo:lo + rows], code, lsize)
+            for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"),
+                                  got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(
+                    g, w), (f"{name} differ at N={code.n} K={code.k} "
+                            f"CRC={code.crc_len} L={lsize} blocks={blocks.rows}")
+            lo += rows
+
+
+def test_row_blocks_describe_the_call():
+    a = _make_code(64, 40, CRC_LEN)
+    b = _make_code(64, 12, 0)
+    blocks = RowBlocks((a, b), (3, 1))
+    assert blocks.n == 64 and blocks.crc_len == CRC_LEN
+    assert blocks.k * sum(blocks.rows) == 3 * 40 + 12
+    with pytest.raises(ValueError, match="block length"):
+        RowBlocks((a, _make_code(32, 12, 0)), (1, 1))
+    with pytest.raises(ValueError, match="one row count per code"):
+        RowBlocks((a, b), (1,))
+    with pytest.raises(ValueError, match="block rows"):
+        scl_decode_batch(np.zeros((3, 64)), blocks, 2)

@@ -620,7 +620,7 @@ def test_throughput_batches_fill_across_points():
                      eps=0.5)
     batches = list(sim._fading_batches(cfg, table, lut))
     limit = sim._batch_size(2, 32, 3 * 513)
-    assert limit == 512 == sim._batch_size(4, 32, 3 * 513)
+    assert limit == 256 == sim._batch_size(4, 32, 3 * 513)
     sizes: dict = {}
     for _, mcs, frames in batches:
         # every frame picked the batch's entry, so they share its construction
