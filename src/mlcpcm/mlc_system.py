@@ -14,7 +14,7 @@ decided bits of its own axis. Level 2j + 1 therefore does not read level
 2j's decision, and its LLR is formed before that decision is made, with a
 zero standing in for it, exactly as it would be after. Both levels of a
 pair then decode as one 2F-row call with a code per row block; BPSK's
-single level decodes alone.
+single level decodes as a group of one.
 """
 
 from __future__ import annotations
@@ -90,16 +90,13 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     payloads: list[np.ndarray] = []
     oks = np.zeros((f, cons.m), dtype=bool)
     for k in range(0, cons.m, 2):
-        if k + 1 < cons.m:
-            # level k + 1 reads only the prefix bits of the other axis, so
-            # a zero stands in for level k's decision and both levels
-            # decode as one call of 2F rows
-            llrs = np.concatenate([llr(k, prefix), llr(k + 1, prefix << 1)])
-            pays, cws, ok, _ = scl_decode_batch(
-                llrs, RowBlocks(codes[k:k + 2], (f, f)), list_size)
-        else:
-            pay, cws, ok, _ = scl_decode_batch(llr(k, prefix), codes[k], list_size)
-            pays = (pay,)
+        # level k + 1 reads only the prefix bits of the other axis, so a
+        # zero stands in for level k's decision and the levels of a pair
+        # decode as one call of F rows per level
+        group = codes[k:k + 2]
+        llrs = np.concatenate([llr(k + j, prefix << j) for j in range(len(group))])
+        pays, cws, ok, _ = scl_decode_batch(
+            llrs, RowBlocks(group, (f,) * len(group)), list_size)
         for j, pay in enumerate(pays):
             level = k + j
             payloads.append(pay)

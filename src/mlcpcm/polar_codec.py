@@ -49,12 +49,16 @@ The rows of one call may come in blocks with their own component codes
 (RowBlocks), so each row has its own frozen set and CRC flag. The decoder
 forks at the union of the blocks' information leaves, and the list stays
 rectangular at the largest path count: a row with fewer paths of its own
-keeps them first and pads with junk paths at metric +inf. At each fork every
-row selects its children by its own rule: in child order where it is frozen
-at the leaf (bit 0 only; its bit-1 children become junk) or where its list
-keeps every child, by metric where its list is full. Each row therefore gets
-exactly the outputs of decoding it alone; a junk path never outranks a real
-one, and its +inf metric meets only additions of finite values.
+keeps them first and pads with junk paths at metric +inf. Each block's real
+path count before every leaf, and the leaves where its list is full, are
+computed before the first leaf. At each fork one stable argsort over an
+int64 key per child selects the survivors of every row. A row whose list is
+full keys its children by the metrics' bit patterns. Any other row keys them
+by rank: in child order where its list keeps every child, and bit-0 children
+first where it is frozen at the leaf, whose bit-1 children take metric +inf
+and join the junk. Each row therefore gets exactly the outputs of decoding
+it alone; a junk path never outranks a real one, and its +inf metric meets
+only additions of finite values.
 """
 
 from __future__ import annotations
@@ -256,35 +260,6 @@ class RowBlocks:
         return max(code.crc_len for code in self.codes)
 
 
-def _survivors(pm2: np.ndarray, rule: str, r: int, width: int) -> np.ndarray:
-    """The ``width`` children that rows with child metrics pm2 (rows, P, 2)
-    and r real paths keep at a fork, as indices into each row's 2P children
-    (child c is path c >> 1 taking bit c & 1): shape (rows, width), or
-    (1, width) when every row keeps the same children.
-
-    "sort" rows have a full list and keep their best children. "keep" rows
-    keep every child of their real paths, in order, with junk children
-    after. "frozen" rows are frozen at this leaf: each real path takes bit
-    0 and its bit-1 child, whose metric becomes +inf here, joins the junk.
-    """
-    paths = pm2.shape[1]
-    if rule == "sort":
-        # the stable sort breaks metric ties by smaller path index. Metrics
-        # start at +0.0 and only add max(+-leaf, 0.0), so for finite LLRs
-        # the real ones are finite, nonnegative and never -0.0 (+0 + -0 is
-        # +0), and a full list has no junk. Their int64 bit patterns then
-        # order exactly like the floats, ties stay ties, and the stable
-        # integer sort returns the same permutation faster.
-        keys = pm2.reshape(len(pm2), 2 * paths).view(np.int64)
-        return np.argsort(keys, axis=1, kind="stable")[:, :width]
-    if rule == "keep":
-        return np.arange(width)[None]
-    pm2[:, :, 1] = np.inf
-    order = np.concatenate([np.arange(0, 2 * r, 2), np.arange(1, 2 * r, 2),
-                            np.arange(2 * r, 2 * paths)])
-    return order[None, :width]
-
-
 def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
                      list_size: int) -> tuple:
     """Decode a batch of frames; returns (payloads, codewords, crc_ok, metrics).
@@ -298,7 +273,10 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     The list stays rectangular: the decoder forks at the union of the
     blocks' information leaves, and a row whose own list is shorter keeps
     its real paths first and pads with junk paths at metric +inf. A junk
-    path never outranks a real one, so it is never selected.
+    path never outranks a real one, so it is never selected. Every fork
+    selects the survivors of all rows with one stable argsort of per-child
+    int64 keys: the metric's bit pattern where the row's list is full, else
+    the child's rank. An empty batch (F = 0) gives empty outputs.
     """
     chan = np.asarray(llrs, dtype=np.float64)
     frames, n = chan.shape
@@ -326,7 +304,15 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
         is_info[i, block_code.info_set] = True
     frozen = ~is_info.any(axis=0)
     forks = np.flatnonzero(~frozen)  # the union of the information leaves
-    real = [1] * len(spans)  # real paths per row of each block
+    # each block's real path count before each leaf, 2^(its information
+    # leaves so far) up to the list size, with the exponent clamped where
+    # 2^e > L so that it cannot overflow; its list is full at an
+    # information leaf where that count is the list size
+    before = np.cumsum(is_info, axis=1) - is_info
+    real = np.minimum(1 << np.minimum(before, int(list_size).bit_length()),
+                      list_size)
+    full = is_info & (real == list_size)
+    block = np.repeat(np.arange(len(spans)), blocks.rows)  # block of each row
     fidx = np.arange(frames)
     col = fidx[:, None]
 
@@ -337,10 +323,10 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     # leading-axis blocks, where a (F, P', width) layout would split into
     # short strided inner loops on the narrow stages. maps[i] is None while
     # buffer i is in path order; otherwise path p of frame f reads flat
-    # column maps[i][f * P + p] of buffer i reshaped to (width, F P'). A
-    # stale buffer is gathered into path order when it is next read. The
-    # channel LLRs are path-independent and read through the stage-major
-    # view chan.T.
+    # column maps[i][f, p] of buffer i reshaped to (width, F P'). A stale
+    # buffer is gathered into path order when it is next read. The channel
+    # LLRs are path-independent and read through the stage-major view
+    # chan.T.
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     maps: list[np.ndarray | None] = [None] * (2 * stages)
     pm = np.zeros((frames, 1))
@@ -357,8 +343,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     def aligned(i: int) -> np.ndarray:
         if maps[i] is not None:
             buf = bufs[i]
-            flat = buf.reshape(len(buf), -1).take(maps[i], axis=1)
-            store(i, flat.reshape(len(buf), frames, -1))
+            store(i, buf.reshape(len(buf), -1).take(maps[i], axis=1))
         return bufs[i]
 
     for phi in range(n):
@@ -382,34 +367,33 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
         else:
-            # child c of frame f is path c >> 1 taking bit c & 1. Each row
-            # selects its children by its own rule; adjacent blocks with
-            # the same rule and path count select as one run of rows.
-            runs: list[list] = []
-            for i, (lo, hi) in enumerate(spans):
-                if is_info[i, phi]:
-                    rule = ("sort" if 2 * real[i] > list_size else "keep", real[i])
-                    real[i] = min(2 * real[i], list_size)
-                else:
-                    rule = ("frozen", real[i])
-                if runs and runs[-1][2] == rule:
-                    runs[-1][1] = hi
-                else:
-                    runs.append([lo, hi, rule])
+            # child c of frame f is path c >> 1 taking bit c & 1, and each
+            # row keeps the children of its smallest keys: the metric's bit
+            # pattern where its list is full, else the child's rank. Full
+            # lists hold only real paths, whose metrics start at +0.0 and
+            # add max(+-leaf, 0.0), so they are finite, nonnegative and
+            # never -0.0: their bit patterns order like the floats, and the
+            # stable sort breaks ties by smaller path index.
             pm2 = np.empty((frames, paths, 2))
             np.add(pm, np.maximum(-leaf, 0.0), out=pm2[:, :, 0])
             np.add(pm, np.maximum(leaf, 0.0), out=pm2[:, :, 1])
+            keys = pm2.reshape(frames, 2 * paths).view(np.int64)
+            if not full[:, phi].all():
+                # a row frozen here ranks its r real paths' bit-0 children
+                # first, and their bit-1 children join the junk at +inf; a
+                # row that keeps every child ranks them in order (r = 0)
+                frozen_row = ~is_info[block, phi]
+                pm2[frozen_row, :, 1] = np.inf
+                r = np.where(frozen_row, real[block, phi], 0)[:, None]
+                c = np.arange(2 * paths)
+                rank = np.where(c < 2 * r, (c & 1) * r + (c >> 1), c)
+                keys = np.where(full[block, phi][:, None], keys, rank)
             width = min(2 * paths, list_size)
-            if len(runs) == 1:
-                sel = _survivors(pm2, *runs[0][2], width)
-            else:
-                sel = np.empty((frames, width), dtype=np.intp)
-                for lo, hi, (rule, r) in runs:
-                    sel[lo:hi] = _survivors(pm2[lo:hi], rule, r, width)
+            sel = np.argsort(keys, axis=1, kind="stable")[:, :width]
             child = sel + 2 * paths * col
             pm = pm2.reshape(-1).take(child)
             bits = (child & 1).astype(np.int8)
-            parent = (child >> 1).astype(np.int32).ravel()
+            parent = (child >> 1).astype(np.int32)
             # After the fork at leaf phi, only two kinds of stale buffer are
             # read again before being rewritten: the LLRs of stage s + 1
             # while bit s of phi is 0 (the g update of stage s is still
@@ -425,7 +409,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
                     else:
                         maps[i] = maps[i].take(parent)
             leaf_bits[decided, :parent.size] = bits.ravel()
-            leaf_parent[decided, :parent.size] = parent
+            leaf_parent[decided, :parent.size] = parent.ravel()
             decided += 1
 
         # propagate partial sums while closing right children; the last leaf

@@ -58,6 +58,18 @@ def test_noiseless_round_trip(m, n, k):
     assert np.array_equal(cw, coded)
 
 
+@pytest.mark.parametrize("m", (1, 2, 4))
+def test_empty_batch_decodes_to_empty_outputs(m):
+    # 0 frames give the outputs of one frame cut to 0 frames
+    cons = construct_rf2(m, 16 * m, 32, eps=0.1)
+    c = build_constellation(m)
+    got = multistage_decode_batch(np.zeros((0, 32), complex), 0.5, cons, c, 4)
+    want = multistage_decode_batch(np.ones((1, 32), complex), 0.5, cons, c, 4)
+    got, want = (*got[0], *got[1:]), (*want[0], *want[1:])
+    assert [(g.shape, g.dtype) for g in got] == [(w[:0].shape, w.dtype)
+                                                 for w in want]
+
+
 def test_m1_matches_plain_ca_scl_bit_for_bit():
     rng = np.random.default_rng(11)
     cons = construct_rf1(1, 144, 256)

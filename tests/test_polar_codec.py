@@ -349,10 +349,13 @@ def test_decoder_matches_frozen_reference_on_frozen_patterns():
 
 
 def _mixed_block_cases():
-    """Seeded (blocks, list size, LLRs) cases of two or three row blocks
-    with their own codes: random, nested 5G top-k, disjoint, all-frozen and
-    full-rate information sets, a CRC on some blocks only, and integer LLRs
-    half of the time, which tie path metrics."""
+    """Seeded (blocks, list size, LLRs) cases of row blocks with their own
+    codes: random, nested 5G top-k, disjoint, all-frozen and full-rate
+    information sets, a CRC on some blocks only, and integer LLRs half of
+    the time, which tie path metrics. The last cases have three to five
+    blocks, some with 0 rows, whose codes repeat in runs so that
+    neighbouring blocks share a selection rule, and list sizes 16 and 32 at
+    N <= 16, which exceed 2^(stages + 1) and often 2^K too."""
     rng = np.random.default_rng(20261019)
     seq = five_g_sequence()
 
@@ -390,6 +393,19 @@ def _mixed_block_cases():
             llr = rng.normal(0.0, rng.uniform(0.5, 8.0), (sum(rows), n))
         yield RowBlocks(codes, rows), 1 << case % 4, llr
 
+    for case in range(80):
+        n = 1 << int(rng.integers(1, 5))
+        pool = [np.sort(rng.choice(n, int(rng.integers(0, n + 1)), replace=False))
+                for _ in range(int(rng.integers(2, 4)))]
+        picks = np.sort(rng.integers(0, len(pool), int(rng.integers(3, 6))))
+        codes = tuple(ComponentCode(n=n, info_set=pool[i], crc_len=crc(pool[i]))
+                      for i in picks)
+        rows = tuple(int(r) for r in rng.integers(0, 4, len(codes)))
+        llr = rng.normal(0.0, rng.uniform(0.5, 8.0), (sum(rows), n))
+        if case % 4 < 2:
+            llr = np.round(llr)
+        yield RowBlocks(codes, rows), 16 << case % 2, llr
+
 
 def _first_mixed_fork(codes):
     """Index among the union's information leaves of the first leaf that
@@ -405,7 +421,8 @@ def _first_mixed_fork(codes):
 def test_mixed_row_blocks_match_per_block_reference():
     # every row of a mixed call decodes exactly as its block's code alone
     cases = list(_mixed_block_cases())
-    assert {lsize for _, lsize, _ in cases} == {1, 2, 4, 8}
+    assert {lsize for _, lsize, _ in cases} == {1, 2, 4, 8, 16, 32}
+    assert any(0 in blocks.rows for blocks, _, _ in cases)
     assert any(len({code.crc_len for code in blocks.codes}) > 1
                for blocks, _, _ in cases)
     # some nested pair differs at a fork taken before the list fills
@@ -418,13 +435,29 @@ def test_mixed_row_blocks_match_per_block_reference():
         lo = 0
         for code, rows, payload in zip(blocks.codes, blocks.rows, payloads):
             got = (payload, *(out[lo:lo + rows] for out in rest))
-            want = reference_scl_decode_batch(llr[lo:lo + rows], code, lsize)
+            # the reference cannot decode 0 rows; it gives the shapes and
+            # dtypes of a 0-row block's outputs from one zero row
+            ref = llr[lo:lo + rows] if rows else np.zeros((1, code.n))
+            want = [w[:rows] for w in reference_scl_decode_batch(ref, code, lsize)]
             for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"),
                                   got, want):
                 assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(
                     g, w), (f"{name} differ at N={code.n} K={code.k} "
                             f"CRC={code.crc_len} L={lsize} blocks={blocks.rows}")
             lo += rows
+
+
+def test_empty_batch_decodes_to_empty_outputs():
+    # 0 rows give the outputs of one row cut to 0 rows, for a single code
+    # and for row blocks that all have 0 rows
+    a, b = _make_code(32, 20, CRC_LEN), _make_code(32, 8, 0)
+    for code, one in ((a, a), (RowBlocks((a, b), (0, 0)), RowBlocks((a, b), (1, 0)))):
+        got = scl_decode_batch(np.zeros((0, 32)), code, 4)
+        want = scl_decode_batch(np.ones((1, 32)), one, 4)
+        if isinstance(code, RowBlocks):
+            got, want = (*got[0], *got[1:]), (*want[0], *want[1:])
+        assert [(g.shape, g.dtype) for g in got] == [(w[:0].shape, w.dtype)
+                                                     for w in want]
 
 
 def test_row_blocks_describe_the_call():

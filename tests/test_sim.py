@@ -312,15 +312,17 @@ def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
 # walk -> (method, mcs, n, target_bler, max_blocks, max_errors, seed)
-# All but "chunked" probe one chunk of frames and so look ahead on the idle
-# workers; "chunked" probes up to 600 frames in chunks of 512, which fill two
-# workers and leave one idle at three.
+# All but "chunked" and "two-chunk" probe one chunk of frames and so look
+# ahead on the idle workers. QPSK chunks hold up to 256 frames: "chunked"
+# probes up to 600 frames in three chunks, which leave no worker idle, and
+# "two-chunk" up to 300 frames in two, which leave one idle at three.
 SPECULATION_WALKS = {
     "ascent": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 32, 0.2, 200, 40, 5),
     "descent": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.9, 100, 40, 5),
     "backfill": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.01, 20, 20, 6),
     "backfill-ga": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 64, 0.01, 20, 20, 3),
     "chunked": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 32, 0.01, 600, 5, 4),
+    "two-chunk": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 32, 0.01, 300, 5, 4),
 }
 
 
@@ -341,6 +343,8 @@ def test_min_required_snr_worker_invariant(walk):
         assert below == [False] + [True] * (len(probes) - 1)
     elif walk == "chunked":  # some probe ran past its first chunk
         assert max(p.blocks for p in probes) > 512
+    elif walk == "two-chunk":  # some probe ran into its second chunk
+        assert max(p.blocks for p in probes) > 256
     else:  # a 1 dB stride, then grid points filled in below its end
         gaps = np.diff([p.snr_db for p in probes])
         assert 1.0 in gaps and 0.25 in gaps
@@ -373,7 +377,7 @@ def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
 
 def _stub_walk(workers, max_blocks=128):
     # QPSK at one bit per symbol: the capacity anchor is at 0 dB on the grid;
-    # at N=32 a probe of up to 512 frames is one chunk
+    # at N=32 a probe of up to 256 frames is one chunk
     return min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
                             0.01, max_blocks=max_blocks, workers=workers)
 
@@ -428,9 +432,9 @@ def test_min_required_snr_backfill_speculates_below_bracket(monkeypatch,
 
 def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
                                                           tmp_path):
-    # 600 frames at N=32 are two chunks, as many as the workers: each probe
-    # spreads its chunks over the workers instead, and only the probes the
-    # walk asks for run
+    # 600 frames at N=32 are three chunks, more than the two workers: each
+    # probe spreads its chunks over the workers instead, and only the probes
+    # the walk asks for run
     log = tmp_path / "probes.txt"
     _stub_probes(monkeypatch, 9.6, log)
     want = _stub_walk(1, max_blocks=600)
@@ -438,7 +442,7 @@ def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
     assert _stub_walk(2, max_blocks=600) == want
     logged = _logged(log)
     assert sorted({s for s, _, _ in logged}) == [p.snr_db for p in want.probes]
-    # the probes that run to 600 frames ran both of their chunks
+    # the probes that run to 600 frames ran their last chunk, from frame 512
     assert {s for s, start, _ in logged if start == 512} >= \
            {p.snr_db for p in want.probes if p.blocks == 600}
     assert os.getpid() not in {pid for _, _, pid in logged}
