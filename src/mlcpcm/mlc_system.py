@@ -95,6 +95,8 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
         # decode as one call of F rows per level
         group = codes[k:k + 2]
         llrs = np.concatenate([llr(k + j, prefix << j) for j in range(len(group))])
+        for axis in tables:  # no later pair reads this depth
+            axis[k // 2 + 1] = None
         pays, cws, ok, _ = scl_decode_batch(
             llrs, RowBlocks(group, (f,) * len(group)), list_size)
         for j, pay in enumerate(pays):

@@ -19,21 +19,29 @@ buffer has its own row map: None while the buffer is in path order, else an
 int32 array from (frame, path) to the flat row that holds that path's data.
 A fork or prune copies no buffer. A buffer in path order takes the
 survivors' parent rows as its map, by reference; a stale one composes its
-map with them in one gather. Only buffers that are read again before being
-rewritten are kept: after the fork at leaf phi these are the LLRs of stage
-s + 1 while bit s of phi is 0 and the left sums of stage s while bit s of
-phi is 1. Every other buffer is released, which lowers peak memory and
-leaves fewer maps to compose. A buffer is gathered into path order only when
-the next f/g update or partial-sum step reads it, which per leaf is the
-parent of the topmost refreshed stage and the left sums at that stage, so
-copying costs O(L N log N) per frame instead of O(L N^2). Bit decisions are
-not copied either: each fork records (bits, parent path), and one
-backtrack at the end recovers every survivor's information bits for the
-CRC. The selected path's codeword is polar_encode of its decisions, the same
-bits the partial sums would give. The survivors of a full list are selected
-by a stable sort of the path metrics' int64 bit patterns, which order like
-the metrics because these are finite, nonnegative and never -0.0. The outputs are bit-identical
-to those of the full-copy decoder kept in tests/scl_reference.py.
+map with them in one gather. A buffer written while the list held one path
+needs no map at all: every later path of its frame descends from that path,
+so it is read as a broadcast over the paths, like the channel LLRs. Only
+buffers that are read again before being rewritten are kept: after the fork
+at leaf phi these are the LLRs of stage s + 1 while bit s of phi is 0 and
+the left sums of stage s while bit s of phi is 1. Every other buffer is
+released, which lowers peak memory and leaves fewer maps to compose. A
+buffer is gathered into path order only when the next f/g update or
+partial-sum step reads it, which per leaf is the parent of the topmost
+refreshed stage and the left sums at that stage, so copying costs
+O(L N log N) per frame instead of O(L N^2). The right child of the top
+stage, N/2 LLRs per path, is never stored: its only readers, the updates of
+the stage below at leaves N/2 and 3N/4, form it from the channel LLRs and
+the top stage's left sums a block of rows at a time. Bit decisions are not
+copied either: each fork records the selected child of every surviving
+path, one byte each up to L = 128, which holds both its parent path and its
+bit, and one backtrack at the end recovers every survivor's information bits
+for the CRC. The selected path's codeword is polar_encode of its decisions,
+the same bits the partial sums would give. The survivors of a full list are
+selected by a stable sort of the path metrics' int64 bit patterns, which
+order like the metrics because these are finite, nonnegative and never
+-0.0. The outputs are bit-identical to those of the full-copy decoder kept
+in tests/scl_reference.py.
 
 Every decoder buffer is stored stage-major, as (width, frame, path). The
 f/g halves of a stage are then contiguous leading-axis blocks, partial sums
@@ -324,18 +332,20 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     # short strided inner loops on the narrow stages. maps[i] is None while
     # buffer i is in path order; otherwise path p of frame f reads flat
     # column maps[i][f, p] of buffer i reshaped to (width, F P'). A stale
-    # buffer is gathered into path order when it is next read. The channel
-    # LLRs are path-independent and read through the stage-major view
-    # chan.T.
+    # buffer is gathered into path order when it is next read. A buffer of
+    # one path (P' = 1) holds the row of every later path of its frame and
+    # is read as a broadcast without a map, like the channel LLRs, which are
+    # path-independent and read through the stage-major view chan.T.
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     maps: list[np.ndarray | None] = [None] * (2 * stages)
     pm = np.zeros((frames, 1))
-    # bit and flat parent row of every path at each fork, for the final
-    # backtrack; allocated up front, because hundreds of small arrays kept
-    # alive through the loop fragment the heap and raise peak RSS
-    leaf_bits = np.empty((forks.size, frames * list_size), dtype=np.int8)
-    leaf_parent = np.empty((forks.size, frames * list_size), dtype=np.int32)
-    decided = 0
+    # the selected child of every path at each fork and the list width after
+    # it, for the final backtrack; allocated up front, because hundreds of
+    # small arrays kept alive through the loop fragment the heap and raise
+    # peak RSS
+    leaf_sel = np.empty((forks.size, frames * list_size),
+                        dtype=np.min_scalar_type(2 * list_size - 1))
+    widths = []
 
     def store(i: int, value: np.ndarray) -> None:
         bufs[i], maps[i] = value, None
@@ -346,19 +356,56 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
             store(i, buf.reshape(len(buf), -1).take(maps[i], axis=1))
         return bufs[i]
 
+    def g_update(a, b, u, out=None):
+        # right child b + (1 - 2u) a, with a and b broadcast over u's paths
+        g = np.subtract(1, 2 * u, dtype=np.float64, out=out)  # 1 - 2u, exact
+        g *= a
+        return np.add(b, g, out=g)
+
+    def top_right(sums: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # rows lo:hi of the top stage's right child, from the channel LLRs
+        # and the top stage's left sums
+        mid = n // 2
+        return g_update(chan.T[lo:hi, :, None],
+                        chan.T[mid + lo:mid + hi, :, None], sums[lo:hi])
+
+    def quarter_update(right: bool) -> np.ndarray:
+        # stage stages - 2 in the right half of the tree. Its operands, the
+        # top stage's right child, are never stored whole: they are formed
+        # about _BLOCK elements at a time, at the path count of the left
+        # sums they read, which may be one path where the other has P
+        sums = aligned(2 * stages - 1)
+        u = aligned(2 * stages - 2) if right else sums
+        quarter = n // 4
+        out = np.empty((quarter, frames, u.shape[-1]))
+        step = max(_BLOCK // max(out[0].size, 1), 1)
+        for lo in range(0, quarter, step):
+            hi = min(lo + step, quarter)
+            a = top_right(sums, lo, hi)
+            b = top_right(sums, quarter + lo, quarter + hi)
+            if right:
+                g_update(a, b, u[lo:hi], out[lo:hi])
+            else:
+                _boxplus(a, b, out[lo:hi])
+        return out
+
     for phi in range(n):
         # refresh LLR buffers on the stages whose block changed at this leaf
         top = (phi & -phi).bit_length() - 1 if phi else stages
         for s in range(top - 1 if phi == 0 else top, -1, -1):
             half = 1 << s
+            right = phi and s == top  # g update with left sums, else f
+            if stages > 1 and phi >= n // 2 and s >= stages - 2:
+                # the top stage's right child is formed inside the updates
+                # of the stage below, its only readers
+                if s == stages - 2:
+                    store(s, quarter_update(right))
+                continue
             above = chan.T[:, :, None] if s == stages - 1 else aligned(s + 1)
             a, b = above[:half], above[half:]
-            if phi and s == top:  # right child: g update with left sums
-                u = aligned(stages + s)
-                g = np.subtract(1, 2 * u, dtype=np.float64)  # 1 - 2u, exact
-                g *= a
-                store(s, np.add(b, g, out=g))
-            else:  # left child: f update
+            if right:
+                store(s, g_update(a, b, aligned(stages + s)))
+            else:
                 store(s, _boxplus_blocked(a, b))
 
         paths = pm.shape[1]
@@ -390,30 +437,33 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
                 keys = np.where(full[block, phi][:, None], keys, rank)
             width = min(2 * paths, list_size)
             sel = np.argsort(keys, axis=1, kind="stable")[:, :width]
+            record = leaf_sel[len(widths), :sel.size].reshape(sel.shape)
+            record[...] = sel
+            widths.append(width)
             child = sel + 2 * paths * col
             pm = pm2.reshape(-1).take(child)
-            bits = (child & 1).astype(np.int8)
+            bits = (record & 1).astype(np.int8)
             parent = (child >> 1).astype(np.int32)
             # After the fork at leaf phi, only two kinds of stale buffer are
             # read again before being rewritten: the LLRs of stage s + 1
             # while bit s of phi is 0 (the g update of stage s is still
             # ahead) and the left sums of stage s while bit s of phi is 1.
-            # Every other buffer, stage 0's LLRs always, is released.
+            # Every other buffer, stage 0's LLRs always, is released. A
+            # buffer of one path needs no map, and the top stage's right
+            # child is never stored.
             for s in range(stages):
                 for i, live in ((s, s and not (phi >> (s - 1)) & 1),
                                 (stages + s, (phi >> s) & 1)):
                     if not live:
                         bufs[i] = maps[i] = None
-                    elif maps[i] is None:
-                        maps[i] = parent
-                    else:
+                    elif maps[i] is not None:
                         maps[i] = maps[i].take(parent)
-            leaf_bits[decided, :parent.size] = bits.ravel()
-            leaf_parent[decided, :parent.size] = parent.ravel()
-            decided += 1
+                    elif bufs[i] is not None and bufs[i].shape[-1] > 1:
+                        maps[i] = parent
 
-        # propagate partial sums while closing right children; the last leaf
-        # closes the root, whose sums are the codeword re-encoded below
+        if phi == n - 1:
+            break  # the root's sums are the codeword, re-encoded below
+        # propagate partial sums while closing right children
         cur = bits[None]
         s = 0
         while (phi >> s) & 1:
@@ -422,14 +472,22 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
         if s < stages:
             store(stages + s, cur)
 
+    bufs.clear()  # no stage buffer is read again
     # backtrack every surviving path through its forks to its decisions
+    # along the selected children: child c of a fork is path c >> 1 of the
+    # list before it, taking bit c & 1
     paths = pm.shape[1]
-    decisions = np.empty((forks.size, frames * paths), dtype=np.int8)
-    path = np.arange(frames * paths)
+    picked = np.empty((forks.size, frames * paths), dtype=leaf_sel.dtype)
+    frame = np.repeat(fidx, paths)
+    start = {w: frame * w for w in set(widths)}  # each frame's first child
+    row = np.arange(frames * paths)
     for j in range(forks.size - 1, -1, -1):
-        leaf_bits[j].take(path, out=decisions[j])
-        path = leaf_parent[j].take(path)
-    decisions = decisions.T.reshape(frames, paths, forks.size)
+        leaf_sel[j].take(row, out=picked[j])
+        if j:
+            np.add(start[widths[j - 1]], picked[j] >> 1, out=row)
+    decisions = np.empty((frames * paths, forks.size), dtype=np.int8)
+    np.bitwise_and(picked.T, 1, out=decisions, casting="unsafe")
+    decisions = decisions.reshape(frames, paths, forks.size)
     # per block: its own decisions, CRC and best path; a junk path's +inf
     # metric stays +inf with the CRC penalty and never wins
     ok = np.ones(pm.shape, dtype=bool)

@@ -239,6 +239,7 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
     y = np.empty_like(symbols)
     for i, rng in enumerate(rngs):
         y[i] = awgn_transmit(symbols[i], snr_db[i], rng)
+    del symbols  # released before decoding, which reads only y
     # the scalar expression per frame: a vectorised power may differ in the
     # last ulp
     noise_var = np.array([10.0 ** (-min(s, SNR_CLIP_DB) / 10.0)
@@ -265,8 +266,12 @@ def _bler_chunk(cfg: SimConfig, snr_db: float, snr_idx: int, start: int,
 @contextmanager
 def _pool(workers: int):
     """The process pool of one simulation call, None at one worker; the only
-    place a pool is made. On exit it cancels the queued tasks and waits for
-    the running ones, so no child process outlives the call."""
+    place a pool is made. On exit it terminates the workers, because a task
+    still running then (look-ahead the call did not ask for, or work cut
+    short by an error) is never read. It then shuts the pool down, which
+    cancels the queued tasks and waits for the workers to end, so no child
+    process outlives the call; Python 3.14's terminate_workers() would not
+    wait."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -274,6 +279,8 @@ def _pool(workers: int):
         yield pool
     finally:
         if pool is not None:
+            for proc in (pool._processes or {}).values():
+                proc.terminate()
             pool.shutdown(cancel_futures=True)
 
 
@@ -397,8 +404,10 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     Each probe is a BLER point (SNR index 0) of ``run_bler``'s chunk
     scheduler, on one pool for the call; its look-ahead is the next workers
     - 1 grid points of the walk, in the backfill only those below the
-    bracket. A probe depends only on (config, SNR) and ``probes`` lists only
-    the probes the walk asks for, so the result does not depend on workers.
+    bracket. Look-ahead still running when the bracket is found is stopped,
+    not waited for. A probe depends only on (config, SNR) and ``probes``
+    lists only the probes the walk asks for, so the result does not depend
+    on workers.
     """
     if not 0.0 < target_bler < 1.0:  # NaN fails too
         raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")

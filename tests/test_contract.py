@@ -1,0 +1,91 @@
+"""The seeded reproducibility contract, end to end.
+
+For a given (config, seed), every public simulation returns the same result
+at any batch size and worker count. Here each entry point runs small cases
+with the decoder's row cap ``sim._MAX_ROWS`` at 2, 34 and 512 rows (1, 17 and
+256 frames per chunk at m >= 2) and at 1 and 2 workers, and every returned
+dataclass must equal the one at 512 rows and 1 worker, wall time aside. The
+golden tests pin the values at one batch size; this test pins the rest.
+"""
+
+import dataclasses
+import multiprocessing
+
+import pytest
+
+import mlcpcm.sim as sim
+from mlcpcm.sim import (
+    McsEntry,
+    SimConfig,
+    SimCurve,
+    build_bler_lut,
+    min_required_snr,
+    run_bler,
+    run_throughput,
+)
+
+# (method, m, k, SNR grid) of the BLER runs at N = 16: each m at every method
+BLER_RUNS = [(method, m, 8 * m, grid)
+             for m, grid in ((1, (-2.0, 0.0)), (2, (0.0, 2.0)), (4, (6.0, 8.0)))
+             for method in ("rf1", "rf2", "ga")]
+TABLE = (McsEntry(index=0, m=2, rate_x1024=256), McsEntry(index=1, m=4, rate_x1024=616))
+
+
+def _masked(result):
+    """The result with every curve's wall time zeroed."""
+    if isinstance(result, SimCurve):
+        return dataclasses.replace(result, wall_time_s=0.0)
+    if isinstance(result, dict):
+        return {key: _masked(value) for key, value in result.items()}
+    return result
+
+
+def _results(workers: int) -> dict:
+    results = {}
+    for method, m, k, grid in BLER_RUNS:
+        cfg = SimConfig(method=method, m=m, n=16, k=k, snr_grid_db=grid,
+                        list_size=4, max_blocks=40, max_errors=8, seed=11)
+        results["bler", method, m] = run_bler(cfg, workers=workers)
+    # a 1 dB stride from the anchor, then a backfill below its end
+    results["minsnr"] = min_required_snr(
+        "rf1", McsEntry(index=0, m=2, rate_x1024=384), 64, 0.01, list_size=2,
+        seed=6, max_blocks=20, max_errors=20, workers=workers)
+    lut = build_bler_lut("rf2", TABLE, 16, span_db=1.0, step_db=1.0,
+                         list_size=4, seed=2, max_blocks=30, max_errors=10,
+                         workers=workers)
+    results["lut"] = lut
+    for method in ("rf2", "ga"):
+        cfg = SimConfig(method=method, m=2, n=16, k=16, snr_grid_db=(2.0, 8.0),
+                        list_size=4, max_blocks=30, seed=3, eps=0.5)
+        results["throughput", method] = run_throughput(cfg, TABLE, lut,
+                                                       workers=workers)
+    return _masked(results)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _results(workers=1)
+
+
+def test_contract_cases_cover_the_chunking(reference):
+    # some BLER point stops early and some runs to its frame budget, and
+    # the walk strides 1 dB and then backfills
+    points = [p for key, curve in reference.items() if key[0] == "bler"
+              for p in curve.points]
+    assert {p.blocks == 40 for p in points} == {True, False}
+    snrs = [p.snr_db for p in reference["minsnr"].probes]
+    gaps = {b - a for a, b in zip(snrs, snrs[1:])}
+    assert 1.0 in gaps and 0.25 in gaps
+
+
+@pytest.mark.parametrize("rows,workers", [(rows, workers) for rows in (2, 34, 512)
+                                          for workers in (1, 2)
+                                          if (rows, workers) != (512, 1)])
+def test_contract_holds_at_any_batch_size_and_worker_count(monkeypatch, reference,
+                                                           rows, workers):
+    monkeypatch.setattr(sim, "_MAX_ROWS", rows)
+    assert sim._batch_size(4, 16, 1 << 20) == rows // 2
+    got = _results(workers)
+    for key, want in reference.items():
+        assert got[key] == want, key
+    assert multiprocessing.active_children() == []

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mlcpcm.construction import construct_rf1, five_g_sequence
+from mlcpcm.construction import construct_rf1, construct_rf2, five_g_sequence
+from mlcpcm.mlc_system import component_codes
 from mlcpcm.polar_codec import (
     _BLOCK,
     CRC_LEN,
@@ -245,6 +248,87 @@ def test_decoder_matches_frozen_reference_on_large_batches(n, lsize, frames):
     for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
         assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), name
     assert 0 < got[2].sum() < frames  # both CRC outcomes occur
+
+
+def test_decoder_matches_frozen_reference_by_first_information_quarter():
+    # the first information leaf in each quarter of the block: from the
+    # third quarter on, the whole left half is frozen, so the top stage's
+    # left sums have one path while the stage below has several at the g
+    # update of leaf 3N/4; N = 4 has one leaf per quarter
+    rng = np.random.default_rng(4)
+    for n in (4, 8, 16, 64, 256):
+        for quarter in range(4):
+            first = quarter * n // 4 + int(rng.integers(0, n // 4))
+            rest = rng.choice(np.arange(first + 1, n),
+                              size=int(rng.integers(0, n - first)), replace=False)
+            info = np.sort(np.append(rest, first))
+            crc = CRC_LEN if info.size > CRC_LEN and quarter % 2 else 0
+            code = ComponentCode(n=n, info_set=info, crc_len=crc)
+            for lsize in (1, 2, 4, 8):
+                if lsize % 4:  # integer LLRs tie path metrics
+                    llr = rng.integers(-2, 3, (5, n)).astype(np.float64)
+                else:
+                    llr = rng.normal(0.0, 2.0, (5, n))
+                got = scl_decode_batch(llr, code, lsize)
+                want = reference_scl_decode_batch(llr, code, lsize)
+                for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"),
+                                      got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(
+                        g, w), f"{name} differ at N={n} first leaf {first} L={lsize}"
+
+
+@pytest.mark.parametrize("n,lsize,frames,right_half", ((512, 4, 70, False),
+                                                       (256, 8, 130, True),
+                                                       (512, 2, 150, True)))
+def test_decoder_matches_frozen_reference_on_partial_top_blocks(n, lsize, frames,
+                                                                right_half):
+    # the top stage's right child is formed in blocks of _BLOCK // (F L)
+    # rows, and here the N/4 rows of the stage below end in a partial
+    # block; with information only in the right half, the top stage's left
+    # sums hold one path per frame
+    step = _BLOCK // (frames * lsize)
+    assert step < n // 4 and (n // 4) % step
+    rng = np.random.default_rng(n + frames)
+    top = five_g_sequence().top_k(n // 2 if right_half else n, n // 4)
+    code = ComponentCode(n=n, info_set=top + n // 2 if right_half else top,
+                         crc_len=CRC_LEN)
+    u = np.zeros((frames, n), np.uint8)
+    u[:, code.info_set] = crc_attach(rng.integers(0, 2, (frames, code.payload_len)))
+    llr = np.rint(_bpsk_llr(polar_encode(u), 0.9, rng))
+    got = scl_decode_batch(llr, code, lsize)
+    want = reference_scl_decode_batch(llr, code, lsize)
+    for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_pair_call_working_memory():
+    # one 512-row call of a 16QAM level pair (rf2, K=512, N=256, L=8): no
+    # buffer of all N/2 top-stage rows of every path is ever held, and
+    # buffers of one path are never copied out to every path
+    codes = component_codes(construct_rf2(4, 512, 256))
+    rng = np.random.default_rng(17)
+    for pair in (0, 2):
+        llr = rng.normal(0.0, 4.0, (512, 256))
+        blocks = RowBlocks(codes[pair:pair + 2], (256, 256))
+        tracemalloc.start()
+        try:
+            scl_decode_batch(llr, blocks, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20, (pair, peak / 2**20)
+
+
+def test_decoder_matches_frozen_reference_with_two_byte_fork_records():
+    # from L = 256 on, a fork's selected child (below 2L) takes two bytes
+    rng = np.random.default_rng(256)
+    for code in (_make_code(16, 12, 0), _make_code(32, 24, CRC_LEN)):
+        llr = rng.normal(0.0, 2.0, (3, code.n))
+        got = scl_decode_batch(llr, code, 256)
+        want = reference_scl_decode_batch(llr, code, 256)
+        for name, g, w in zip(("payloads", "codewords", "crc_ok", "metrics"), got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), (
+                f"{name} differ at N={code.n}")
 
 
 def test_blocked_boxplus_matches_boxplus():

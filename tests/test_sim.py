@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import os
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -25,6 +26,8 @@ from mlcpcm.sim import (
     run_throughput,
 )
 import throughput_reference
+
+_bler_chunk = sim._bler_chunk  # the real chunk, for stubs that wrap it
 
 
 def _small_cfg(**kw):
@@ -363,16 +366,21 @@ def _stub_chunk(threshold, log, fail_above, cfg, snr_db, snr_idx, start,
     return np.arange(start, start + count) % blocks < errors
 
 
+def _fork_pool(monkeypatch):
+    """Fork pool workers whatever the platform's default start method, so
+    that they run the stubs patched into ``sim``."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the stub reaches pool workers only through fork")
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
 def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
     """Stub the chunks of min_required_snr's probes with ``_stub_chunk``.
     Pool workers are forked, so they run the stub too."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the stub reaches pool workers only through fork")
+    _fork_pool(monkeypatch)
     monkeypatch.setattr(sim, "_bler_chunk", functools.partial(
         _stub_chunk, threshold, log, fail_above))
-    # fork whatever the platform's default start method
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
 
 def _stub_walk(workers, max_blocks=128):
@@ -478,6 +486,37 @@ def test_min_required_snr_guard_leaves_no_children(monkeypatch, tmp_path,
     _stub_probes(monkeypatch, -np.inf, tmp_path / "probes.txt")
     with pytest.raises(RuntimeError, match="within 60 dB"):
         _stub_walk(workers)
+    assert multiprocessing.active_children() == []
+
+
+def _stalling_chunk(asked, marks, cfg, snr_db, snr_idx, start, count):
+    """A probe chunk that runs as usual at the SNRs in ``asked``; at any
+    other SNR it leaves a mark file in ``marks`` and sleeps for a minute."""
+    if snr_db in asked:
+        return _bler_chunk(cfg, snr_db, snr_idx, start, count)
+    (marks / repr(snr_db)).touch()
+    time.sleep(60)
+
+
+def test_min_required_snr_stops_unread_look_ahead(monkeypatch, tmp_path):
+    # the descent never reads the look-ahead sent up from its anchor, which
+    # then runs until the bracket is found; the pool's exit stops it
+    # instead of waiting a minute for it
+    method, mcs, n, target, blocks, errors, seed = SPECULATION_WALKS["descent"]
+
+    def walk(workers):
+        return min_required_snr(method, mcs, n, target, list_size=2, seed=seed,
+                                max_blocks=blocks, max_errors=errors,
+                                workers=workers)
+
+    want = walk(1)
+    _fork_pool(monkeypatch)
+    monkeypatch.setattr(sim, "_bler_chunk", functools.partial(
+        _stalling_chunk, frozenset(p.snr_db for p in want.probes), tmp_path))
+    t0 = time.monotonic()
+    assert walk(2) == want
+    assert time.monotonic() - t0 < 15.0
+    assert [p.name for p in tmp_path.iterdir()]  # some look-ahead stalled
     assert multiprocessing.active_children() == []
 
 
