@@ -188,9 +188,9 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
     axis = (k - 1) % 2
     t = tables[axis][(k - 1) // 2 + 1]
     p = 2 * _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
-    num = np.take_along_axis(t, p[..., None], axis=-1)[..., 0]
-    den = np.take_along_axis(t, (p + 1)[..., None], axis=-1)[..., 0]
-    return np.clip(num - den, -LLR_CLIP, LLR_CLIP)
+    llr = np.take_along_axis(t, p[..., None], axis=-1)[..., 0]
+    llr -= np.take_along_axis(t, (p + 1)[..., None], axis=-1)[..., 0]
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
 
 
 def last_level_llr(c: Constellation, y: np.ndarray,

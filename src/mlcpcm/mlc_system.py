@@ -15,6 +15,13 @@ decided bits of its own axis. Level 2j + 1 therefore does not read level
 zero standing in for it, exactly as it would be after. Both levels of a
 pair then decode as one 2F-row call with a code per row block; BPSK's
 single level decodes as a group of one.
+
+Pair j reads only depth j + 1 of each axis's demap tree, and the last
+level of an axis forms its LLR per symbol. So per batch the demapper holds
+depths 1 .. h - 1 of each axis (h = m/2, the axis's label bits; 2 + 4 + 8
+entries per axis and symbol at 256QAM instead of the full tree's 31), and
+forms the full trees one block of frames at a time. Each depth is released
+once its level's LLRs are formed. BPSK and QPSK call no demapper.
 """
 
 from __future__ import annotations
@@ -56,6 +63,47 @@ def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
     return c.points[labels], coded
 
 
+# full demap trees formed per demap_tables call; of 0.25 to 4 MiB, 1 MiB
+# demapped the benchmark's 16QAM to 256QAM batches fastest
+_DEMAP_BYTES = 1 << 20
+
+
+def _block_frames(m: int, n: int) -> int:
+    """Frames per ``demap_tables`` call: as many as fit their full trees
+    (two axes of 2^(h+1) - 1 float64 entries per symbol) in _DEMAP_BYTES,
+    and at least one."""
+    h = (m + 1) // 2
+    return max(_DEMAP_BYTES // (2 * ((2 << h) - 1) * n * 8), 1)
+
+
+def _kept_tables(c: Constellation, y: np.ndarray,
+                 noise_var: float | np.ndarray) -> list[list[np.ndarray | None]]:
+    """The ``demap_tables`` depths of a batch that multistage decoding reads.
+
+    Level pair j reads depth j + 1 of each axis. Depth 0 is never read, and
+    an axis's deepest depth h only by its last level, whose LLR
+    ``last_level_llr`` forms per symbol, so both are None and only depths
+    1 .. h - 1 are held for the whole batch. The full trees are formed
+    ``_block_frames`` frames at a time, with ``noise_var`` sliced with its
+    frames; when h is 1 (BPSK, QPSK) nothing is demapped at all.
+    """
+    f, n = y.shape
+    h = (c.m + 1) // 2
+    tables = [[None, *(np.empty((f, n, 1 << d)) for d in range(1, h)), None]
+              for _ in range(1 if c.m == 1 else 2)]
+    if h == 1:
+        return tables
+    step = _block_frames(c.m, n)
+    noise_var = np.broadcast_to(noise_var, y.shape)
+    for lo in range(0, f, step):
+        block = demap_tables(c, y[lo:lo + step], noise_var[lo:lo + step])
+        for axis, full in enumerate(block):
+            for d in range(1, h):
+                tables[axis][d][lo:lo + step] = full[d]
+        del block, full  # freed before the next block's trees are formed
+    return tables
+
+
 def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
                             cons: CodeConstruction, c: Constellation,
                             list_size: int,
@@ -72,20 +120,19 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     """
     y = np.asarray(y, dtype=np.complex128)
     f, n = y.shape
-    tables = demap_tables(c, y, noise_var)
-    # depth 0 is never read, and an axis's deepest depth only by its last
-    # level, whose LLR is formed per symbol instead; neither is kept
-    depth = len(tables[0]) - 1
-    for axis in tables:
-        axis[0] = axis[depth] = None
+    tables = _kept_tables(c, y, noise_var)
+    depth = len(tables[0]) - 1  # of each axis's tree
 
     def llr(k: int, prefix: np.ndarray) -> np.ndarray:
         if k // 2 + 1 == depth:
             return last_level_llr(c, y, noise_var, k + 1, prefix)
-        return level_llr_from_tables(tables, k + 1, prefix)
+        out = level_llr_from_tables(tables, k + 1, prefix)
+        tables[k % 2][k // 2 + 1] = None  # no later level reads this depth
+        return out
 
     codes = component_codes(cons)
-    prefix = np.zeros((f, n), dtype=np.int64)
+    # m label bits; uint8 up to 256QAM
+    prefix = np.zeros((f, n), dtype=np.min_scalar_type((1 << c.m) - 1))
     coded = np.zeros((f, cons.m, n), dtype=np.uint8)
     payloads: list[np.ndarray] = []
     oks = np.zeros((f, cons.m), dtype=bool)
@@ -95,8 +142,6 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
         # decode as one call of F rows per level
         group = codes[k:k + 2]
         llrs = np.concatenate([llr(k + j, prefix << j) for j in range(len(group))])
-        for axis in tables:  # no later pair reads this depth
-            axis[k // 2 + 1] = None
         pays, cws, ok, _ = scl_decode_batch(
             llrs, RowBlocks(group, (f,) * len(group)), list_size)
         for j, pay in enumerate(pays):
@@ -107,5 +152,5 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
             feed = coded[:, level]
             if feedback_override and level in feedback_override:
                 feed = feedback_override[level]
-            prefix = (prefix << 1) | feed.astype(np.int64)
+            prefix = (prefix << 1) | feed.astype(prefix.dtype)
     return payloads, oks, oks.all(axis=1), coded

@@ -203,7 +203,10 @@ def _batch_size(m: int, n: int, cap: int) -> int:
     """Frames per chunk: within the demap table budget, at most ``cap``, and
     at most _MAX_ROWS rows per decoder call, where a level pair decodes as
     one call of two rows per frame."""
-    per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8  # two axes of float64 trees
+    # two axes of full float64 demap trees per frame: an upper bound, since
+    # the demapper holds only the depths later levels read plus one block
+    # of full trees
+    per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8
     rows = 1 if m == 1 else 2
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16,
                        min(_MAX_ROWS // rows, max(cap, 1))))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import multistage_reference
+from mlcpcm import mlc_system
 from mlcpcm.constellation import build_constellation, build_qam, labels_from_bits
 from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2
 from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
@@ -258,3 +261,81 @@ def test_paired_levels_match_level_by_level_reference(name):
                 y, nv, cons, c, lsize, feedback_override=override)
             _assert_same_outputs(got, want)
     assert failed > 0  # some level failed its CRC or ranked a wrong path
+
+
+# m -> Es/N0 in dB near the waterfall of construct_rf2(m, 16 m, 32) at L=2
+BLOCKED_SNR_DB = {1: -1.0, 2: 3.0, 4: 9.0, 6: 14.5, 8: 20.0}
+
+
+@pytest.mark.parametrize("m", BLOCKED_SNR_DB)
+def test_blocked_demap_matches_reference(m, monkeypatch):
+    # the demap trees are formed B frames at a time; batches of one, just
+    # under, at, just over and several blocks plus a partial one decode as
+    # the whole-batch reference does, at scalar, per-frame and per-symbol
+    # noise variance
+    n = 32
+    cons = construct_rf2(m, 16 * m, n)
+    c = build_constellation(m)
+    block = mlc_system._block_frames(m, n)
+    demap = mlc_system.demap_tables
+    calls = []
+
+    def counting(c, y, noise_var):
+        calls.append(len(y))
+        return demap(c, y, noise_var)
+
+    monkeypatch.setattr(mlc_system, "demap_tables", counting)
+    rng = np.random.default_rng(m)
+    errors = 0
+    for frames in (1, block - 1, block, block + 1, 3 * block + 5):
+        pay = _payloads(cons, rng, frames)
+        symbols, _ = mlc_encode_batch(pay, cons, c)
+        nv = 10.0 ** (-BLOCKED_SNR_DB[m] / 10.0)
+        spread = 10.0 ** rng.uniform(-0.15, 0.15, (frames, n))
+        for noise_var in (nv, nv * spread[:, :1], nv * spread):
+            y = symbols + _noise(rng, symbols.shape, np.sqrt(noise_var / 2.0))
+            calls.clear()
+            got = multistage_decode_batch(y, noise_var, cons, c, 2)
+            want = multistage_reference.multistage_decode_batch(y, noise_var,
+                                                                cons, c, 2)
+            _assert_same_outputs(got, want)
+            errors += sum(int((g != p).any(axis=1).sum())
+                          for g, p in zip(got[0], pay))
+            if m <= 2:  # every level is the last of its axis
+                assert calls == []
+            else:
+                assert calls == [block] * (frames // block) + (
+                    [frames % block] if frames % block else [])
+    assert errors > 0  # wrong decisions were fed forward
+
+
+def test_demap_working_memory(monkeypatch):
+    # a 155-frame 64QAM batch (rf2, N=256): until the first decoder call,
+    # only depths 1 and 2 of each axis are held batch-wide, and the full
+    # trees exist one block of frames at a time
+    frames, n = 155, 256
+    cons = construct_rf2(6, load_mcs_table()[15].k_for(n), n)
+    c = build_qam(6)
+    rng = np.random.default_rng(155)
+    y = c.points[rng.integers(0, 64, (frames, n))] + _noise(rng, (frames, n), 0.1)
+    kept = 2 * frames * n * (2 + 4) * 8
+
+    class FirstCall(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstCall(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(mlc_system, "scl_decode_batch", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCall) as first:
+            multistage_decode_batch(y, np.full((frames, 1), 0.02), cons, c, 8)
+    finally:
+        tracemalloc.stop()
+    peak = first.value.args[0]
+    # y's size, two float64 values per symbol, stands for the first pair's
+    # LLRs. Demapping the whole batch at once peaks at 9.45 MiB here, against
+    # this 5.24 MiB bound
+    bound = kept + mlc_system._DEMAP_BYTES + y.nbytes
+    assert peak < bound, (peak / 2**20, bound / 2**20)
