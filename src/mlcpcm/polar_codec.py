@@ -21,11 +21,11 @@ A fork or prune copies no buffer. A buffer in path order takes the
 survivors' parent rows as its map, by reference; a stale one composes its
 map with them in one gather. A buffer written while the list held one path
 needs no map at all: every later path of its frame descends from that path,
-so it is read as a broadcast over the paths, like the channel LLRs. Only
-buffers that are read again before being rewritten are kept: after the fork
-at leaf phi these are the LLRs of stage s + 1 while bit s of phi is 0 and
-the left sums of stage s while bit s of phi is 1. Every other buffer is
-released, which lowers peak memory and leaves fewer maps to compose. A
+so it is read as a broadcast over the paths, like the channel LLRs. Each
+buffer is released by the statement that reads it last (a stage's LLRs by
+the g update of the stage below, stage 0's by the leaf's metric update, a
+stage's left sums by the partial-sum close), which lowers peak memory, and a
+fork composes the maps of only the buffers still held. A
 buffer is gathered into path order only when the next f/g update or
 partial-sum step reads it, which per leaf is the parent of the topmost
 refreshed stage and the left sums at that stage, so copying costs
@@ -332,9 +332,10 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     # short strided inner loops on the narrow stages. maps[i] is None while
     # buffer i is in path order; otherwise path p of frame f reads flat
     # column maps[i][f, p] of buffer i reshaped to (width, F P'). A stale
-    # buffer is gathered into path order when it is next read. A buffer of
-    # one path (P' = 1) holds the row of every later path of its frame and
-    # is read as a broadcast without a map, like the channel LLRs, which are
+    # buffer is gathered into path order when it is next read, and its last
+    # reader releases it with store(i, None). A buffer of one path (P' = 1)
+    # holds the row of every later path of its frame and is read as a
+    # broadcast without a map, like the channel LLRs, which are
     # path-independent and read through the stage-major view chan.T.
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     maps: list[np.ndarray | None] = [None] * (2 * stages)
@@ -400,16 +401,24 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
                 # of the stage below, its only readers
                 if s == stages - 2:
                     store(s, quarter_update(right))
+                    if right:  # leaf 3N/4 reads the top stage's left sums last
+                        store(2 * stages - 1, None)
                 continue
             above = chan.T[:, :, None] if s == stages - 1 else aligned(s + 1)
             a, b = above[:half], above[half:]
             if right:
                 store(s, g_update(a, b, aligned(stages + s)))
+                if s + 1 < stages:
+                    store(s + 1, None)
             else:
                 store(s, _boxplus_blocked(a, b))
 
         paths = pm.shape[1]
-        leaf = bufs[0][0] if stages else chan[:, None, 0].repeat(paths, 1)
+        if stages:
+            leaf = bufs[0][0]
+            store(0, None)
+        else:
+            leaf = chan[:, None, 0].repeat(paths, 1)
         if frozen[phi]:
             pm = pm + np.maximum(-leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
@@ -444,22 +453,13 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
             pm = pm2.reshape(-1).take(child)
             bits = (record & 1).astype(np.int8)
             parent = (child >> 1).astype(np.int32)
-            # After the fork at leaf phi, only two kinds of stale buffer are
-            # read again before being rewritten: the LLRs of stage s + 1
-            # while bit s of phi is 0 (the g update of stage s is still
-            # ahead) and the left sums of stage s while bit s of phi is 1.
-            # Every other buffer, stage 0's LLRs always, is released. A
-            # buffer of one path needs no map, and the top stage's right
-            # child is never stored.
-            for s in range(stages):
-                for i, live in ((s, s and not (phi >> (s - 1)) & 1),
-                                (stages + s, (phi >> s) & 1)):
-                    if not live:
-                        bufs[i] = maps[i] = None
-                    elif maps[i] is not None:
-                        maps[i] = maps[i].take(parent)
-                    elif bufs[i] is not None and bufs[i].shape[-1] > 1:
-                        maps[i] = parent
+            # every buffer still held is read again; one of one path needs
+            # no map
+            for i, buf in enumerate(bufs):
+                if maps[i] is not None:
+                    maps[i] = maps[i].take(parent)
+                elif buf is not None and buf.shape[-1] > 1:
+                    maps[i] = parent
 
         if phi == n - 1:
             break  # the root's sums are the codeword, re-encoded below
@@ -468,6 +468,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
         s = 0
         while (phi >> s) & 1:
             cur = np.concatenate([aligned(stages + s) ^ cur, cur], axis=0)
+            store(stages + s, None)
             s += 1
         if s < stages:
             store(stages + s, cur)

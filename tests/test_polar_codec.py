@@ -319,6 +319,28 @@ def test_pair_call_working_memory():
         assert peak <= 8 << 20, (pair, peak / 2**20)
 
 
+def test_pair_calls_release_buffers_at_last_read():
+    # every stage buffer is dropped by its last reader: a stage's LLRs after
+    # the g update of the stage below, the top stage's left sums after leaf
+    # 3N/4. Held until the next fork instead, they raise these peaks to
+    # 6.2-6.3 MiB (16QAM) and 3.7 MiB (64QAM)
+    rng = np.random.default_rng(17)
+    codes16 = component_codes(construct_rf2(4, 512, 256))
+    codes64 = component_codes(construct_rf2(6, 768, 256))
+    calls = [(RowBlocks(codes16[pair:pair + 2], (256, 256)),
+              rng.normal(0.0, 4.0, (512, 256)), 6.0) for pair in (0, 2)]
+    calls.append((RowBlocks(codes64[2:4], (155, 155)),
+                  rng.normal(0.0, 4.0, (310, 256)), 3.5))
+    for blocks, llr, bound_mib in calls:
+        tracemalloc.start()
+        try:
+            scl_decode_batch(llr, blocks, 8)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib, ([c.k for c in blocks.codes], peak)
+
+
 def test_decoder_matches_frozen_reference_with_two_byte_fork_records():
     # from L = 256 on, a fork's selected child (below 2L) takes two bytes
     rng = np.random.default_rng(256)
