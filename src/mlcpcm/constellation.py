@@ -193,6 +193,31 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
     return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
 
 
+def prefix_llr_table(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-prefix LLR table of one ``pam_tables`` depth d >= 1.
+
+    Entry p of the result, shape t.shape[:-1] + (2^(d-1),), is
+    t[..., 2p] - t[..., 2p + 1]: the unclipped LLR of the axis's bit d given
+    its first d - 1 bits p. It is written into ``out`` when given.
+    """
+    return np.subtract(t[..., 0::2], t[..., 1::2], out=out)
+
+
+def level_llr_from_prefix_tables(tables: list[list[np.ndarray | None]], k: int,
+                                 prefix_labels: np.ndarray) -> np.ndarray:
+    """``level_llr_from_tables`` on per-prefix LLR tables.
+
+    tables[axis][d] is ``prefix_llr_table`` of that axis's depth d, so the
+    LLR is one gather at the axis prefix and the same clip. It forms the
+    same difference of the same two entries, so the result is bit-identical.
+    """
+    axis = (k - 1) % 2
+    t = tables[axis][(k - 1) // 2 + 1]
+    p = _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
+    llr = np.take_along_axis(t, p[..., None], axis=-1)[..., 0]
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
+
+
 def last_level_llr(c: Constellation, y: np.ndarray,
                    noise_var: float | np.ndarray, k: int,
                    prefix_labels: np.ndarray) -> np.ndarray:

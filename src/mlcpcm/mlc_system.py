@@ -16,12 +16,14 @@ zero standing in for it, exactly as it would be after. Both levels of a
 pair then decode as one 2F-row call with a code per row block; BPSK's
 single level decodes as a group of one.
 
-Pair j reads only depth j + 1 of each axis's demap tree, and the last
-level of an axis forms its LLR per symbol. So per batch the demapper holds
-depths 1 .. h - 1 of each axis (h = m/2, the axis's label bits; 2 + 4 + 8
-entries per axis and symbol at 256QAM instead of the full tree's 31), and
-forms the full trees one block of frames at a time. Each depth is released
-once its level's LLRs are formed. BPSK and QPSK call no demapper.
+Pair j reads only depth j + 1 of each axis's demap tree, and only as the
+LLR of its bit given the axis prefix already decided; the last level of an
+axis forms its LLR per symbol. So per batch the demapper holds, for depths
+1 .. h - 1 of each axis (h = m/2, the axis's label bits), the per-prefix
+LLR table of that depth: 1 + 2 + 4 entries per axis and symbol at 256QAM
+instead of the full tree's 31. The full trees are formed one block of
+frames at a time and reduced to these tables in place. Each table is
+released once its level's LLRs are formed. BPSK and QPSK call no demapper.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from .constellation import (Constellation, demap_tables, last_level_llr,
-                            level_llr_from_tables)
+                            level_llr_from_prefix_tables, prefix_llr_table)
+# not called here; kept in this namespace because bench/tracing.py wraps it
+# here and counts a missing name as an absent wrapper
+from .constellation import level_llr_from_tables  # noqa: F401
 from .construction import CodeConstruction
 from .polar_codec import (ComponentCode, RowBlocks, crc_attach, polar_encode,
                           scl_decode_batch)
@@ -78,18 +83,21 @@ def _block_frames(m: int, n: int) -> int:
 
 def _kept_tables(c: Constellation, y: np.ndarray,
                  noise_var: float | np.ndarray) -> list[list[np.ndarray | None]]:
-    """The ``demap_tables`` depths of a batch that multistage decoding reads.
+    """The per-prefix LLR tables of a batch that multistage decoding reads.
 
-    Level pair j reads depth j + 1 of each axis. Depth 0 is never read, and
-    an axis's deepest depth h only by its last level, whose LLR
+    Level pair j reads depth j + 1 of each axis, only as the LLR of its bit
+    given the decided axis prefix, so depth d is held as its
+    ``prefix_llr_table``, shape (F, N, 2^(d - 1)). Depth 0 is never read,
+    and an axis's deepest depth h only by its last level, whose LLR
     ``last_level_llr`` forms per symbol, so both are None and only depths
-    1 .. h - 1 are held for the whole batch. The full trees are formed
-    ``_block_frames`` frames at a time, with ``noise_var`` sliced with its
-    frames; when h is 1 (BPSK, QPSK) nothing is demapped at all.
+    1 .. h - 1 are held for the whole batch (1 + 2 + 4 entries per axis and
+    symbol at 256QAM). The full trees are formed ``_block_frames`` frames at
+    a time, with ``noise_var`` sliced with its frames, and reduced into the
+    batch tables; when h is 1 (BPSK, QPSK) nothing is demapped at all.
     """
     f, n = y.shape
     h = (c.m + 1) // 2
-    tables = [[None, *(np.empty((f, n, 1 << d)) for d in range(1, h)), None]
+    tables = [[None, *(np.empty((f, n, 1 << (d - 1))) for d in range(1, h)), None]
               for _ in range(1 if c.m == 1 else 2)]
     if h == 1:
         return tables
@@ -99,7 +107,7 @@ def _kept_tables(c: Constellation, y: np.ndarray,
         block = demap_tables(c, y[lo:lo + step], noise_var[lo:lo + step])
         for axis, full in enumerate(block):
             for d in range(1, h):
-                tables[axis][d][lo:lo + step] = full[d]
+                prefix_llr_table(full[d], out=tables[axis][d][lo:lo + step])
         del block, full  # freed before the next block's trees are formed
     return tables
 
@@ -126,7 +134,7 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     def llr(k: int, prefix: np.ndarray) -> np.ndarray:
         if k // 2 + 1 == depth:
             return last_level_llr(c, y, noise_var, k + 1, prefix)
-        out = level_llr_from_tables(tables, k + 1, prefix)
+        out = level_llr_from_prefix_tables(tables, k + 1, prefix)
         tables[k % 2][k // 2 + 1] = None  # no later level reads this depth
         return out
 

@@ -18,10 +18,10 @@ import numbers
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,11 +30,14 @@ from .construction import (DEFAULT_EPS, CodeConstruction, construct_ga,
                            construct_rf1, construct_rf2, solve_snr_capacity)
 from .mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 
+if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
+    from concurrent.futures import Future, ProcessPoolExecutor
+
 SNR_CLIP_DB = 200.0
 DEFAULT_MAX_BLOCKS = 100_000
 DEFAULT_MAX_ERRORS = 100
 METHODS = ("rf1", "rf2", "ga")
-_BATCH_BYTES = 1 << 25  # per-axis demap table budget per batch
+_BATCH_BYTES = 1 << 25  # chunk budget in full demap tree bytes (_batch_size)
 _MAX_ROWS = 512  # LLR rows per decoder call
 
 
@@ -203,9 +206,11 @@ def _batch_size(m: int, n: int, cap: int) -> int:
     """Frames per chunk: within the demap table budget, at most ``cap``, and
     at most _MAX_ROWS rows per decoder call, where a level pair decodes as
     one call of two rows per frame."""
-    # two axes of full float64 demap trees per frame: an upper bound, since
-    # the demapper holds only the depths later levels read plus one block
-    # of full trees
+    # two axes of 2^(h+1) float64 entries per symbol (h = ceil(m/2)), more
+    # than four times the 2^(h-1) - 1 per-prefix LLRs per axis a batch holds
+    # (the full trees are formed one 1 MiB block at a time), so the kept
+    # tables stay under _BATCH_BYTES / 4. At large N this term is also the
+    # only cap on frames per chunk, and with it on decoder working memory
     per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8
     rows = 1 if m == 1 else 2
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16,
@@ -269,15 +274,20 @@ def _bler_chunk(cfg: SimConfig, snr_db: float, snr_idx: int, start: int,
 @contextmanager
 def _pool(workers: int):
     """The process pool of one simulation call, None at one worker; the only
-    place a pool is made. On exit it terminates the workers, because a task
-    still running then (look-ahead the call did not ask for, or work cut
-    short by an error) is never read. It then shuts the pool down, which
-    cancels the queued tasks and waits for the workers to end, so no child
-    process outlives the call; Python 3.14's terminate_workers() would not
-    wait."""
+    place a pool is made, and the only place that imports
+    ``concurrent.futures`` (and with it ``multiprocessing``), so a
+    single-worker call never loads them. On exit it terminates the workers,
+    because a task still running then (look-ahead the call did not ask for,
+    or work cut short by an error) is never read. It then shuts the pool
+    down, which cancels the queued tasks and waits for the workers to end,
+    so no child process outlives the call; Python 3.14's
+    terminate_workers() would not wait."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield pool
     finally:

@@ -5,7 +5,8 @@ import pytest
 
 import multistage_reference
 from mlcpcm import mlc_system
-from mlcpcm.constellation import build_constellation, build_qam, labels_from_bits
+from mlcpcm.constellation import (build_constellation, build_qam, labels_from_bits,
+                                  level_llr_from_tables)
 from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2
 from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 from mlcpcm.polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
@@ -272,19 +273,27 @@ def test_blocked_demap_matches_reference(m, monkeypatch):
     # the demap trees are formed B frames at a time; batches of one, just
     # under, at, just over and several blocks plus a partial one decode as
     # the whole-batch reference does, at scalar, per-frame and per-symbol
-    # noise variance
+    # noise variance, and feed the decoder, bit for bit, the LLRs that
+    # level_llr_from_tables reads from the whole batch's full trees
     n = 32
     cons = construct_rf2(m, 16 * m, n)
     c = build_constellation(m)
     block = mlc_system._block_frames(m, n)
     demap = mlc_system.demap_tables
+    decode = mlc_system.scl_decode_batch
     calls = []
+    fed = []
 
     def counting(c, y, noise_var):
         calls.append(len(y))
         return demap(c, y, noise_var)
 
+    def recording(llrs, code, list_size):
+        fed.append(llrs.copy())
+        return decode(llrs, code, list_size)
+
     monkeypatch.setattr(mlc_system, "demap_tables", counting)
+    monkeypatch.setattr(mlc_system, "scl_decode_batch", recording)
     rng = np.random.default_rng(m)
     errors = 0
     for frames in (1, block - 1, block, block + 1, 3 * block + 5):
@@ -295,10 +304,20 @@ def test_blocked_demap_matches_reference(m, monkeypatch):
         for noise_var in (nv, nv * spread[:, :1], nv * spread):
             y = symbols + _noise(rng, symbols.shape, np.sqrt(noise_var / 2.0))
             calls.clear()
+            fed.clear()
             got = multistage_decode_batch(y, noise_var, cons, c, 2)
             want = multistage_reference.multistage_decode_batch(y, noise_var,
                                                                 cons, c, 2)
             _assert_same_outputs(got, want)
+            full = demap(c, y, noise_var)
+            levels = [level_llr_from_tables(
+                full, k + 1, labels_from_bits(got[3][:, :k].transpose(0, 2, 1), k))
+                for k in range(m)]
+            assert len(fed) == (m + 1) // 2
+            for j, llrs in enumerate(fed):
+                ref = np.concatenate(levels[2 * j:2 * j + 2])
+                assert llrs.dtype == ref.dtype == np.float64
+                assert np.array_equal(llrs.view(np.int64), ref.view(np.int64))
             errors += sum(int((g != p).any(axis=1).sum())
                           for g, p in zip(got[0], pay))
             if m <= 2:  # every level is the last of its axis
@@ -337,5 +356,37 @@ def test_demap_working_memory(monkeypatch):
     # y's size, two float64 values per symbol, stands for the first pair's
     # LLRs. Demapping the whole batch at once peaks at 9.45 MiB here, against
     # this 5.24 MiB bound
+    bound = kept + mlc_system._DEMAP_BYTES + y.nbytes
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def test_kept_tables_hold_per_prefix_llrs(monkeypatch):
+    # the batch of test_demap_working_memory: depths 1 and 2 of each axis
+    # are held as their per-prefix LLR tables, 1 + 2 entries per axis and
+    # symbol instead of the 2 + 4 of the depths themselves
+    frames, n = 155, 256
+    cons = construct_rf2(6, load_mcs_table()[15].k_for(n), n)
+    c = build_qam(6)
+    rng = np.random.default_rng(155)
+    y = c.points[rng.integers(0, 64, (frames, n))] + _noise(rng, (frames, n), 0.1)
+    kept = 2 * frames * n * (1 + 2) * 8
+
+    class FirstCall(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstCall(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(mlc_system, "scl_decode_batch", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCall) as first:
+            multistage_decode_batch(y, np.full((frames, 1), 0.02), cons, c, 8)
+    finally:
+        tracemalloc.stop()
+    peak = first.value.args[0]
+    # as in test_demap_working_memory, y's size stands for the first pair's
+    # LLRs. This reads 2.91 MiB against a 3.42 MiB bound; holding the depths
+    # themselves peaks at 4.82 MiB
     bound = kept + mlc_system._DEMAP_BYTES + y.nbytes
     assert peak < bound, (peak / 2**20, bound / 2**20)

@@ -1,10 +1,14 @@
+import concurrent.futures
 import functools
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,8 +375,9 @@ def _fork_pool(monkeypatch):
     that they run the stubs patched into ``sim``."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the stub reaches pool workers only through fork")
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor,
+                                          mp_context=multiprocessing.get_context("fork")))
 
 
 def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
@@ -572,7 +577,7 @@ def test_each_entry_point_starts_one_pool(monkeypatch):
             made.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     table = _tiny_table()
     method, mcs, n, target, blocks, errors, seed = SPECULATION_WALKS["chunked"]
     calls = {
@@ -596,6 +601,31 @@ def test_each_entry_point_starts_one_pool(monkeypatch):
         assert multiprocessing.active_children() == [], name
         if name.startswith("multi-chunk"):
             assert max(p.blocks for p in result.probes) > 512
+
+
+def test_single_worker_runs_load_no_pool_machinery():
+    # in a fresh interpreter: pytest itself has already imported the pool here
+    code = (
+        "import sys\n"
+        "import mlcpcm\n"
+        "mlcpcm.run_bler(mlcpcm.SimConfig(method='rf2', m=4, n=16, k=32,\n"
+        "    snr_grid_db=(6.0, 7.0), list_size=2, max_blocks=16, max_errors=4),\n"
+        "    workers=1)\n"
+        "table = (mlcpcm.McsEntry(index=0, m=2, rate_x1024=256),)\n"
+        "mlcpcm.min_required_snr('rf1', table[0], 16, 0.5, list_size=1,\n"
+        "    max_blocks=8, max_errors=4, workers=1)\n"
+        "lut = mlcpcm.build_bler_lut('rf2', table, 16, span_db=2.0, step_db=2.0,\n"
+        "    list_size=1, max_blocks=8, max_errors=4, workers=1)\n"
+        "mlcpcm.run_throughput(mlcpcm.SimConfig(method='rf2', m=2, n=16, k=0,\n"
+        "    snr_grid_db=(6.0,), list_size=1, max_blocks=8), table, lut,\n"
+        "    workers=1)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    src = Path(sim.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def _tiny_table():
