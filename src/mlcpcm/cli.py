@@ -22,11 +22,11 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .constellation import build_constellation
-from .construction import (DEFAULT_EPS, construct_ga, construct_rf1,
-                           construct_rf2, finite_bl_values, pw_sequence)
+from .construction import DEFAULT_EPS, finite_bl_values, pw_sequence
 from .mp_analysis import level_stats
-from .sim import (SimConfig, SimCurve, build_bler_lut, load_mcs_table,
-                  min_required_snr, run_bler, run_throughput)
+from .sim import (SimConfig, SimCurve, build_bler_lut, build_construction,
+                  k_for_rate, load_mcs_table, min_required_snr, run_bler,
+                  run_throughput)
 
 
 class _UsageError(Exception):
@@ -128,16 +128,11 @@ def _cmd_construct(args) -> None:
         raise _UsageError("--snr-db applies to --method ga only")
     if args.snr_db is None and args.method == "ga":
         raise _UsageError("ga construction needs --snr-db")
-    k = args.k if args.k is not None else int(np.floor(args.m * args.n * args.rate + 0.5))
+    k = args.k if args.k is not None else k_for_rate(args.m, args.n, args.rate)
     seq = _checked(pw_sequence, args.n) if args.seq == "pw" else None
-    if args.method == "rf1":
-        cc = _checked(construct_rf1, args.m, k, args.n, seq=seq)
-    elif args.method == "rf2":
-        eps = DEFAULT_EPS if args.eps is None else args.eps
-        cc = _checked(construct_rf2, args.m, k, args.n, eps=eps, seq=seq)
-    else:
-        cc = _checked(construct_ga, _checked(build_constellation, args.m), k,
-                      args.n, args.snr_db)
+    eps = DEFAULT_EPS if args.eps is None else args.eps
+    c = _checked(build_constellation, args.m)
+    cc = _checked(build_construction, args.method, c, k, args.n, eps, args.snr_db, seq)
     print(f"# method={cc.method} m={cc.m} n={cc.n} k={cc.k_total} "
           f"design_snr_db={cc.design_snr_db} eps={cc.eps}")
     rows = []
@@ -186,7 +181,7 @@ def _sim_config(args, base: dict,
         raise _UsageError("an SNR grid is required (--snr-db / --snr-start or config)")
     try:
         if getattr(args, "rate", None) is not None:
-            merged["k"] = int(np.floor(merged["m"] * merged["n"] * args.rate + 0.5))
+            merged["k"] = k_for_rate(merged["m"], merged["n"], args.rate)
         return SimConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
@@ -270,6 +265,20 @@ def _open_unit(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
 def _out_file(text: str) -> str:
     if not text.endswith((".csv", ".json")):
         raise argparse.ArgumentTypeError(f"must end in .csv or .json, got {text!r}")
@@ -278,17 +287,17 @@ def _out_file(text: str) -> str:
 
 def _add_grid(p) -> None:
     first = p.add_mutually_exclusive_group()
-    first.add_argument("--snr-db", type=float, nargs="+",
+    first.add_argument("--snr-db", type=_finite, nargs="+",
                        help="explicit SNR grid points (dB)")
-    first.add_argument("--snr-start", type=float)
-    p.add_argument("--snr-stop", type=float)
-    p.add_argument("--snr-step", type=float, help="default 0.5")
+    first.add_argument("--snr-start", type=_finite)
+    p.add_argument("--snr-stop", type=_finite)
+    p.add_argument("--snr-step", type=_finite, help="default 0.5")
 
 
 def _add_k(p, required: bool) -> None:
     k = p.add_mutually_exclusive_group(required=required)
     k.add_argument("--k", type=int, help="total information bits")
-    k.add_argument("--rate", type=float, help="per-component rate K/(mN)")
+    k.add_argument("--rate", type=_rate, help="per-component rate K/(mN)")
 
 
 def _add_simulation(p) -> None:
@@ -326,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--n", type=int, required=True, help="component block length")
     _add_k(p, required=True)
     p.add_argument("--eps", type=float, help="rf2 only, default 0.1")
-    p.add_argument("--snr-db", type=float, help="design SNR, ga only")
+    p.add_argument("--snr-db", type=_finite, help="design SNR, ga only")
     p.add_argument("--seq", choices=("5g", "pw"), help="rf1/rf2 only, default 5g")
     p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 

@@ -308,10 +308,10 @@ def _saturated(m: int, n: int, method: str, eps: float | None) -> CodeConstructi
 def construct_rf1(m: int, k_total: int, n: int,
                   seq: RankSequence | None = None) -> CodeConstruction:
     """Capacity-proportional rate-filling construction."""
+    c = build_constellation(m)  # checks m, also for the saturated shortcut
     seq = default_sequence(n) if seq is None else seq
     if k_total == m * n:
         return _saturated(m, n, "rf1", None)
-    c = build_constellation(m)
     snr = solve_snr_capacity(c, k_total / n)
     v = level_stats(c, snr)[0]
     alloc = rate_fill(v, k_total, n)
@@ -323,10 +323,10 @@ def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
                   seq: RankSequence | None = None) -> CodeConstruction:
     """Finite-blocklength rate-filling construction."""
     _check_eps(eps)
+    c = build_constellation(m)  # checks m, also for the saturated shortcut
     seq = default_sequence(n) if seq is None else seq
     if k_total == m * n:
         return _saturated(m, n, "rf2", eps)
-    c = build_constellation(m)
     snr = solve_snr_finite(c, k_total / n, n, eps)
     v = finite_bl_values(c, snr, n, eps)
     alloc = rate_fill(v, k_total, n)
@@ -402,11 +402,10 @@ def construct_ga(c: Constellation, k_total: int, n: int,
     if not 0 <= k_total <= c.m * n:
         raise ValueError(f"K={k_total} outside [0, {c.m * n}]")
     cap = np.clip(level_stats(c, actual_snr_db)[0], 1e-12, 1.0 - 1e-12)
-    # square QAM levels pair up with equal capacities: bisect each value once
+    # square QAM levels pair up with equal capacities: bisect and evolve each value once
     distinct, inverse = np.unique(cap, return_inverse=True)
-    sigma = np.array([biawgn_sigma_for_capacity(float(ck))
-                      for ck in distinct])[inverse]
-    rel = ga_evolve(2.0 / sigma**2, n)
+    sigma = np.array([biawgn_sigma_for_capacity(float(ck)) for ck in distinct])
+    rel = ga_evolve(2.0 / sigma**2, n)[inverse]
     lvl, idx = np.divmod(np.arange(c.m * n), n)
     # global top-K by mean LLR, ties to smaller level then smaller index
     ranked = np.lexsort((idx, lvl, -rel.ravel()))[:k_total]

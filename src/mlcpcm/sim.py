@@ -19,26 +19,33 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constellation import Constellation, build_constellation
-from .construction import (DEFAULT_EPS, CodeConstruction, construct_ga,
-                           construct_rf1, construct_rf2, solve_snr_capacity)
+from .construction import (DEFAULT_EPS, CodeConstruction, RankSequence,
+                           construct_ga, construct_rf1, construct_rf2,
+                           solve_snr_capacity)
 from .mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
 
 if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
     from concurrent.futures import Future, ProcessPoolExecutor
 
 SNR_CLIP_DB = 200.0
+_FADE_FLOOR = 1e-30  # |h|^2 floor: a null fade keeps a finite SNR and N0/|h|^2
 DEFAULT_MAX_BLOCKS = 100_000
 DEFAULT_MAX_ERRORS = 100
 METHODS = ("rf1", "rf2", "ga")
 _BATCH_BYTES = 1 << 25  # chunk budget in full demap tree bytes (_batch_size)
 _MAX_ROWS = 512  # LLR rows per decoder call
+
+
+def k_for_rate(m: int, n: int, rate: float) -> int:
+    """Information bits (CRC included) at per-level rate: m n rate, half up."""
+    return int(np.floor(m * n * rate + 0.5))
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ class McsEntry:
 
     def k_for(self, n: int) -> int:
         """Information bits (CRC included) for block length n."""
-        return int(np.floor(self.m * n * self.rate + 0.5))
+        return k_for_rate(self.m, n, self.rate)
 
 
 def load_mcs_table(path=None) -> tuple[McsEntry, ...]:
@@ -91,7 +98,8 @@ class SimConfig:
     m, n, k      bits per symbol (1 or even), component block length N (a
                  power of two) and total information bits K in [0, mN]
                  (CRC included)
-    snr_grid_db  strictly increasing Es/N0 points in dB (mean SNRs for fading)
+    snr_grid_db  strictly increasing, finite Es/N0 points in dB (mean SNRs for
+                 fading); those above SNR_CLIP_DB simulate as SNR_CLIP_DB
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
     max_errors   frame errors that end a BLER point early
@@ -133,6 +141,9 @@ class SimConfig:
             raise ValueError(f"k must lie in [0, m n] = [0, {self.m * self.n}], "
                              f"got {self.k}")
         grid = tuple(float(s) for s in self.snr_grid_db)
+        for s in grid:
+            if not np.isfinite(s):
+                raise ValueError(f"SNR grid points must be finite, got {s}")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be non-empty and strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -178,23 +189,29 @@ def frame_rng(seed: int, snr_idx: int, frame_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _noise_var(snr_db: float) -> float:
+    """N0 = 10^(-snr/10) at unit Es, snr clipped at SNR_CLIP_DB: a Python scalar
+    power, as a vectorised one may differ in the last ulp."""
+    return 10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)
+
+
 def awgn_transmit(symbols: np.ndarray, snr_db: float,
                   rng: np.random.Generator) -> np.ndarray:
     """y = x + n with circularly symmetric noise of total variance 10^(-snr/10)."""
-    snr_db = min(float(snr_db), SNR_CLIP_DB)
-    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    sigma = np.sqrt(_noise_var(snr_db) / 2.0)
     nr = rng.standard_normal(symbols.shape)
     ni = rng.standard_normal(symbols.shape)
     return symbols + sigma * (nr + 1j * ni)
 
 
 def build_construction(method: str, c: Constellation, k: int, n: int,
-                       eps: float, snr_db: float | None = None) -> CodeConstruction:
-    """Dispatch on method tag; ga needs the operating SNR (online method)."""
+                       eps: float, snr_db: float | None = None,
+                       seq: RankSequence | None = None) -> CodeConstruction:
+    """Dispatch on method tag; ga needs the operating SNR, rf1/rf2 rank by seq."""
     if method == "rf1":
-        return construct_rf1(c.m, k, n)
+        return construct_rf1(c.m, k, n, seq=seq)
     if method == "rf2":
-        return construct_rf2(c.m, k, n, eps=eps)
+        return construct_rf2(c.m, k, n, eps=eps, seq=seq)
     if method == "ga":
         if snr_db is None:
             raise ValueError("ga construction requires the operating SNR")
@@ -248,13 +265,10 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
     for i, rng in enumerate(rngs):
         y[i] = awgn_transmit(symbols[i], snr_db[i], rng)
     del symbols  # released before decoding, which reads only y
-    # the scalar expression per frame: a vectorised power may differ in the
-    # last ulp
-    noise_var = np.array([10.0 ** (-min(s, SNR_CLIP_DB) / 10.0)
-                          for s in snr_db])[:, None]
+    noise_var = np.array([_noise_var(s) for s in snr_db])[:, None]
     if gains is not None:
         y = y / gains[:, None]
-        noise_var = noise_var / np.maximum(np.abs(gains) ** 2, 1e-30)[:, None]
+        noise_var = noise_var / np.maximum(np.abs(gains) ** 2, _FADE_FLOOR)[:, None]
     dec, _, _, _ = multistage_decode_batch(y, noise_var, cons, c, list_size)
     err = np.zeros(len(rngs), dtype=bool)
     for k in range(cons.m):
@@ -424,13 +438,14 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     """
     if not 0.0 < target_bler < 1.0:  # NaN fails too
         raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")
-    step = 0.25
-    k = mcs.k_for(n)
-    anchor = solve_snr_capacity(build_constellation(mcs.m), k / n)
-    s = np.floor(anchor / step) * step
-    cfg = SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=(s,),
+    # checked before the anchor solve; its grid is unread, as every probe
+    # passes its own SNR
+    cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
                     list_size=list_size, max_blocks=max_blocks,
                     max_errors=max_errors, seed=seed, eps=eps)
+    step = 0.25
+    anchor = solve_snr_capacity(build_constellation(mcs.m), cfg.k / n)
+    s = np.floor(anchor / step) * step
     cache: dict[float, SimPoint] = {}
     with _pool(workers) as pool:
         point = _chunk_scheduler(cfg, pool, workers)
@@ -495,20 +510,28 @@ def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
                    max_blocks: int = DEFAULT_MAX_BLOCKS,
                    max_errors: int = DEFAULT_MAX_ERRORS,
                    workers: int = 1) -> dict[int, SimCurve]:
-    """Per-MCS BLER curves on a grid around each capacity-matched SNR."""
+    """Per-MCS BLER curves on a grid around each capacity-matched SNR, from
+    step_db below it to span_db above it. Every entry's config is built and
+    checked before the first frame is simulated."""
+    if not (np.isfinite(span_db) and np.isfinite(step_db) and step_db > 0.0):
+        raise ValueError(f"span_db and step_db must be finite and step_db "
+                         f"positive, got {span_db} and {step_db}")
+
     def config(mcs: McsEntry) -> SimConfig:
+        # checked before the anchor solve, then given its grid
+        cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
+                        list_size=list_size, max_blocks=max_blocks,
+                        max_errors=max_errors, seed=seed, eps=eps)
         c = build_constellation(mcs.m)
-        k = mcs.k_for(n)
-        anchor = round(solve_snr_capacity(c, k / n) / step_db) * step_db
+        anchor = round(solve_snr_capacity(c, cfg.k / n) / step_db) * step_db
         grid = tuple(anchor + d for d in np.arange(-step_db, span_db + step_db / 2,
                                                    step_db))
-        return SimConfig(method=method, m=mcs.m, n=n, k=k, snr_grid_db=grid,
-                         list_size=list_size, max_blocks=max_blocks,
-                         max_errors=max_errors, seed=seed, eps=eps)
+        return replace(cfg, snr_grid_db=grid)
 
     with _pool(workers) as pool:
-        return {mcs.index: _bler_curve(config(mcs), pool, workers)
-                for mcs in mcs_table}
+        configs = [config(mcs) for mcs in mcs_table]
+        return {mcs.index: _bler_curve(cfg, pool, workers)
+                for mcs, cfg in zip(mcs_table, configs)}
 
 
 def _select_mcs(mcs_table: tuple[McsEntry, ...], lut: dict[int, SimCurve],
@@ -546,7 +569,7 @@ def _fading_batches(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
             rng = frame_rng(cfg.seed, snr_idx, frame)
             hr, hi = rng.standard_normal(2)
             h = complex(hr, hi) / np.sqrt(2.0)
-            inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, 1e-30))
+            inst = mean_snr + 10.0 * np.log10(max(abs(h) ** 2, _FADE_FLOOR))
             mcs = _select_mcs(mcs_table, bler_lut, inst, cfg.eps)
             batch = pending.setdefault(mcs, [])
             batch.append((snr_idx, rng, h, inst))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from mlcpcm.cli import main
+from mlcpcm.construction import construct_rf1, construct_rf2, pw_sequence
 
 
 def test_analyze_prints_level_table(capsys):
@@ -38,6 +39,27 @@ def test_construct_ga_needs_snr(capsys):
         main(["construct", "--m", "2", "--n", "16", "--k", "8", "--method", "ga"])
     assert main(["construct", "--m", "2", "--n", "16", "--k", "8",
                  "--method", "ga", "--snr-db", "3"]) == 0
+
+
+@pytest.mark.parametrize("method,construct", (("rf1", construct_rf1),
+                                               ("rf2", construct_rf2)))
+def test_construct_ranks_by_the_given_sequence(capsys, method, construct):
+    def info_sets(seq):
+        assert main(["construct", "--m", "4", "--n", "64", "--k", "64",
+                     "--method", method, "--seq", seq]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return [line.partition("A=")[2] for line in lines]
+
+    want = construct(4, 64, 64, seq=pw_sequence(64)).info_sets
+    assert info_sets("pw") == [" ".join(map(str, a)) for a in want]
+    assert info_sets("pw") != info_sets("5g")
+
+
+def test_construct_rate_rounds_half_up(capsys):
+    # 2 x 16 x 0.765625 = 24.5 information bits round to 25
+    assert main(["construct", "--m", "2", "--n", "16", "--rate", "0.765625",
+                 "--method", "rf1"]) == 0
+    assert " k=25 " in capsys.readouterr().out
 
 
 def test_bler_json_output(tmp_path, capsys):
@@ -327,6 +349,43 @@ def test_explicit_zero_reaches_validation(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: mlcpcm {argv[0]}") and message in err
+
+
+@pytest.mark.parametrize("argv,message", (
+    (["bler", "--m", "2", "--n", "16", "--k", "8", "--snr-start", "nan",
+      "--snr-stop", "3"], "argument --snr-start: must be finite, got 'nan'"),
+    (["bler", "--m", "2", "--n", "16", "--k", "8", "--snr-start", "0",
+      "--snr-stop", "inf"], "argument --snr-stop: must be finite, got 'inf'"),
+    (["bler", "--m", "2", "--n", "16", "--k", "8", "--snr-start=-inf",
+      "--snr-stop", "3"], "argument --snr-start: must be finite, got '-inf'"),
+    (["bler", "--m", "2", "--n", "16", "--k", "8", "--snr-start", "0",
+      "--snr-stop", "3", "--snr-step", "inf"],
+     "argument --snr-step: must be finite, got 'inf'"),
+    (["bler", "--config", "{cfg}", "--m", "2", "--n", "16", "--k", "8"],
+     "SNR grid points must be finite, got nan"),
+    (["throughput", "--snr-db", "inf", "--mcs", "0"],
+     "argument --snr-db: must be finite, got 'inf'"),
+    (["analyze", "--m", "4", "--snr-db", "inf"],
+     "argument --snr-db: must be finite, got 'inf'"),
+    (["construct", "--m", "4", "--n", "16", "--k", "8", "--method", "ga",
+      "--snr-db", "nan"], "argument --snr-db: must be finite, got 'nan'"),
+    (["construct", "--m", "4", "--n", "16", "--rate", "nan"],
+     "argument --rate: must lie in (0, 1], got 'nan'"),
+    (["bler", "--m", "2", "--n", "16", "--rate", "inf", "--snr-db", "1"],
+     "argument --rate: must lie in (0, 1], got 'inf'"),
+    (["construct", "--method", "rf1", "--m", "3", "--n", "16", "--k", "48"],
+     "square QAM needs even m >= 2, got 3"),
+))
+def test_invalid_snr_rate_and_m_are_usage_errors(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"snr_grid_db": [0.0, NaN]}')
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]  # after the usage lines, a one-line message
+    assert err.startswith(f"usage: mlcpcm {argv[0]}")
+    assert last.startswith(f"mlcpcm {argv[0]}: error: ") and message in last
 
 
 def test_unknown_command_rejected():

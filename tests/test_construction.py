@@ -282,6 +282,17 @@ def test_rf2_saturated_rejects_bad_eps(eps):
         construct_rf2(2, 63, 32, eps=eps)
 
 
+@pytest.mark.parametrize("construct,m,n", ((construct_rf1, 3, 16),
+                                            (construct_rf2, 5, 8),
+                                            (construct_rf1, 0, 16)))
+def test_rf_saturated_rejects_bad_m(construct, m, n):
+    # K = mN skips the SNR solve, which builds the constellation, unless m
+    # is checked first
+    for k in (m * n, m * n - 1):
+        with pytest.raises(ValueError, match="square QAM needs even m >= 2"):
+            construct(m, k, n)
+
+
 def test_rf_m1_degenerates_to_plain_polar():
     seq = five_g_sequence()
     for build in (construct_rf1, lambda m, k, n: construct_rf2(m, k, n, eps=0.1)):
@@ -521,6 +532,32 @@ def test_construct_ga_bisects_each_distinct_capacity_once(monkeypatch):
     got = construct_ga(build_qam(6), 600, 128, 11.0)
     assert len(calls) == len(set(calls)) == 3  # three axis levels, paired
     assert all(np.array_equal(a, b) for a, b in zip(want.info_sets, got.info_sets))
+
+
+@pytest.mark.parametrize("m,k,n,snr,means", ((4, 64, 32, 6.0, 2),
+                                             (8, 600, 128, 24.0, 4)))
+def test_construct_ga_evolves_each_distinct_design_mean_once(monkeypatch, m, k, n,
+                                                              snr, means):
+    # square QAM's paired levels share one evolution of their design mean
+    shapes = []
+
+    def recording(design_llr_mean, n):
+        shapes.append(np.shape(design_llr_mean))
+        return ga_evolve(design_llr_mean, n)
+
+    want = construct_ga(build_qam(m), k, n, snr)
+    monkeypatch.setattr(construction, "ga_evolve", recording)
+    got = construct_ga(build_qam(m), k, n, snr)
+    assert shapes == [(means,)]
+    assert all(np.array_equal(a, b) for a, b in zip(want.info_sets, got.info_sets))
+    # the info sets of one evolution per level
+    cap = np.clip(level_stats(build_qam(m), snr)[0], 1e-12, 1.0 - 1e-12)
+    sigma = np.array([biawgn_sigma_for_capacity(float(c)) for c in cap])
+    rel = ga_evolve(2.0 / sigma**2, n)
+    lvl, idx = np.divmod(np.arange(m * n), n)
+    ranked = np.lexsort((idx, lvl, -rel.ravel()))[:k]
+    assert [a.tolist() for a in got.info_sets] == \
+        [np.sort(idx[ranked[lvl[ranked] == j]]).tolist() for j in range(m)]
 
 
 def test_brentq_matches_scipy_bitwise(monkeypatch):

@@ -4,8 +4,12 @@ For a given (config, seed), every public simulation returns the same result
 at any batch size and worker count. Here each entry point runs small cases
 with the decoder's row cap ``sim._MAX_ROWS`` at 2, 34 and 512 rows (1, 17 and
 256 frames per chunk at m >= 2) and at 1 and 2 workers, and every returned
-dataclass must equal the one at 512 rows and 1 worker, wall time aside. The
-golden tests pin the values at one batch size; this test pins the rest.
+dataclass must equal the one at 512 rows and 1 worker, wall time aside. In
+one process, the same results must also come out of one-frame demap blocks
+(``mlc_system._DEMAP_BYTES``) and of 100-element boxplus blocks
+(``polar_codec._BLOCK``), where the blocked boxplus and the decoder's
+quarter update run several blocks and a partial last one. The golden tests
+pin the values at one batch size; this test pins the rest.
 """
 
 import dataclasses
@@ -13,6 +17,8 @@ import multiprocessing
 
 import pytest
 
+import mlcpcm.mlc_system as mlc_system
+import mlcpcm.polar_codec as polar_codec
 import mlcpcm.sim as sim
 from mlcpcm.sim import (
     McsEntry,
@@ -89,3 +95,16 @@ def test_contract_holds_at_any_batch_size_and_worker_count(monkeypatch, referenc
     for key, want in reference.items():
         assert got[key] == want, key
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("module,name,value", (
+    (mlc_system, "_DEMAP_BYTES", 1),
+    (polar_codec, "_BLOCK", 100),
+), ids=("one-frame-demap-blocks", "boxplus-blocks-of-100"))
+def test_contract_holds_at_any_demap_and_boxplus_block(monkeypatch, reference,
+                                                       module, name, value):
+    # in this process only: a pool worker need not see the patched module
+    monkeypatch.setattr(module, name, value)
+    got = _results(workers=1)
+    for key, want in reference.items():
+        assert got[key] == want, key

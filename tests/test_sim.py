@@ -70,6 +70,20 @@ def test_mcs_entry_helpers_and_validation():
         McsEntry(index=0, m=2, rate_x1024=0)
 
 
+def test_k_for_rate_rounds_half_up():
+    # m N rate = 24.5 rounds up and 24.48 down, for an MCS entry as for --rate
+    assert sim.k_for_rate(2, 16, 784 / 1024) == 25
+    assert McsEntry(index=0, m=2, rate_x1024=784).k_for(16) == 25
+    assert sim.k_for_rate(2, 16, 0.765) == 24
+
+
+@pytest.mark.parametrize("grid", ((float("nan"),), (float("-inf"), 0.0),
+                                  (0.0, float("inf")), (1.0, float("nan"))))
+def test_sim_config_refuses_non_finite_snr(grid):
+    with pytest.raises(ValueError, match="SNR grid points must be finite, got"):
+        _small_cfg(snr_grid_db=grid)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         _small_cfg(method="bogus")
@@ -143,6 +157,18 @@ def test_awgn_clips_to_noiseless():
     x = np.ones(100, dtype=complex)
     y = awgn_transmit(x, 250.0, np.random.default_rng(2))
     assert np.max(np.abs(y - x)) < 1e-9
+
+
+def test_snr_above_the_clip_transmits_and_decodes_as_the_clip():
+    # 10^(-snr/10) underflows to 0 near 3240 dB: the clip keeps both the
+    # channel noise and the decoder's noise variance those of SNR_CLIP_DB
+    x = np.ones(100, dtype=complex)
+    clipped = awgn_transmit(x, sim.SNR_CLIP_DB, np.random.default_rng(2))
+    assert np.array_equal(awgn_transmit(x, 4000.0, np.random.default_rng(2)),
+                          clipped)
+    assert not np.array_equal(clipped, x)
+    cfg = _small_cfg(snr_grid_db=(sim.SNR_CLIP_DB, 4000.0), max_blocks=20)
+    assert [(p.blocks, p.errors) for p in run_bler(cfg).points] == [(20, 0)] * 2
 
 
 def test_build_construction_dispatch():
@@ -530,6 +556,53 @@ def test_min_required_snr_rejects_target_outside_unit_interval(target):
     with pytest.raises(ValueError, match="target_bler"):
         min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
                          target)
+
+
+ENTRY_MCS = McsEntry(index=0, m=2, rate_x1024=512)
+
+
+BAD_ENTRY_CALLS = {
+    "minsnr-n0": (min_required_snr, ("rf1", ENTRY_MCS, 0, 0.1), {},
+                  "n must be a power of two"),
+    "minsnr-list3": (min_required_snr, ("rf1", ENTRY_MCS, 32, 0.1),
+                     {"list_size": 3}, "list size must be a power of two"),
+    "lut-n0": (build_bler_lut, ("rf2", (ENTRY_MCS,), 0), {},
+               "n must be a power of two"),
+    "lut-step0": (build_bler_lut, ("rf2", (ENTRY_MCS,), 32), {"step_db": 0.0},
+                  "step_db"),
+    "lut-step-negative": (build_bler_lut, ("rf2", (ENTRY_MCS,), 32),
+                          {"step_db": -1.0}, "step_db"),
+    "lut-step-inf": (build_bler_lut, ("rf2", (ENTRY_MCS,), 32),
+                     {"step_db": float("inf")}, "step_db"),
+    "lut-span-nan": (build_bler_lut, ("rf2", (ENTRY_MCS,), 32),
+                     {"span_db": float("nan")}, "span_db"),
+    "lut-errors0": (build_bler_lut, ("rf2", (ENTRY_MCS,), 32),
+                    {"max_errors": 0}, "budgets must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRY_CALLS))
+def test_entry_points_check_arguments_before_the_anchor_solve(monkeypatch, case):
+    fn, args, kwargs, message = BAD_ENTRY_CALLS[case]
+    solved = []
+    monkeypatch.setattr(sim, "solve_snr_capacity",
+                        lambda *args: solved.append(args) or 0.0)
+    with pytest.raises(ValueError, match=message):
+        fn(*args, **kwargs)
+    assert solved == []
+
+
+def test_build_bler_lut_checks_every_entry_before_simulating(monkeypatch):
+    # at N = 1 the second entry carries no information bit, which its anchor
+    # solve refuses; the first entry's curve is not simulated meanwhile
+    simulated = []
+    monkeypatch.setattr(sim, "_bler_chunk",
+                        lambda *args: simulated.append(args) or np.zeros(0, bool))
+    table = (McsEntry(index=0, m=8, rate_x1024=948),
+             McsEntry(index=1, m=2, rate_x1024=120))
+    with pytest.raises(ValueError, match="target sum-rate 0.0 outside"):
+        build_bler_lut("rf2", table, 1, max_blocks=4, max_errors=2)
+    assert simulated == []
 
 
 def _negate(x):
