@@ -29,6 +29,9 @@ from .sim import (SimConfig, SimCurve, build_bler_lut, build_construction,
                   run_throughput)
 
 
+_MAX_GRID_POINTS = 100_000  # SNR points of a --snr-start/--snr-stop grid
+
+
 class _UsageError(Exception):
     """Bad command-line input, reported as a usage error of the subcommand."""
 
@@ -54,7 +57,12 @@ def _parse_grid(args) -> tuple[float, ...] | None:
         raise _UsageError(f"--snr-step must be positive, got {step}")
     if args.snr_stop < args.snr_start:
         raise _UsageError("--snr-stop lies below --snr-start")
-    return tuple(np.arange(args.snr_start, args.snr_stop + step / 2, step))
+    stop = args.snr_stop + step / 2
+    # np.arange's point count, bounded before the grid is built
+    if (stop - args.snr_start) / step > _MAX_GRID_POINTS:
+        raise _UsageError(
+            f"the SNR grid would hold more than {_MAX_GRID_POINTS} points")
+    return tuple(np.arange(args.snr_start, stop, step))
 
 
 def _write(out: str, doc, header: list[str], rows) -> None:

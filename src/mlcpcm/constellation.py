@@ -16,11 +16,15 @@ bit 0, clipped to +-300.
 Demapping works per axis. Since |y - x|^2 = (Re y - a_I)^2 + (Im y - a_Q)^2,
 the likelihood sum over all labels completing a prefix factors into an
 in-phase sum over the in-phase completions and a quadrature sum over the
-quadrature ones. Level k's bit sits on axis (k-1) % 2, so its two hypotheses
-share the other axis's factor, which cancels in the LLR: the receiver needs
-only 2^(m/2+1) log-sum-exp entries per axis and symbol instead of a
-2^(m+1)-entry tree over full labels. Constellations without this product
-structure (``axis_amps`` None) are not demapped.
+quadrature ones. Level k's bit is bit d = (k-1)//2 + 1 of axis (k-1) % 2,
+so its two hypotheses share the other axis's factor, which cancels in the
+LLR. Given the axis's first d - 1 decided bits, the completions form one
+subtree of the axis's Gray labels: ``subtree_llr`` reduces its 2^(h-d+1)
+leaves (h the axis's label bits) to the halves under bit 0 and bit 1, so a
+level reads only its own subtree. ``demap_tables`` builds the subtrees of
+every depth at once, as tables that ``level_llr_from_tables`` and
+``level_llr`` read. Constellations without this product structure
+(``axis_amps`` None) are not demapped.
 """
 
 from __future__ import annotations
@@ -138,6 +142,17 @@ def bits_from_labels(lab: np.ndarray, m: int) -> np.ndarray:
     return ((lab[..., None] >> shifts) & 1).astype(np.int8)
 
 
+def _leaf_terms(amps: np.ndarray, y: np.ndarray,
+                noise_var: float | np.ndarray) -> np.ndarray:
+    """-(y - a)^2 / N0 for the amplitudes a on the last axis of ``amps``,
+    which broadcasts against y[..., None]; noise_var broadcasts against y.
+    Formed in one array, with no temporary of its size."""
+    t = y[..., None] - amps
+    np.square(t, out=t)
+    np.negative(t, out=t)
+    return np.divide(t, np.asarray(noise_var, dtype=np.float64)[..., None], out=t)
+
+
 def pam_tables(amp_by_label: np.ndarray, y: np.ndarray,
                noise_var: float | np.ndarray) -> list[np.ndarray]:
     """Per-depth log-likelihood tables of real samples on one Gray-labeled axis.
@@ -147,8 +162,7 @@ def pam_tables(amp_by_label: np.ndarray, y: np.ndarray,
     T[d][..., p] = ln sum_{axis labels g with first d bits == p} exp(-(y - amp_g)^2 / N0).
     noise_var may be an array broadcastable against y.
     """
-    scale = np.asarray(noise_var, dtype=np.float64)[..., None]
-    t = -(y[..., None] - amp_by_label) ** 2 / scale
+    t = _leaf_terms(amp_by_label, y, noise_var)
     tables = [t]
     while t.shape[-1] > 1:
         t = np.logaddexp(t[..., 0::2], t[..., 1::2])
@@ -193,53 +207,30 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
     return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
 
 
-def prefix_llr_table(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-prefix LLR table of one ``pam_tables`` depth d >= 1.
+def subtree_llr(c: Constellation, y: np.ndarray, noise_var: float | np.ndarray,
+                k: int, prefix_labels: np.ndarray) -> np.ndarray:
+    """LLR of bit level k (1-based) from its own axis subtree.
 
-    Entry p of the result, shape t.shape[:-1] + (2^(d-1),), is
-    t[..., 2p] - t[..., 2p + 1]: the unclipped LLR of the axis's bit d given
-    its first d - 1 bits p. It is written into ``out`` when given.
-    """
-    return np.subtract(t[..., 0::2], t[..., 1::2], out=out)
-
-
-def level_llr_from_prefix_tables(tables: list[list[np.ndarray | None]], k: int,
-                                 prefix_labels: np.ndarray) -> np.ndarray:
-    """``level_llr_from_tables`` on per-prefix LLR tables.
-
-    tables[axis][d] is ``prefix_llr_table`` of that axis's depth d, so the
-    LLR is one gather at the axis prefix and the same clip. It forms the
-    same difference of the same two entries, so the result is bit-identical.
+    Level k is bit d = (k-1)//2 + 1 of axis (k-1) % 2. Of the k-1 decided
+    bits in prefix_labels (b_1 as MSB), the axis's first d - 1 form its
+    prefix p, and the axis labels completing p are row p of the axis
+    amplitudes split into 2^(d-1) rows. The row's leaves -(y_a - a)^2 / N0
+    reduce pairwise with logaddexp to the halves under bit 0 and bit 1,
+    whose difference, clipped, is the LLR. These are the operations, operands
+    and order by which ``level_llr_from_tables`` reads the LLR from
+    ``demap_tables``, so the result is bit-identical to it. y, prefix_labels
+    and noise_var (broadcastable) share one shape.
     """
     axis = (k - 1) % 2
-    t = tables[axis][(k - 1) // 2 + 1]
     p = _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
-    llr = np.take_along_axis(t, p[..., None], axis=-1)[..., 0]
-    return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
-
-
-def last_level_llr(c: Constellation, y: np.ndarray,
-                   noise_var: float | np.ndarray, k: int,
-                   prefix_labels: np.ndarray) -> np.ndarray:
-    """LLR of bit level k (1-based), the last level on its axis, without tables.
-
-    The last level of an axis has one label completion per hypothesis, so
-    its LLR is the difference of two -(y - a)^2 / N0 terms. These are the
-    two entries of the deepest ``demap_tables`` depth that
-    ``level_llr_from_tables`` would read, formed per symbol by the same
-    elementwise operations, so the result is bit-identical to it.
-    """
-    axis = (k - 1) % 2
-    if (k - 1) // 2 + 1 != (c.m + 1 - axis) // 2:
-        raise ValueError(f"level {k} is not the last level on its axis")
-    amps = c.axis_amp_by_label()
+    rows = c.axis_amp_by_label().reshape(1 << (k - 1) // 2, -1)
     part = np.asarray(y, dtype=np.complex128)
     part = part.imag if axis else part.real
-    scale = np.asarray(noise_var, dtype=np.float64)
-    p = 2 * _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
-    num = -(part - amps[p]) ** 2 / scale
-    den = -(part - amps[p + 1]) ** 2 / scale
-    return np.clip(num - den, -LLR_CLIP, LLR_CLIP)
+    t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)
+    while t.shape[-1] > 2:
+        t = np.logaddexp(t[..., 0::2], t[..., 1::2])
+    llr = t[..., 0] - t[..., 1]
+    return np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
 
 
 def level_llr(c: Constellation, y: complex, noise_var: float,

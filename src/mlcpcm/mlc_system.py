@@ -16,25 +16,21 @@ zero standing in for it, exactly as it would be after. Both levels of a
 pair then decode as one 2F-row call with a code per row block; BPSK's
 single level decodes as a group of one.
 
-Pair j reads only depth j + 1 of each axis's demap tree, and only as the
-LLR of its bit given the axis prefix already decided; the last level of an
-axis forms its LLR per symbol. So per batch the demapper holds, for depths
-1 .. h - 1 of each axis (h = m/2, the axis's label bits), the per-prefix
-LLR table of that depth: 1 + 2 + 4 entries per axis and symbol at 256QAM
-instead of the full tree's 31. The full trees are formed one block of
-frames at a time and reduced to these tables in place. Each table is
-released once its level's LLRs are formed. BPSK and QPSK call no demapper.
+Each level's LLRs come from ``subtree_llr``: the leaves of the axis
+subtree under the level's decided axis prefix, reduced to the two halves
+under its bit. Every level, the last of each axis and BPSK's included,
+forms them in blocks of frames whose widest subtree leaves fill
+_DEMAP_BYTES, and nothing is kept from one level to the next.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellation import (Constellation, demap_tables, last_level_llr,
-                            level_llr_from_prefix_tables, prefix_llr_table)
-# not called here; kept in this namespace because bench/tracing.py wraps it
-# here and counts a missing name as an absent wrapper
-from .constellation import level_llr_from_tables  # noqa: F401
+from .constellation import Constellation, subtree_llr
+# not called here; kept in this namespace because bench/tracing.py wraps
+# them here and counts a missing name as an absent wrapper
+from .constellation import demap_tables, level_llr_from_tables  # noqa: F401
 from .construction import CodeConstruction
 from .polar_codec import (ComponentCode, RowBlocks, crc_attach, polar_encode,
                           scl_decode_batch)
@@ -68,48 +64,10 @@ def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
     return c.points[labels], coded
 
 
-# full demap trees formed per demap_tables call; of 0.25 to 4 MiB, 1 MiB
-# demapped the benchmark's 16QAM to 256QAM batches fastest
+# leaves of the widest axis subtree formed per subtree_llr call; of 0.25 to
+# 4 MiB, 1 MiB formed the LLRs of 256-frame 16QAM to 256QAM batches at
+# N = 256 about fastest
 _DEMAP_BYTES = 1 << 20
-
-
-def _block_frames(m: int, n: int) -> int:
-    """Frames per ``demap_tables`` call: as many as fit their full trees
-    (two axes of 2^(h+1) - 1 float64 entries per symbol) in _DEMAP_BYTES,
-    and at least one."""
-    h = (m + 1) // 2
-    return max(_DEMAP_BYTES // (2 * ((2 << h) - 1) * n * 8), 1)
-
-
-def _kept_tables(c: Constellation, y: np.ndarray,
-                 noise_var: float | np.ndarray) -> list[list[np.ndarray | None]]:
-    """The per-prefix LLR tables of a batch that multistage decoding reads.
-
-    Level pair j reads depth j + 1 of each axis, only as the LLR of its bit
-    given the decided axis prefix, so depth d is held as its
-    ``prefix_llr_table``, shape (F, N, 2^(d - 1)). Depth 0 is never read,
-    and an axis's deepest depth h only by its last level, whose LLR
-    ``last_level_llr`` forms per symbol, so both are None and only depths
-    1 .. h - 1 are held for the whole batch (1 + 2 + 4 entries per axis and
-    symbol at 256QAM). The full trees are formed ``_block_frames`` frames at
-    a time, with ``noise_var`` sliced with its frames, and reduced into the
-    batch tables; when h is 1 (BPSK, QPSK) nothing is demapped at all.
-    """
-    f, n = y.shape
-    h = (c.m + 1) // 2
-    tables = [[None, *(np.empty((f, n, 1 << (d - 1))) for d in range(1, h)), None]
-              for _ in range(1 if c.m == 1 else 2)]
-    if h == 1:
-        return tables
-    step = _block_frames(c.m, n)
-    noise_var = np.broadcast_to(noise_var, y.shape)
-    for lo in range(0, f, step):
-        block = demap_tables(c, y[lo:lo + step], noise_var[lo:lo + step])
-        for axis, full in enumerate(block):
-            for d in range(1, h):
-                prefix_llr_table(full[d], out=tables[axis][d][lo:lo + step])
-        del block, full  # freed before the next block's trees are formed
-    return tables
 
 
 def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
@@ -128,16 +86,10 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     """
     y = np.asarray(y, dtype=np.complex128)
     f, n = y.shape
-    tables = _kept_tables(c, y, noise_var)
-    depth = len(tables[0]) - 1  # of each axis's tree
-
-    def llr(k: int, prefix: np.ndarray) -> np.ndarray:
-        if k // 2 + 1 == depth:
-            return last_level_llr(c, y, noise_var, k + 1, prefix)
-        out = level_llr_from_prefix_tables(tables, k + 1, prefix)
-        tables[k % 2][k // 2 + 1] = None  # no later level reads this depth
-        return out
-
+    noise_var = np.broadcast_to(noise_var, y.shape)
+    # frames per subtree_llr call: level 0's leaves, one per axis amplitude
+    # and symbol, fill _DEMAP_BYTES, and deeper subtrees are narrower
+    step = max(_DEMAP_BYTES // (c.axis_amp_by_label().size * n * 8), 1)
     codes = component_codes(cons)
     # m label bits; uint8 up to 256QAM
     prefix = np.zeros((f, n), dtype=np.min_scalar_type((1 << c.m) - 1))
@@ -149,7 +101,13 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
         # zero stands in for level k's decision and the levels of a pair
         # decode as one call of F rows per level
         group = codes[k:k + 2]
-        llrs = np.concatenate([llr(k + j, prefix << j) for j in range(len(group))])
+        llrs = np.empty((len(group) * f, n))
+        for j in range(len(group)):
+            out = llrs[j * f:(j + 1) * f]
+            for lo in range(0, f, step):
+                out[lo:lo + step] = subtree_llr(
+                    c, y[lo:lo + step], noise_var[lo:lo + step], k + j + 1,
+                    prefix[lo:lo + step] << j)
         pays, cws, ok, _ = scl_decode_batch(
             llrs, RowBlocks(group, (f,) * len(group)), list_size)
         for j, pay in enumerate(pays):

@@ -20,7 +20,9 @@ structure are not supported. The rule is packaged data
 port of Cephes ``ndtri``, so nothing here imports SciPy.
 
 SNR is Es/N0 in dB with unit symbol energy, so N0 = 10^(-snr_db/10) and the
-per-real-dimension noise variance is N0/2. Information is measured in bits.
+per-real-dimension noise variance is N0/2. SNRs above SNR_CLIP_DB are taken
+as SNR_CLIP_DB, here and in the simulator, so N0 never underflows to 0.
+Information is measured in bits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .constellation import Constellation, pam_tables
 
 LN2 = np.log(2.0)
+SNR_CLIP_DB = 200.0  # higher Es/N0 is taken as this, so N0 stays positive
 _SQRT2 = math.sqrt(2.0)
 
 _stats_cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
@@ -155,10 +158,15 @@ def finite_bl_rate(i: float, v: float, n: int, eps: float) -> float:
     return i - np.sqrt(v / n) * q_inverse(eps)
 
 
+def noise_n0(snr_db: float) -> float:
+    """N0 = 10^(-snr/10) at unit Es, snr clipped at SNR_CLIP_DB: a Python scalar
+    power, as a vectorised one may differ in the last ulp."""
+    return 10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)
+
+
 def noise_sigma(snr_db: float) -> float:
-    """Per-real-dimension noise std dev at Es/N0 = snr_db with Es = 1."""
-    n0 = 10.0 ** (-snr_db / 10.0)
-    return np.sqrt(n0 / 2.0)
+    """Per-real-dimension noise std dev sqrt(N0/2) at Es/N0 = snr_db with Es = 1."""
+    return np.sqrt(noise_n0(snr_db) / 2.0)
 
 
 @lru_cache(maxsize=1)

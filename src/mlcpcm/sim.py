@@ -30,11 +30,12 @@ from .construction import (DEFAULT_EPS, CodeConstruction, RankSequence,
                            construct_ga, construct_rf1, construct_rf2,
                            solve_snr_capacity)
 from .mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
+from .mp_analysis import noise_n0, noise_sigma
+from .mp_analysis import SNR_CLIP_DB  # noqa: F401  the clip SimConfig documents
 
 if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
     from concurrent.futures import Future, ProcessPoolExecutor
 
-SNR_CLIP_DB = 200.0
 _FADE_FLOOR = 1e-30  # |h|^2 floor: a null fade keeps a finite SNR and N0/|h|^2
 DEFAULT_MAX_BLOCKS = 100_000
 DEFAULT_MAX_ERRORS = 100
@@ -189,16 +190,11 @@ def frame_rng(seed: int, snr_idx: int, frame_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _noise_var(snr_db: float) -> float:
-    """N0 = 10^(-snr/10) at unit Es, snr clipped at SNR_CLIP_DB: a Python scalar
-    power, as a vectorised one may differ in the last ulp."""
-    return 10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)
-
-
 def awgn_transmit(symbols: np.ndarray, snr_db: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """y = x + n with circularly symmetric noise of total variance 10^(-snr/10)."""
-    sigma = np.sqrt(_noise_var(snr_db) / 2.0)
+    """y = x + n with circularly symmetric noise of total variance
+    N0 = noise_n0(snr_db)."""
+    sigma = noise_sigma(snr_db)
     nr = rng.standard_normal(symbols.shape)
     ni = rng.standard_normal(symbols.shape)
     return symbols + sigma * (nr + 1j * ni)
@@ -220,14 +216,14 @@ def build_construction(method: str, c: Constellation, k: int, n: int,
 
 
 def _batch_size(m: int, n: int, cap: int) -> int:
-    """Frames per chunk: within the demap table budget, at most ``cap``, and
+    """Frames per chunk: within the _BATCH_BYTES budget, at most ``cap``, and
     at most _MAX_ROWS rows per decoder call, where a level pair decodes as
     one call of two rows per frame."""
-    # two axes of 2^(h+1) float64 entries per symbol (h = ceil(m/2)), more
-    # than four times the 2^(h-1) - 1 per-prefix LLRs per axis a batch holds
-    # (the full trees are formed one 1 MiB block at a time), so the kept
-    # tables stay under _BATCH_BYTES / 4. At large N this term is also the
-    # only cap on frames per chunk, and with it on decoder working memory
+    # counts two axes of 2^(h+1) float64 entries per symbol (h = ceil(m/2)),
+    # the full demap trees, though a batch holds no demap table: each level
+    # forms its LLRs from its own axis subtree, 1 MiB of leaves at a time.
+    # At large N this term is the only cap on frames per chunk, and with it
+    # on decoder working memory
     per_frame = n * 2 * (1 << ((m + 1) // 2 + 1)) * 8
     rows = 1 if m == 1 else 2
     return int(np.clip(_BATCH_BYTES // max(per_frame, 1), 16,
@@ -265,7 +261,7 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
     for i, rng in enumerate(rngs):
         y[i] = awgn_transmit(symbols[i], snr_db[i], rng)
     del symbols  # released before decoding, which reads only y
-    noise_var = np.array([_noise_var(s) for s in snr_db])[:, None]
+    noise_var = np.array([noise_n0(s) for s in snr_db])[:, None]
     if gains is not None:
         y = y / gains[:, None]
         noise_var = noise_var / np.maximum(np.abs(gains) ** 2, _FADE_FLOOR)[:, None]

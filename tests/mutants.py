@@ -27,10 +27,11 @@ MUTANTS = (
     ("sim.py", "int(np.floor(m * n * rate + 0.5))", "int(np.floor(m * n * rate))",
      ("tests/test_sim.py::test_k_for_rate_rounds_half_up",
       "tests/test_cli.py::test_construct_rate_rounds_half_up")),
-    # N0 from Es/N0 clips the SNR
-    ("sim.py", "10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)",
+    # N0 from Es/N0 clips the SNR, in the simulator and the analysis alike
+    ("mp_analysis.py", "10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)",
      "10.0 ** (-float(snr_db) / 10.0)",
-     ("tests/test_sim.py::test_snr_above_the_clip_transmits_and_decodes_as_the_clip",)),
+     ("tests/test_sim.py::test_snr_above_the_clip_transmits_and_decodes_as_the_clip",
+      "tests/test_mp_analysis.py::test_level_stats_above_the_clip_are_those_at_the_clip")),
     # one fade floor for the instantaneous SNR and the decoder's noise variance
     ("sim.py", "_FADE_FLOOR = 1e-30", "_FADE_FLOOR = 0.1",
      ("tests/test_sim.py::test_throughput_scheduler_matches_per_chunk_reference",)),
@@ -53,10 +54,21 @@ MUTANTS = (
      "for r in range(0, a.size - a.size % _BLOCK, _BLOCK):",
      ("tests/test_contract.py::test_contract_holds_at_any_demap_and_boxplus_block"
       "[boxplus-blocks-of-100]",)),
-    ("mlc_system.py", "demap_tables(c, y[lo:lo + step], noise_var[lo:lo + step])",
-     "demap_tables(c, y[lo:lo + step + 1], noise_var[lo:lo + step + 1])",
+    ("mlc_system.py", "y[lo:lo + step], noise_var[lo:lo + step]",
+     "y[lo:lo + step + 1], noise_var[lo:lo + step + 1]",
      ("tests/test_contract.py::test_contract_holds_at_any_demap_and_boxplus_block"
       "[one-frame-demap-blocks]",)),
+    # each level's LLRs come from its own axis's samples, prefix and subtree,
+    # bit for bit
+    ("constellation.py", "part = part.imag if axis else part.real",
+     "part = part.real if axis else part.imag",
+     ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
+    ("constellation.py", "_axis_label_bits(np.asarray(prefix_labels), k - 1, axis)\n    rows",
+     "_axis_label_bits(np.asarray(prefix_labels), k - 1, 1 - axis)\n    rows",
+     ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
+    ("constellation.py", "t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)",
+     "t = np.nextafter(_leaf_terms(np.take(rows, p, axis=0), part, noise_var), 0.0)",
+     ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
 )
 
 

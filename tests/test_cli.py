@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from mlcpcm.cli import main
@@ -386,6 +387,28 @@ def test_invalid_snr_rate_and_m_are_usage_errors(tmp_path, capsys, argv, message
     last = err.splitlines()[-1]  # after the usage lines, a one-line message
     assert err.startswith(f"usage: mlcpcm {argv[0]}")
     assert last.startswith(f"mlcpcm {argv[0]}: error: ") and message in last
+
+
+def test_snr_grid_is_bounded_before_it_is_built(monkeypatch, capsys):
+    # 10^9 points, 8 GB of float64, are refused as a usage error before
+    # np.arange would allocate them
+    def arange(*args, **kwargs):
+        raise AssertionError(f"np.arange{args} was called")
+
+    monkeypatch.setattr(np, "arange", arange)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--m", "4", "--snr-start", "0", "--snr-stop", "1e9",
+              "--snr-step", "1"])
+    assert exc.value.code == 2
+    assert "more than 100000 points" in capsys.readouterr().err
+
+
+def test_analyze_above_the_snr_clip_prints_finite_values(capsys):
+    # above about 3240 dB N0 underflowed to 0 and every statistic was NaN
+    assert main(["analyze", "--m", "4", "--snr-db", "200", "4000"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert "nan" not in " ".join(rows).lower()
+    assert rows[0].split()[1:] == rows[1].split()[1:]
 
 
 def test_unknown_command_rejected():

@@ -14,6 +14,7 @@ from mlcpcm.constellation import (
     level_llr,
     level_llr_from_tables,
     map_bits,
+    subtree_llr,
 )
 
 import demap_reference as reference
@@ -197,6 +198,25 @@ def test_tables_match_reference(m):
                                       + 1j * rng.standard_normal((3, 40)))
         gap, dist = _reference_gap(c, y, nv, seed=trial)
         assert gap <= 1e-13 * (1.0 + dist), (m, trial, gap, dist)
+
+
+@pytest.mark.parametrize("m", MS)
+def test_subtree_llr_is_the_tables_llr(m):
+    # every level, random prefixes (also ones the symbols contradict),
+    # scalar, per-frame and per-symbol N0 down to 1e-6, and samples far
+    # outside the constellation: the same LLRs, bit for bit
+    c = build_constellation(m)
+    rng = np.random.default_rng(200 + m)
+    f, n = 3, 50
+    y = 3.0 * (rng.standard_normal((f, n)) + 1j * rng.standard_normal((f, n)))
+    for nv in (0.3, np.exp(rng.uniform(-3.0, 1.0, (f, 1))),
+               np.exp(rng.uniform(-3.0, 1.0, (f, n))), 1e-6):
+        tabs = demap_tables(c, y, nv)
+        for k in range(1, m + 1):
+            prefix = rng.integers(0, 2 ** (k - 1), (f, n))
+            got = subtree_llr(c, y, nv, k, prefix)
+            want = level_llr_from_tables(tabs, k, prefix)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (nv, k)
 
 
 def test_tables_need_axis_structure():

@@ -270,29 +270,32 @@ BLOCKED_SNR_DB = {1: -1.0, 2: 3.0, 4: 9.0, 6: 14.5, 8: 20.0}
 
 @pytest.mark.parametrize("m", BLOCKED_SNR_DB)
 def test_blocked_demap_matches_reference(m, monkeypatch):
-    # the demap trees are formed B frames at a time; batches of one, just
-    # under, at, just over and several blocks plus a partial one decode as
-    # the whole-batch reference does, at scalar, per-frame and per-symbol
-    # noise variance, and feed the decoder, bit for bit, the LLRs that
-    # level_llr_from_tables reads from the whole batch's full trees
+    # each level's LLRs are formed B frames at a time, B the frames whose
+    # widest subtree leaves (2^ceil(m/2) float64 values per symbol) fill
+    # _DEMAP_BYTES; batches of one, just under, at, just over and several
+    # blocks plus a partial one decode as the whole-batch reference does, at
+    # scalar, per-frame and per-symbol noise variance, and feed the decoder,
+    # bit for bit, the LLRs that level_llr_from_tables reads from the whole
+    # batch's full trees
     n = 32
     cons = construct_rf2(m, 16 * m, n)
     c = build_constellation(m)
-    block = mlc_system._block_frames(m, n)
+    block = max(mlc_system._DEMAP_BYTES // ((1 << (m + 1) // 2) * n * 8), 1)
     demap = mlc_system.demap_tables
+    rule = mlc_system.subtree_llr
     decode = mlc_system.scl_decode_batch
     calls = []
     fed = []
 
-    def counting(c, y, noise_var):
-        calls.append(len(y))
-        return demap(c, y, noise_var)
+    def counting(c, y, noise_var, k, prefix_labels):
+        calls.append((k, len(y)))
+        return rule(c, y, noise_var, k, prefix_labels)
 
     def recording(llrs, code, list_size):
         fed.append(llrs.copy())
         return decode(llrs, code, list_size)
 
-    monkeypatch.setattr(mlc_system, "demap_tables", counting)
+    monkeypatch.setattr(mlc_system, "subtree_llr", counting)
     monkeypatch.setattr(mlc_system, "scl_decode_batch", recording)
     rng = np.random.default_rng(m)
     errors = 0
@@ -320,11 +323,9 @@ def test_blocked_demap_matches_reference(m, monkeypatch):
                 assert np.array_equal(llrs.view(np.int64), ref.view(np.int64))
             errors += sum(int((g != p).any(axis=1).sum())
                           for g, p in zip(got[0], pay))
-            if m <= 2:  # every level is the last of its axis
-                assert calls == []
-            else:
-                assert calls == [block] * (frames // block) + (
-                    [frames % block] if frames % block else [])
+            blocks = [block] * (frames // block) + (
+                [frames % block] if frames % block else [])
+            assert calls == [(k, b) for k in range(1, m + 1) for b in blocks]
     assert errors > 0  # wrong decisions were fed forward
 
 
@@ -390,3 +391,34 @@ def test_kept_tables_hold_per_prefix_llrs(monkeypatch):
     # themselves peaks at 4.82 MiB
     bound = kept + mlc_system._DEMAP_BYTES + y.nbytes
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+@pytest.mark.parametrize("m,index", ((6, 15), (8, 22)))
+def test_decoder_calls_hold_no_demap_state(m, index, monkeypatch):
+    # the 155-frame batch of test_demap_working_memory at 64QAM and 256QAM:
+    # each level forms its LLRs from its own axis subtree and keeps nothing
+    # for a later level, so at every decoder call the traced memory apart
+    # from that call's LLRs (the prefix, the decided rows and the payloads
+    # so far) stays under twice y's size, 1.21 MiB. Per-prefix tables kept
+    # for the whole batch held 1.48 (64QAM) and 3.98 MiB (256QAM) at the
+    # first call
+    frames, n = 155, 256
+    cons = construct_rf2(m, load_mcs_table()[index].k_for(n), n)
+    c = build_qam(m)
+    rng = np.random.default_rng(155)
+    y = c.points[rng.integers(0, 1 << m, (frames, n))] + _noise(rng, (frames, n), 0.1)
+    decode = mlc_system.scl_decode_batch
+    held = []
+
+    def measuring(llrs, code, list_size):
+        held.append(tracemalloc.get_traced_memory()[0] - llrs.nbytes)
+        return decode(llrs, code, list_size)
+
+    monkeypatch.setattr(mlc_system, "scl_decode_batch", measuring)
+    tracemalloc.start()
+    try:
+        multistage_decode_batch(y, np.full((frames, 1), 0.02), cons, c, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == m // 2
+    assert max(held) < 2 * y.nbytes, [h / 2**20 for h in held]

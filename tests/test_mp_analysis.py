@@ -4,6 +4,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from mlcpcm.constellation import build_bpsk, build_qam
 from mlcpcm.mp_analysis import (
+    SNR_CLIP_DB,
     biawgn_capacity,
     biawgn_sigma_for_capacity,
     channel_capacity,
@@ -133,6 +134,18 @@ def test_finite_bl_rate_formula():
 def test_noise_sigma():
     assert abs(noise_sigma(0.0) - np.sqrt(0.5)) < 1e-15
     assert abs(noise_sigma(10.0) - np.sqrt(0.05)) < 1e-15
+
+
+@pytest.mark.parametrize("m", (1, 4))
+def test_level_stats_above_the_clip_are_those_at_the_clip(m):
+    # 10^(-snr/10) underflows to 0 near 3240 dB, where every statistic was
+    # NaN; the simulator's clip holds here too
+    c = build_bpsk() if m == 1 else build_qam(m)
+    cap, disp, total = level_stats(c, 4000.0)
+    want = level_stats(c, SNR_CLIP_DB)
+    assert np.array_equal(cap, want[0]) and np.array_equal(disp, want[1])
+    assert total == want[2] and abs(total - m) < 1e-12
+    assert noise_sigma(4000.0) == noise_sigma(SNR_CLIP_DB) > 0.0
 
 
 @pytest.mark.parametrize("m", (2, 4, 6, 8))
