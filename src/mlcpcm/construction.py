@@ -2,16 +2,16 @@
 
 Two offline constructions share the same progressive rate-filling core:
 
-* capacity rate-filling: find the SNR where the coded-modulation capacity
+* finite-blocklength rate-filling (RF-II): find the SNR where the clamped sum
+  of per-level normal-approximation rates M_k = I_k - sqrt(V_k/N) Qinv(eps)
   equals the target sum-rate R_T = K/N, then fill per-level information-bit
-  counts proportionally to the per-level capacities at that SNR;
-* finite-blocklength rate-filling: find the SNR where the clamped sum of
-  per-level normal-approximation rates M_k = I_k - sqrt(V_k/N) Qinv(eps)
-  equals R_T, then fill proportionally to max(0, M_k). The penalty uses the
-  frame error target at every level, which makes eps = 0.5 degenerate to the
-  capacity construction exactly (Qinv(0.5) = 0, so M_k = I_k bitwise and both
-  solvers root the same function); ``per_level_error_prob`` remains available
-  for budgeting a frame target across levels.
+  counts proportionally to max(0, M_k) at that SNR. The penalty uses the
+  frame error target at every level; ``per_level_error_prob`` remains
+  available for budgeting a frame target across levels;
+* capacity rate-filling (RF-I): the same at eps = 0.5. Qinv(0.5) = 0, so
+  M_k = I_k bitwise, the SNR is where the coded-modulation capacity equals
+  R_T and the fill is proportional to the per-level capacities; RF-I is built
+  as RF-II at eps = 0.5.
 
 Both depend only on (m, K, N, eps) and a channel-independent rank sequence,
 never on a channel realization. Within each level the information set is the
@@ -28,7 +28,7 @@ become information positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from math import copysign
@@ -36,7 +36,8 @@ from math import copysign
 import numpy as np
 
 from .constellation import Constellation, build_constellation
-from .mp_analysis import biawgn_sigma_for_capacity, level_stats, q_inverse
+from .mp_analysis import biawgn_sigma_for_capacity, finite_bl_rate, level_stats
+from .mp_analysis import q_inverse  # noqa: F401  re-exported
 from .polar_codec import crc_len_for_k
 
 SNR_BRACKET_DB = (-40.0, 50.0)
@@ -249,19 +250,6 @@ def _solve_snr(f, target_sum_rate: float) -> float:
     return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
-    """SNR (dB) where the coded-modulation capacity equals the target.
-
-    The root function is the chain-rule sum of per-level capacities, which the
-    finite-blocklength solver degenerates to at eps = 0.5, making the two
-    solvers agree bitwise there.
-    """
-    _check_sum_rate(c.m, target_sum_rate)
-    return _solve_snr(
-        lambda snr_db: float(np.sum(level_stats(c, snr_db)[0])) - target_sum_rate,
-        target_sum_rate)
-
-
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:  # NaN fails too
         raise ValueError("eps must lie in (0, 1)")
@@ -278,14 +266,20 @@ def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
         target_sum_rate)
 
 
+def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:
+    """SNR (dB) where the coded-modulation capacity equals the target: the
+    finite-blocklength solve at n = 1, eps = 0.5, whose penalty is zero."""
+    return solve_snr_finite(c, target_sum_rate, 1, 0.5)
+
+
 def finite_bl_values(c: Constellation, snr_db: float, n: int,
                      eps: float) -> np.ndarray:
-    """Per-level max(0, I_k - sqrt(V_k/n) Qinv(eps)) at the given SNR."""
+    """Per-level max(0, I_k - sqrt(V_k/n) Qinv(eps)) at the given SNR; at
+    eps = 0.5 the penalty is a signed zero and the values are the capacities."""
     if not n >= 1:  # NaN fails too
         raise ValueError(f"n must be >= 1, got {n}")
-    qv = q_inverse(eps)
     cap, disp, _ = level_stats(c, snr_db)
-    return np.maximum(cap - np.sqrt(disp / n) * qv, 0.0)
+    return np.maximum(finite_bl_rate(cap, disp, n, eps), 0.0)
 
 
 def _assemble(m: int, n: int, k_total: int, method: str, alloc: RateAllocation,
@@ -297,41 +291,28 @@ def _assemble(m: int, n: int, k_total: int, method: str, alloc: RateAllocation,
                             allocation=alloc, design_snr_db=snr_db, eps=eps)
 
 
-def _saturated(m: int, n: int, method: str, eps: float | None) -> CodeConstruction:
-    # K = mN leaves nothing to allocate: every level is full rate
-    alloc = RateAllocation(counts=np.full(m, n, dtype=np.int64), total=m * n,
-                           level_order=np.arange(m, dtype=np.int64))
-    sets = [np.arange(n, dtype=np.int64) for _ in range(m)]
-    return _assemble(m, n, m * n, method, alloc, sets, None, eps)
-
-
-def construct_rf1(m: int, k_total: int, n: int,
-                  seq: RankSequence | None = None) -> CodeConstruction:
-    """Capacity-proportional rate-filling construction."""
-    c = build_constellation(m)  # checks m, also for the saturated shortcut
-    seq = default_sequence(n) if seq is None else seq
-    if k_total == m * n:
-        return _saturated(m, n, "rf1", None)
-    snr = solve_snr_capacity(c, k_total / n)
-    v = level_stats(c, snr)[0]
-    alloc = rate_fill(v, k_total, n)
-    sets = [seq.top_k(n, int(k)) for k in alloc.counts]
-    return _assemble(m, n, k_total, "rf1", alloc, sets, snr)
-
-
 def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
                   seq: RankSequence | None = None) -> CodeConstruction:
     """Finite-blocklength rate-filling construction."""
     _check_eps(eps)
     c = build_constellation(m)  # checks m, also for the saturated shortcut
     seq = default_sequence(n) if seq is None else seq
-    if k_total == m * n:
-        return _saturated(m, n, "rf2", eps)
+    if k_total == m * n:  # nothing to allocate: every level is full rate
+        alloc = RateAllocation(counts=np.full(m, n, dtype=np.int64), total=m * n,
+                               level_order=np.arange(m, dtype=np.int64))
+        sets = [np.arange(n, dtype=np.int64) for _ in range(m)]
+        return _assemble(m, n, m * n, "rf2", alloc, sets, None, eps)
     snr = solve_snr_finite(c, k_total / n, n, eps)
     v = finite_bl_values(c, snr, n, eps)
     alloc = rate_fill(v, k_total, n)
     sets = [seq.top_k(n, int(k)) for k in alloc.counts]
     return _assemble(m, n, k_total, "rf2", alloc, sets, snr, eps)
+
+
+def construct_rf1(m: int, k_total: int, n: int,
+                  seq: RankSequence | None = None) -> CodeConstruction:
+    """Capacity-proportional rate-filling construction: RF-II at eps = 0.5."""
+    return replace(construct_rf2(m, k_total, n, 0.5, seq), method="rf1", eps=None)
 
 
 def ln_phi(x: np.ndarray) -> np.ndarray:

@@ -145,15 +145,17 @@ def per_level_error_prob(eps_total: float, m: int) -> float:
     return 1.0 - (1.0 - eps_total) ** (1.0 / m)
 
 
-def finite_bl_rate(i: float, v: float, n: int, eps: float) -> float:
-    """Normal-approximation achievable rate I - sqrt(V/n) * Qinv(eps).
+def finite_bl_rate(i: float | np.ndarray, v: float | np.ndarray, n: int,
+                   eps: float) -> float | np.ndarray:
+    """Normal-approximation achievable rate I - sqrt(V/n) * Qinv(eps),
+    elementwise over arrays of (I, V).
 
     May be negative for weak subchannels; callers clamp at zero where a
     nonnegative fill value is needed.
     """
     if n <= 0:
         raise ValueError("blocklength must be positive")
-    if v < 0:
+    if np.any(v < 0):
         raise ValueError("dispersion must be nonnegative")
     return i - np.sqrt(v / n) * q_inverse(eps)
 
@@ -234,7 +236,7 @@ def level_stats(c: Constellation,
     BPSK is the one-axis case: its imaginary noise carries no information.
     The arrays are cached and shared between calls, hence read-only.
     """
-    key = (c.name, float(snr_db))
+    key = (c.name, min(float(snr_db), SNR_CLIP_DB))  # one entry above the clip
     if key in _stats_cache:
         return _stats_cache[key]
     sigma = noise_sigma(snr_db)

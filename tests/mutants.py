@@ -49,6 +49,21 @@ MUTANTS = (
     ("sim.py", "construct_rf2(c.m, k, n, eps=eps, seq=seq)",
      "construct_rf2(c.m, k, n, eps=eps)",
      ("tests/test_cli.py::test_construct_ranks_by_the_given_sequence",)),
+    # RF-I is RF-II at eps = 0.5, and the capacity solve the finite one there
+    ("construction.py", "construct_rf2(m, k_total, n, 0.5, seq)",
+     "construct_rf2(m, k_total, n, 0.4999, seq)",
+     ("tests/test_acceptance.py::test_criterion_2_solver_contracts",)),
+    ("construction.py", "solve_snr_finite(c, target_sum_rate, 1, 0.5)",
+     "solve_snr_finite(c, target_sum_rate, 1, 0.4999)",
+     ("tests/test_construction.py::test_finite_solver_half_eps_degenerates",)),
+    # the normal-approximation rate has one home
+    ("mp_analysis.py", "return i - np.sqrt(v / n) * q_inverse(eps)",
+     "return i + np.sqrt(v / n) * q_inverse(eps)",
+     ("tests/test_construction.py::test_finite_bl_values_composition",)),
+    # every SNR above the clip shares the clip's statistics entry
+    ("mp_analysis.py", "key = (c.name, min(float(snr_db), SNR_CLIP_DB))",
+     "key = (c.name, float(snr_db))",
+     ("tests/test_mp_analysis.py::test_level_stats_above_the_clip_share_the_clip_entry",)),
     # the contract's small blocks reach the blocked boxplus and demapper
     ("polar_codec.py", "for r in range(0, a.size, _BLOCK):",
      "for r in range(0, a.size - a.size % _BLOCK, _BLOCK):",

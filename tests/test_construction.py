@@ -28,6 +28,7 @@ from mlcpcm.construction import (
 )
 from mlcpcm.mp_analysis import (
     biawgn_sigma_for_capacity,
+    finite_bl_rate,
     level_stats,
     noise_sigma,
     q_inverse,
@@ -227,6 +228,23 @@ def test_finite_bl_values_composition():
     assert np.allclose(finite_bl_values(c, snr, n, eps), want, atol=1e-12)
 
 
+def test_finite_bl_rate_on_level_stats_arrays_is_finite_bl_values_unclamped():
+    # the normal-approximation rate has one home: finite_bl_values is
+    # finite_bl_rate on the level_stats arrays, clamped at zero, bit for bit
+    for m, snr, n, eps in ((2, -3.0, 16, 0.01), (4, 6.0, 256, 0.1),
+                           (6, 8.0, 512, 0.5), (8, 20.0, 64, 1e-4)):
+        c = build_qam(m)
+        cap, disp, _ = level_stats(c, snr)
+        rate = finite_bl_rate(cap, disp, n, eps)
+        want = cap - np.sqrt(disp / n) * q_inverse(eps)
+        assert rate.shape == (m,)
+        assert np.array_equal(rate.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.maximum(rate, 0.0).view(np.int64),
+                              finite_bl_values(c, snr, n, eps).view(np.int64))
+    with pytest.raises(ValueError, match="dispersion must be nonnegative"):
+        finite_bl_rate(np.array([0.5, 0.5]), np.array([0.1, -0.1]), 32, 0.1)
+
+
 @pytest.mark.filterwarnings("error")
 def test_finite_bl_values_rejects_n_below_one():
     # n = 0 used to divide by zero and return values
@@ -306,6 +324,24 @@ def test_rf2_half_eps_equals_rf1():
         b = construct_rf2(m, k, n, eps=0.5)
         assert a.design_snr_db == b.design_snr_db
         assert all(np.array_equal(x, y) for x, y in zip(a.info_sets, b.info_sets))
+
+
+def _rf_record(cons):
+    return (cons.allocation.counts.tolist(), cons.allocation.level_order.tolist(),
+            [a.tolist() for a in cons.info_sets], cons.crc_lens,
+            None if cons.design_snr_db is None else cons.design_snr_db.hex())
+
+
+def test_rf1_is_rf2_at_half_eps_relabelled_over_grid():
+    # RF-I is RF-II at eps = 0.5: Qinv(0.5) is a signed zero, so the
+    # normal-approximation rates are the capacities bit for bit
+    for m in (1, 2, 4, 6, 8):
+        for n in (16, 64, 256, 1024):
+            for k in [round(m * n * j / 10) for j in range(1, 10)] + [m * n]:
+                a = construct_rf1(m, k, n)
+                b = construct_rf2(m, k, n, eps=0.5)
+                assert (a.method, a.eps, b.method, b.eps) == ("rf1", None, "rf2", 0.5)
+                assert _rf_record(a) == _rf_record(b), (m, n, k)
 
 
 def test_rf_deterministic():
@@ -601,6 +637,36 @@ def test_rf2_matches_scipy_erfcinv_bitwise(monkeypatch):
     monkeypatch.setattr(construction, "q_inverse",
                         lambda p: float(np.sqrt(2.0) * erfcinv(2.0 * p)))
     assert got == builds()
+
+
+def test_rf_matches_scipy_erfcinv_bitwise_at_the_rate_home(monkeypatch):
+    # the penalty Qinv(eps) is read in mp_analysis.finite_bl_rate, the one
+    # home of the normal-approximation rate; SciPy's erfcinv there changes no
+    # construction, RF-I (eps = 0.5) included
+    from scipy.special import erfcinv
+    from mlcpcm import mp_analysis
+    cases = [(m, n, eps, round(m * n * r))
+             for m in (1, 2, 4, 6, 8) for n in (32, 256)
+             for eps in (0.01, 0.1, 0.3, 0.5) for r in (0.2, 0.5, 0.8)]
+
+    def builds():
+        out = []
+        for m, n, eps, k in cases:
+            for cons in (construct_rf2(m, k, n, eps=eps), construct_rf1(m, k, n)):
+                out.append((cons.design_snr_db.hex(),
+                            [s.tolist() for s in cons.info_sets]))
+        return out
+
+    got = builds()
+    calls = []
+
+    def scipy_q_inverse(p):
+        calls.append(p)
+        return float(np.sqrt(2.0) * erfcinv(2.0 * p))
+
+    monkeypatch.setattr(mp_analysis, "q_inverse", scipy_q_inverse)
+    assert got == builds()
+    assert calls  # the patched name is the one the constructions read
 
 
 def test_brentq_errors_and_endpoints():

@@ -148,6 +148,14 @@ def test_level_stats_above_the_clip_are_those_at_the_clip(m):
     assert noise_sigma(4000.0) == noise_sigma(SNR_CLIP_DB) > 0.0
 
 
+@pytest.mark.parametrize("m", (1, 4))
+def test_level_stats_above_the_clip_share_the_clip_entry(m):
+    # every SNR above the clip has the clip's statistics, so one cache entry
+    c = build_bpsk() if m == 1 else build_qam(m)
+    assert level_stats(c, 4000.0) is level_stats(c, SNR_CLIP_DB)
+    assert level_stats(c, float("inf")) is level_stats(c, SNR_CLIP_DB)
+
+
 @pytest.mark.parametrize("m", (2, 4, 6, 8))
 def test_chain_rule_against_direct_quadrature(m):
     c = build_qam(m)
