@@ -21,9 +21,10 @@ so its two hypotheses share the other axis's factor, which cancels in the
 LLR. Given the axis's first d - 1 decided bits, the completions form one
 subtree of the axis's Gray labels: ``subtree_llr`` reduces its 2^(h-d+1)
 leaves (h the axis's label bits) to the halves under bit 0 and bit 1, so a
-level reads only its own subtree. ``demap_tables`` builds the subtrees of
-every depth at once, as tables that ``level_llr_from_tables`` and
-``level_llr`` read. Constellations without this product structure
+level reads only its own subtree. This is the one demapping rule, of the
+multistage decoder and ``level_llr`` alike; ``demap_tables`` and
+``level_llr_from_tables``, its all-depth table form, are kept for the tests
+and the benchmark tracer. Constellations without this product structure
 (``axis_amps`` None) are not demapped.
 """
 
@@ -181,10 +182,10 @@ def demap_tables(c: Constellation, y: np.ndarray,
     full-label table of the first k bits is the sum of the two axes' tables
     at depths ceil(k/2) and floor(k/2); level k's LLR needs only the axis
     carrying bit k, because the other axis adds the same term to both
-    hypotheses. The tables are computed once per received block and reused
-    across levels. noise_var may be an array broadcastable against y
+    hypotheses. noise_var may be an array broadcastable against y
     (per-frame values). Raises ValueError when ``c`` has no per-axis
-    amplitudes.
+    amplitudes. The library does not call this: it forms every LLR with
+    ``subtree_llr``, and the tests and the benchmark tracer read this form.
     """
     amps = c.axis_amp_by_label()
     y = np.asarray(y, dtype=np.complex128)
@@ -197,7 +198,8 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
     """LLR of bit level k (1-based) given per-symbol integer prefix labels.
 
     prefix_labels hold the k-1 decided bits (b_1 as MSB); only the bits on
-    the axis of level k, (k-1) % 2, select the table entry.
+    the axis of level k, (k-1) % 2, select the table entry. Bit-identical to
+    ``subtree_llr``, and kept like ``demap_tables``.
     """
     axis = (k - 1) % 2
     t = tables[axis][(k - 1) // 2 + 1]
@@ -238,15 +240,12 @@ def level_llr(c: Constellation, y: complex, noise_var: float,
     """Bit-level LLR for level k = len(prefix)+1 of a single received symbol.
 
     prefix holds the already decided bits (b_1, ..., b_{k-1}). The LLR
-    marginalizes uniformly over the 2^(m-k) completions of each hypothesis.
+    marginalizes uniformly over the 2^(m-k) completions of each hypothesis,
+    by ``subtree_llr``, the rule the multistage decoder uses for every frame.
     """
     prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
     k = prefix.size + 1
     if k > c.m:
         raise ValueError(f"prefix of length {prefix.size} leaves no level to demap")
-    p = 0
-    for b in prefix:
-        p = (p << 1) | int(b)
-    tables = demap_tables(c, np.asarray([y]), noise_var)
-    out = level_llr_from_tables(tables, k, np.array([p]))
-    return float(out[0])
+    p = labels_from_bits(prefix, prefix.size)
+    return float(subtree_llr(c, np.asarray([y]), noise_var, k, np.array([p]))[0])

@@ -37,7 +37,6 @@ import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .mp_analysis import biawgn_sigma_for_capacity, finite_bl_rate, level_stats
-from .mp_analysis import q_inverse  # noqa: F401  re-exported
 from .polar_codec import crc_len_for_k
 
 SNR_BRACKET_DB = (-40.0, 50.0)

@@ -37,8 +37,6 @@ if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
     from concurrent.futures import Future, ProcessPoolExecutor
 
 _FADE_FLOOR = 1e-30  # |h|^2 floor: a null fade keeps a finite SNR and N0/|h|^2
-DEFAULT_MAX_BLOCKS = 100_000
-DEFAULT_MAX_ERRORS = 100
 METHODS = ("rf1", "rf2", "ga")
 _BATCH_BYTES = 1 << 25  # chunk budget in full demap tree bytes (_batch_size)
 _MAX_ROWS = 512  # LLR rows per decoder call
@@ -120,8 +118,8 @@ class SimConfig:
     k: int
     snr_grid_db: tuple[float, ...]
     list_size: int = 8
-    max_blocks: int = DEFAULT_MAX_BLOCKS
-    max_errors: int = DEFAULT_MAX_ERRORS
+    max_blocks: int = 100_000
+    max_errors: int = 100
     seed: int = 0
     eps: float = DEFAULT_EPS
 
@@ -408,12 +406,12 @@ def _log_bler(p: SimPoint) -> float:
     return float(np.log10(max(p.value, 0.5 / p.blocks)))
 
 
-def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
-                     list_size: int = 8, seed: int = 0, eps: float = DEFAULT_EPS,
-                     max_blocks: int = DEFAULT_MAX_BLOCKS,
-                     max_errors: int = DEFAULT_MAX_ERRORS,
-                     workers: int = 1) -> MinSnrResult:
+def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
+                     workers: int = 1, **settings) -> MinSnrResult:
     """SNR achieving the target BLER: 0.25 dB grid walk plus log interpolation.
+
+    Every probe simulates the SimConfig of the method, N, the MCS entry's m
+    and K, and the other fields as keyword ``settings`` or their defaults.
 
     Probes start from the capacity-matched SNR of the scheme's sum-rate and
     walk the grid until the target is bracketed; far above target the walk
@@ -437,8 +435,7 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float,
     # checked before the anchor solve; its grid is unread, as every probe
     # passes its own SNR
     cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
-                    list_size=list_size, max_blocks=max_blocks,
-                    max_errors=max_errors, seed=seed, eps=eps)
+                    **settings)
     step = 0.25
     anchor = solve_snr_capacity(build_constellation(mcs.m), cfg.k / n)
     s = np.floor(anchor / step) * step
@@ -501,14 +498,13 @@ def predict_bler(curve: SimCurve, snr_db: float) -> float:
 
 
 def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
-                   span_db: float = 6.0, step_db: float = 1.0,
-                   list_size: int = 8, seed: int = 0, eps: float = DEFAULT_EPS,
-                   max_blocks: int = DEFAULT_MAX_BLOCKS,
-                   max_errors: int = DEFAULT_MAX_ERRORS,
-                   workers: int = 1) -> dict[int, SimCurve]:
+                   span_db: float = 6.0, step_db: float = 1.0, *,
+                   workers: int = 1, **settings) -> dict[int, SimCurve]:
     """Per-MCS BLER curves on a grid around each capacity-matched SNR, from
-    step_db below it to span_db above it. Every entry's config is built and
-    checked before the first frame is simulated."""
+    step_db below it to span_db above it. Each entry simulates the SimConfig
+    of the method, N, its m, K and grid, and the other fields as keyword
+    ``settings`` or their defaults, all built and checked before the first
+    frame is simulated."""
     if not (np.isfinite(span_db) and np.isfinite(step_db) and step_db > 0.0):
         raise ValueError(f"span_db and step_db must be finite and step_db "
                          f"positive, got {span_db} and {step_db}")
@@ -516,8 +512,7 @@ def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
     def config(mcs: McsEntry) -> SimConfig:
         # checked before the anchor solve, then given its grid
         cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
-                        list_size=list_size, max_blocks=max_blocks,
-                        max_errors=max_errors, seed=seed, eps=eps)
+                        **settings)
         c = build_constellation(mcs.m)
         anchor = round(solve_snr_capacity(c, cfg.k / n) / step_db) * step_db
         grid = tuple(anchor + d for d in np.arange(-step_db, span_db + step_db / 2,

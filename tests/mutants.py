@@ -84,6 +84,50 @@ MUTANTS = (
     ("constellation.py", "t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)",
      "t = np.nextafter(_leaf_terms(np.take(rows, p, axis=0), part, noise_var), 0.0)",
      ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
+    # level_llr forms its LLR by the same subtree rule, from its packed prefix
+    ("constellation.py", "part = part.imag if axis else part.real",
+     "part = part.real if axis else part.imag",
+     ("tests/test_constellation.py::test_level_llr_direct_sum",
+      "tests/test_constellation.py::test_level_llr_sign_on_clean_symbol")),
+    ("constellation.py", "p = labels_from_bits(prefix, prefix.size)",
+     "p = labels_from_bits(prefix[::-1], prefix.size)",
+     ("tests/test_constellation.py::test_level_llr_direct_sum",)),
+    # the decoder's survivor selection: a stable sort, the frozen rows' junk
+    # children at +inf, and the real path count clamped at the list size
+    ("polar_codec.py", 'np.argsort(keys, axis=1, kind="stable")',
+     'np.argsort(keys, axis=1, kind="quicksort")',
+     ("tests/test_polar_codec.py::test_decoder_matches_frozen_reference_on_frozen_patterns",
+      "tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference")),
+    ("polar_codec.py", "pm2[frozen_row, :, 1] = np.inf",
+     "pm2[frozen_row, :, 1] += 0.0",
+     ("tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference",)),
+    ("polar_codec.py", "np.minimum(before, int(list_size).bit_length())",
+     "np.minimum(before, stages + 1)",
+     ("tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference",)),
+    # the check-node rule adds the |a+b| correction and subtracts the |a-b| one
+    ("polar_codec.py", "for op in (np.add, np.subtract):",
+     "for op in (np.subtract, np.add):",
+     ("tests/test_polar_codec.py::test_boxplus_matches_sign_product_bitwise",)),
+    # the quarter update's g half keeps the path count of the sums it reads
+    ("polar_codec.py", "out = np.empty((quarter, frames, u.shape[-1]))",
+     "out = np.empty((quarter, frames, sums.shape[-1]))",
+     ("tests/test_polar_codec.py::"
+      "test_decoder_matches_frozen_reference_by_first_information_quarter",)),
+    # a call's pool leaves no child process behind
+    ("sim.py", "            for proc in (pool._processes or {}).values():\n"
+     "                proc.terminate()\n"
+     "            pool.shutdown(cancel_futures=True)\n",
+     "            pass\n",
+     ("tests/test_sim.py::test_min_required_snr_guard_leaves_no_children",)),
+    # throughput batches: full at the batch limit, the partial ones flushed,
+    # each frame at its own mean SNR
+    ("sim.py", "if len(batch) == limit[mcs]:", "if len(batch) == limit[mcs] + 1:",
+     ("tests/test_sim.py::test_throughput_batches_fill_across_points",)),
+    ("sim.py", "    for mcs, batch in pending.items():\n        yield cfg, mcs, batch",
+     "    for mcs, batch in ():\n        yield cfg, mcs, batch",
+     ("tests/test_sim.py::test_throughput_scheduler_matches_per_chunk_reference",)),
+    ("sim.py", "[cfg.snr_grid_db[i] for i in point]", "[cfg.snr_grid_db[0] for i in point]",
+     ("tests/test_sim.py::test_throughput_scheduler_matches_per_chunk_reference",)),
 )
 
 

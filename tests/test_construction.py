@@ -619,26 +619,6 @@ def test_brentq_matches_scipy_bitwise(monkeypatch):
     assert got == roots()
 
 
-def test_rf2_matches_scipy_erfcinv_bitwise(monkeypatch):
-    from scipy.special import erfcinv
-    cases = [(m, n, eps, round(m * n * r))
-             for m in (1, 2, 4, 6, 8) for n in (32, 256)
-             for eps in (0.01, 0.1, 0.3, 0.5) for r in (0.2, 0.5, 0.8)]
-
-    def builds():
-        out = []
-        for m, n, eps, k in cases:
-            cons = construct_rf2(m, k, n, eps=eps)
-            out.append((cons.design_snr_db.hex(),
-                        [s.tolist() for s in cons.info_sets]))
-        return out
-
-    got = builds()
-    monkeypatch.setattr(construction, "q_inverse",
-                        lambda p: float(np.sqrt(2.0) * erfcinv(2.0 * p)))
-    assert got == builds()
-
-
 def test_rf_matches_scipy_erfcinv_bitwise_at_the_rate_home(monkeypatch):
     # the penalty Qinv(eps) is read in mp_analysis.finite_bl_rate, the one
     # home of the normal-approximation rate; SciPy's erfcinv there changes no

@@ -1,5 +1,7 @@
 import concurrent.futures
+import dataclasses
 import functools
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -341,6 +343,32 @@ def test_min_required_snr_clean_bracket_interpolates(monkeypatch):
     # log-linear between 0.04 at 9.75 dB and 0.00125 at 10 dB, target 0.01
     assert res.snr_db == pytest.approx(9.75 + 0.25 * np.log10(4) / np.log10(32))
     assert [p.snr_db for p in res.probes] == sorted(p.snr_db for p in res.probes)
+
+
+def test_search_and_lut_take_their_settings_from_simconfig(monkeypatch):
+    # neither restates a SimConfig default: the settings a caller leaves out
+    # are SimConfig's own, in the one config each simulates
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    for fn in (min_required_snr, build_bler_lut):
+        restated = [name for name, p in inspect.signature(fn).parameters.items()
+                    if name in fields and p.default is not inspect.Parameter.empty]
+        assert restated == [], f"{fn.__name__} restates SimConfig's {restated}"
+    simulated = []
+
+    def scheduler(cfg, pool, workers):
+        simulated.append(cfg)
+        return lambda snr_idx, s, ahead=(): SimPoint(
+            snr_db=s, value=0.5 if s < 10.0 else 0.0, blocks=10,
+            errors=5 if s < 10.0 else 0)
+
+    monkeypatch.setattr(sim, "_chunk_scheduler", scheduler)
+    mcs = McsEntry(index=0, m=2, rate_x1024=512)
+    min_required_snr("rf1", mcs, 32, 0.01)
+    build_bler_lut("rf1", (mcs,), 32)
+    assert len(simulated) == 2
+    for cfg in simulated:
+        assert cfg == SimConfig(method="rf1", m=2, n=32, k=mcs.k_for(32),
+                                snr_grid_db=cfg.snr_grid_db)
 
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
