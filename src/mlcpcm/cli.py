@@ -2,14 +2,16 @@
 throughput simulations and required-SNR searches.
 
 Each subcommand parses only the flags it reads; any other flag is a usage
-error (exit 2), as is bad input, which is refused before the first frame is
-simulated. Flags default to unset. ``bler`` and ``throughput`` also read a
-JSON file (``--config``) whose keys are SimConfig's fields: an unset flag
-falls back to the file, then to SimConfig's default, and an unknown key is a
-usage error, as are m and k for ``throughput``, which takes them per frame
-from the MCS table, and max_errors, since it simulates every frame.
-``minsnr`` falls back to SimConfig's defaults. Results print as text and can
-be written to .csv or .json (JSON carries a config echo)."""
+error (exit 2), as is bad input (an MCS entry with no information bit at
+this N included), which is refused before the first frame is simulated.
+Flags default to unset. ``bler`` and ``throughput`` also read a JSON file
+(``--config``) whose keys are SimConfig's fields: an unset flag falls back
+to the file, then to SimConfig's default, and an unknown key is a usage
+error, as are m and k for ``throughput``, which takes them per frame from
+the MCS table, and max_errors, since it simulates every frame. ``minsnr``
+falls back to SimConfig's defaults. Results print as text and can be written
+to .csv or .json (JSON carries a config echo: for ``minsnr`` the probes'
+SimConfig without its grid, then the target and the MCS index)."""
 
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ import numpy as np
 from .constellation import build_constellation
 from .construction import DEFAULT_EPS, finite_bl_values, pw_sequence
 from .mp_analysis import level_stats
-from .sim import (SimConfig, SimCurve, build_bler_lut, build_construction,
-                  k_for_rate, load_mcs_table, min_required_snr, run_bler,
-                  run_throughput)
+from .sim import (METHODS, SimConfig, SimCurve, build_bler_lut,
+                  build_construction, k_for_rate, load_mcs_table,
+                  min_required_snr, run_bler, run_throughput)
 
 
 _MAX_GRID_POINTS = 100_000  # SNR points of a --snr-start/--snr-stop grid
@@ -224,10 +226,10 @@ def _cmd_throughput(args) -> None:
             raise _UsageError(f"--mcs {unknown} not in the MCS table "
                               f"(0 .. {len(table) - 1})")
         table = tuple(e for e in table if e.index in args.mcs)
-    lut = build_bler_lut(cfg.method, table, cfg.n, list_size=cfg.list_size,
-                         seed=(cfg.seed + 1) % 2**64, eps=cfg.eps,
-                         max_blocks=args.lut_blocks, max_errors=args.lut_errors,
-                         workers=args.workers)
+    lut = _checked(build_bler_lut, cfg.method, table, cfg.n,
+                   list_size=cfg.list_size, seed=(cfg.seed + 1) % 2**64,
+                   eps=cfg.eps, max_blocks=args.lut_blocks,
+                   max_errors=args.lut_errors, workers=args.workers)
     curve = run_throughput(cfg, table, lut, workers=args.workers)
     _print_curve(curve)
     _write_curve(curve, args.out)
@@ -240,20 +242,16 @@ def _cmd_minsnr(args) -> None:
                           f"got {args.mcs_index}")
     mcs = table[args.mcs_index]
     settings = {"method": "rf2", "n": 256, **_given(args)}
-    # every probe of the search simulates this config at its own SNR
-    probe = _checked(SimConfig, m=mcs.m, k=mcs.k_for(settings["n"]),
-                     snr_grid_db=(0.0,), **settings)
-    search = dict(method=probe.method, n=probe.n, target_bler=args.target_bler,
-                  list_size=probe.list_size, seed=probe.seed, eps=probe.eps,
-                  max_blocks=probe.max_blocks, max_errors=probe.max_errors)
-    res = min_required_snr(mcs=mcs, workers=args.workers, **search)
+    res = _checked(min_required_snr, mcs=mcs, target_bler=args.target_bler,
+                   workers=args.workers, **settings)
     flag = "  (warning: flat bracket)" if res.warned else ""
     print(f"mcs {mcs.index} (m={mcs.m}, rate {mcs.rate_x1024}/1024): "
           f"required snr {res.snr_db:.3f} dB at BLER {args.target_bler}{flag}")
     probes = SimCurve(metric="bler", points=list(res.probes))
     _print_rows(probes)
     if args.out is not None:
-        doc = {"config": dict(search, mcs_index=mcs.index),
+        doc = {"config": dict(res.config, target_bler=args.target_bler,
+                              mcs_index=mcs.index),
                "snr_db": res.snr_db, "warned": res.warned,
                "probes": [asdict(p) for p in res.probes]}
         _write(args.out, doc, ["snr_db", "bler", "blocks", "errors"],
@@ -310,7 +308,7 @@ def _add_k(p, required: bool) -> None:
 
 def _add_simulation(p) -> None:
     """The flags of bler, throughput and minsnr: unset ones are None."""
-    p.add_argument("--method", choices=("rf1", "rf2", "ga"), help="default rf2")
+    p.add_argument("--method", choices=METHODS, help="default rf2")
     p.add_argument("--n", type=int, help="component block length, default 256")
     p.add_argument("--list-size", type=int)
     p.add_argument("--eps", type=float)
@@ -338,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 
     p = command("construct", _cmd_construct, "emit per-level information sets")
-    p.add_argument("--method", choices=("rf1", "rf2", "ga"), default="rf2")
+    p.add_argument("--method", choices=METHODS, default="rf2")
     p.add_argument("--m", type=int, required=True, help="bits per symbol")
     p.add_argument("--n", type=int, required=True, help="component block length")
     _add_k(p, required=True)

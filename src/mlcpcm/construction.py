@@ -182,12 +182,6 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> RateAllocation:
                           level_order=np.asarray(order, dtype=np.int64))
 
 
-def _check_sum_rate(m: int, target_sum_rate: float) -> None:
-    if not RATE_MARGIN <= target_sum_rate <= m - RATE_MARGIN:
-        raise ValueError(
-            f"target sum-rate {target_sum_rate} outside ({RATE_MARGIN}, {m - RATE_MARGIN})")
-
-
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
             maxiter: int = 100) -> float:
     """Root of f on [a, b] by Brent's method (Brent 1973, ch. 4).
@@ -240,15 +234,6 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
-def _solve_snr(f, target_sum_rate: float) -> float:
-    """Root of the sum-rate excess f(snr_db) on SNR_BRACKET_DB."""
-    lo, hi = SNR_BRACKET_DB
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
-                         f"[{lo}, {hi}] dB")
-    return _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-
-
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:  # NaN fails too
         raise ValueError("eps must lie in (0, 1)")
@@ -256,13 +241,22 @@ def _check_eps(eps: float) -> None:
 
 def solve_snr_finite(c: Constellation, target_sum_rate: float, n: int,
                      eps: float) -> float:
-    """SNR (dB) where the clamped finite-blocklength sum-rate equals the target."""
-    _check_sum_rate(c.m, target_sum_rate)
+    """SNR (dB) where the clamped finite-blocklength sum-rate equals the
+    target, by Brent's method on SNR_BRACKET_DB; ValueError for a target
+    outside [RATE_MARGIN, m - RATE_MARGIN] or not bracketed there."""
+    if not RATE_MARGIN <= target_sum_rate <= c.m - RATE_MARGIN:
+        raise ValueError(f"target sum-rate {target_sum_rate} outside "
+                         f"({RATE_MARGIN}, {c.m - RATE_MARGIN})")
     _check_eps(eps)
-    return _solve_snr(
-        lambda snr_db: (float(np.sum(finite_bl_values(c, snr_db, n, eps)))
-                        - target_sum_rate),
-        target_sum_rate)
+
+    def excess(snr_db: float) -> float:
+        return float(np.sum(finite_bl_values(c, snr_db, n, eps))) - target_sum_rate
+
+    lo, hi = SNR_BRACKET_DB
+    if excess(lo) > 0.0 or excess(hi) < 0.0:
+        raise ValueError(f"target sum-rate {target_sum_rate} not bracketed on "
+                         f"[{lo}, {hi}] dB")
+    return _brentq(excess, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def solve_snr_capacity(c: Constellation, target_sum_rate: float) -> float:

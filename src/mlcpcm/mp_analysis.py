@@ -186,44 +186,37 @@ def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _info_density_moments(t_tables: list[np.ndarray], leaf_labels: np.ndarray,
-                          weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """First and second moments of the per-level information densities.
+def _pam_stats(amp_by_label: np.ndarray, sigma: float, t: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-level (I_k, V_k) for k = 1..depth and the total mutual information,
+    all in bits, of a Gray-labeled PAM axis with noise std sigma, integrated
+    with the Gauss-Hermite rule (t, w) around each of the equiprobable labels.
 
-    t_tables[d] has shape (S, Q, 2^d) holding ln-mixture values for every
-    label prefix of depth d at each (transmit symbol, quadrature node) pair.
-    leaf_labels (S,) are the transmitted labels, weights (S, Q) the product of
-    symbol prior and quadrature weight (summing to 1). Returns per-level
-    (I_k, V_k) for k = 1..depth and the total mutual information, all in bits.
-    The total is evaluated from its own density log2[P(y|x)/P(y)] + depth, of
+    ``pam_tables`` holds the ln-mixture value of every label prefix at each
+    (sent label, quadrature node) pair; level k's information density is the
+    step from the sent label's depth-(k-1) prefix to its depth-k one. The
+    total is evaluated from its own density log2[P(y|x)/P(y)] + depth, of
     which the per-level densities are an exact pointwise decomposition.
     """
-    depth = len(t_tables) - 1
-    s_idx = np.arange(leaf_labels.size)[:, None]
+    half = amp_by_label.size
+    y = amp_by_label[:, None] + np.sqrt(2.0) * sigma * t[None, :]  # (S, Q)
+    tables = pam_tables(amp_by_label, y, 2.0 * sigma**2)
+    # symbol prior times quadrature weight, summing to 1
+    weights = np.full((half, 1), 1.0 / half) * (w[None, :] / np.sqrt(np.pi))
+    depth = len(tables) - 1
+    labels = np.arange(half)
     cap = np.empty(depth)
     disp = np.empty(depth)
-    prev = t_tables[0][..., 0]  # ln P(y | empty prefix), up to the common scale
+    prev = tables[0][..., 0]  # ln P(y | empty prefix), up to the common scale
     for k in range(1, depth + 1):
-        cur = t_tables[k][s_idx, np.arange(t_tables[k].shape[1])[None, :],
-                          (leaf_labels >> (depth - k))[:, None]]
+        cur = tables[k][labels[:, None], np.arange(t.size)[None, :],
+                        (labels >> (depth - k))[:, None]]
         dens = (cur - prev) / LN2 + 1.0  # subset halves, hence the +1 bit
         cap[k - 1] = np.sum(weights * dens)
         disp[k - 1] = np.sum(weights * dens**2) - cap[k - 1] ** 2
         prev = cur
-    total_dens = (prev - t_tables[0][..., 0]) / LN2 + depth
-    total = float(np.sum(weights * total_dens))
-    return cap, disp, total
-
-
-def _pam_stats(amp_by_label: np.ndarray, sigma: float, t: np.ndarray,
-               w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-level statistics of a Gray-labeled PAM axis with noise std sigma,
-    integrated with the Gauss-Hermite rule (t, w)."""
-    half = amp_by_label.size
-    y = amp_by_label[:, None] + np.sqrt(2.0) * sigma * t[None, :]  # (S, Q)
-    tables = pam_tables(amp_by_label, y, 2.0 * sigma**2)
-    weights = np.full((half, 1), 1.0 / half) * (w[None, :] / np.sqrt(np.pi))
-    return _info_density_moments(tables, np.arange(half), weights)
+    total_dens = (prev - tables[0][..., 0]) / LN2 + depth
+    return cap, disp, float(np.sum(weights * total_dens))
 
 
 def level_stats(c: Constellation,

@@ -396,9 +396,24 @@ def run_bler(cfg: SimConfig, workers: int = 1) -> SimCurve:
 
 @dataclass(frozen=True)
 class MinSnrResult:
+    """``min_required_snr``'s result; ``config`` echoes the SimConfig of its
+    probes without the grid, which no probe reads, and is left out of the
+    hash, so a result stays hashable."""
+
     snr_db: float
     warned: bool
     probes: tuple[SimPoint, ...]
+    config: dict = field(hash=False)
+
+
+def _entry_setup(method: str, mcs: McsEntry, n: int,
+                 settings: dict) -> tuple[SimConfig, float]:
+    """An MCS entry's checked SimConfig at N (its m and K, the method and
+    ``settings`` over the defaults, an unread placeholder grid), then its
+    capacity-matched SNR, which K = 0 or mN lacks (ValueError)."""
+    cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
+                    **settings)
+    return cfg, solve_snr_capacity(build_constellation(mcs.m), cfg.k / n)
 
 
 def _log_bler(p: SimPoint) -> float:
@@ -411,7 +426,9 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
     """SNR achieving the target BLER: 0.25 dB grid walk plus log interpolation.
 
     Every probe simulates the SimConfig of the method, N, the MCS entry's m
-    and K, and the other fields as keyword ``settings`` or their defaults.
+    and K, and the other fields as keyword ``settings`` or their defaults;
+    the result's ``config`` echoes it without the grid. An entry with K = 0
+    or mN at this N is refused (ValueError) before any probe.
 
     Probes start from the capacity-matched SNR of the scheme's sum-rate and
     walk the grid until the target is bracketed; far above target the walk
@@ -432,12 +449,8 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
     """
     if not 0.0 < target_bler < 1.0:  # NaN fails too
         raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")
-    # checked before the anchor solve; its grid is unread, as every probe
-    # passes its own SNR
-    cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
-                    **settings)
+    cfg, anchor = _entry_setup(method, mcs, n, settings)
     step = 0.25
-    anchor = solve_snr_capacity(build_constellation(mcs.m), cfg.k / n)
     s = np.floor(anchor / step) * step
     cache: dict[float, SimPoint] = {}
     with _pool(workers) as pool:
@@ -487,7 +500,9 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
     else:
         snr = lo.snr_db + (hi.snr_db - lo.snr_db) * (llo - lt) / (llo - lhi)
     probes = tuple(sorted(cache.values(), key=lambda p: p.snr_db))
-    return MinSnrResult(snr_db=float(snr), warned=warned, probes=probes)
+    return MinSnrResult(snr_db=float(snr), warned=warned, probes=probes,
+                        config={key: value for key, value in asdict(cfg).items()
+                                if key != "snr_grid_db"})
 
 
 def predict_bler(curve: SimCurve, snr_db: float) -> float:
@@ -503,18 +518,16 @@ def build_bler_lut(method: str, mcs_table: tuple[McsEntry, ...], n: int,
     """Per-MCS BLER curves on a grid around each capacity-matched SNR, from
     step_db below it to span_db above it. Each entry simulates the SimConfig
     of the method, N, its m, K and grid, and the other fields as keyword
-    ``settings`` or their defaults, all built and checked before the first
-    frame is simulated."""
+    ``settings`` or their defaults. Every entry's config and SNR are built
+    and checked before the first frame is simulated, so an entry with K = 0
+    or mN at this N is refused (ValueError) first."""
     if not (np.isfinite(span_db) and np.isfinite(step_db) and step_db > 0.0):
         raise ValueError(f"span_db and step_db must be finite and step_db "
                          f"positive, got {span_db} and {step_db}")
 
     def config(mcs: McsEntry) -> SimConfig:
-        # checked before the anchor solve, then given its grid
-        cfg = SimConfig(method=method, m=mcs.m, n=n, k=mcs.k_for(n), snr_grid_db=(0.0,),
-                        **settings)
-        c = build_constellation(mcs.m)
-        anchor = round(solve_snr_capacity(c, cfg.k / n) / step_db) * step_db
+        cfg, anchor = _entry_setup(method, mcs, n, settings)
+        anchor = round(anchor / step_db) * step_db
         grid = tuple(anchor + d for d in np.arange(-step_db, span_db + step_db / 2,
                                                    step_db))
         return replace(cfg, snr_grid_db=grid)

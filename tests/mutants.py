@@ -128,6 +128,46 @@ MUTANTS = (
      ("tests/test_sim.py::test_throughput_scheduler_matches_per_chunk_reference",)),
     ("sim.py", "[cfg.snr_grid_db[i] for i in point]", "[cfg.snr_grid_db[0] for i in point]",
      ("tests/test_sim.py::test_throughput_scheduler_matches_per_chunk_reference",)),
+    # an MCS entry's setup: the CLI reports the library's refusals as usage
+    # errors, the search echoes every simulated field but the grid, and the
+    # anchor is the capacity-matched SNR of the sum-rate K/N
+    ("cli.py", "res = _checked(min_required_snr, mcs=mcs,", "res = min_required_snr(mcs=mcs,",
+     ("tests/test_cli.py::test_bad_input_is_a_usage_error",)),
+    ("cli.py", "lut = _checked(build_bler_lut, cfg.method,", "lut = build_bler_lut(cfg.method,",
+     ("tests/test_cli.py::test_bad_input_is_a_usage_error",)),
+    ("sim.py", 'if key != "snr_grid_db"})', 'if key not in ("snr_grid_db", "eps")})',
+     ("tests/test_cli.py::test_minsnr_json_config_echoes_the_probes_simconfig",
+      "tests/test_sim.py::test_search_and_lut_take_their_settings_from_simconfig")),
+    ("sim.py", "solve_snr_capacity(build_constellation(mcs.m), cfg.k / n)",
+     "solve_snr_capacity(build_constellation(mcs.m), mcs.rate)",
+     ("tests/test_sim.py::test_run_throughput_golden",)),
+    # the SNR solve refuses a sum-rate outside its margins before bracketing
+    ("construction.py", "if not RATE_MARGIN <= target_sum_rate <=",
+     "if not 0.0 <= target_sum_rate <=",
+     ("tests/test_cli.py::test_bad_input_is_a_usage_error",)),
+    # the level statistics read each sent label's own prefix
+    ("mp_analysis.py", "(labels >> (depth - k))[:, None]",
+     "((labels + 1) % half >> (depth - k))[:, None]",
+     ("tests/test_mp_analysis.py::test_chain_rule_against_direct_quadrature",
+      "tests/test_mp_analysis.py::test_bpsk_equals_biawgn")),
+    # Cephes ndtri: the upper-tail branch point and the far-tail coefficients
+    ("mp_analysis.py", "if y > 1.0 - _EXP_M2:", "if y >= 1.0 - _EXP_M2:",
+     ("tests/test_mp_analysis.py::test_q_inverse_matches_scipy_bitwise",)),
+    ("mp_analysis.py", "6.23974539184983293730E-9", "6.23984539184983293730E-9",
+     ("tests/test_mp_analysis.py::test_q_inverse_matches_scipy_bitwise",)),
+    # the search's look-ahead: only below the bracket in the backfill, and
+    # only on the workers a probe's own chunks leave idle
+    ("sim.py", "if t not in cache and t < below]", "if t not in cache]",
+     ("tests/test_sim.py::test_min_required_snr_backfill_speculates_below_bracket",)),
+    ("sim.py", "ahead[:max(workers - len(chunks), 0)]", "ahead[:workers - 1]",
+     ("tests/test_sim.py::test_min_required_snr_chunked_probes_do_not_speculate",)),
+    # a row frozen at a leaf ranks its real paths' bit-0 children first
+    ("polar_codec.py", "rank = np.where(c < 2 * r, (c & 1) * r + (c >> 1), c)",
+     "rank = np.where(c < 2 * r, c, c)",
+     ("tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference",)),
+    # the odd level of a pair reads its prefix bits at the odd positions
+    ("mlc_system.py", "prefix[lo:lo + step] << j)", "prefix[lo:lo + step])",
+     ("tests/test_mlc_system.py::test_paired_levels_match_level_by_level_reference",)),
 )
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mlcpcm.cli import main
 from mlcpcm.construction import construct_rf1, construct_rf2, pw_sequence
+from mlcpcm.sim import SimConfig, load_mcs_table
 
 
 def test_analyze_prints_level_table(capsys):
@@ -167,6 +169,21 @@ def test_minsnr_json_output(tmp_path, capsys):
         assert f"{p['snr_db']:8.2f}" in text
 
 
+def test_minsnr_json_config_echoes_the_probes_simconfig(tmp_path):
+    # every SimConfig field the probes simulate, grid aside, in field order,
+    # then the search's own target and entry
+    out = tmp_path / "minsnr.json"
+    assert main(MINSNR_ARGS + ["--out", str(out)]) == 0
+    mcs = load_mcs_table()[1]
+    probe = SimConfig(method="rf1", m=mcs.m, n=32, k=mcs.k_for(32),
+                      snr_grid_db=(0.0,), list_size=2, max_blocks=200,
+                      max_errors=40)
+    echo = [(key, value) for key, value in dataclasses.asdict(probe).items()
+            if key != "snr_grid_db"]
+    config = json.loads(out.read_text())["config"]
+    assert list(config.items()) == echo + [("target_bler", 0.2), ("mcs_index", 1)]
+
+
 def test_minsnr_csv_output(tmp_path, capsys):
     out = tmp_path / "minsnr.csv"
     assert main(MINSNR_ARGS + ["--out", str(out)]) == 0
@@ -257,6 +274,11 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
      "--snr-stop and --snr-step need --snr-start"),
     (["minsnr", "--mcs-index", "1", "--target-bler", "0.1", "--mcs-table",
       "no-such-table.csv"], "--mcs-table: [Errno 2] No such file"),
+    # at N = 1 MCS 0 carries no information bit, which its anchor solve refuses
+    (["minsnr", "--mcs-index", "0", "--target-bler", "0.1", "--n", "1"],
+     "target sum-rate 0.0 outside"),
+    (["throughput", "--snr-db", "5", "--n", "1", "--mcs", "0"],
+     "target sum-rate 0.0 outside"),
 ))
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

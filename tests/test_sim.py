@@ -363,12 +363,18 @@ def test_search_and_lut_take_their_settings_from_simconfig(monkeypatch):
 
     monkeypatch.setattr(sim, "_chunk_scheduler", scheduler)
     mcs = McsEntry(index=0, m=2, rate_x1024=512)
-    min_required_snr("rf1", mcs, 32, 0.01)
+    res = min_required_snr("rf1", mcs, 32, 0.01)
     build_bler_lut("rf1", (mcs,), 32)
     assert len(simulated) == 2
     for cfg in simulated:
         assert cfg == SimConfig(method="rf1", m=2, n=32, k=mcs.k_for(32),
                                 snr_grid_db=cfg.snr_grid_db)
+    # the search echoes the config its probes simulate, grid aside, and its
+    # result stays hashable
+    echo = dataclasses.asdict(simulated[0])
+    del echo["snr_grid_db"]
+    assert res.config == echo
+    assert hash(res) == hash(dataclasses.replace(res, config={}))
 
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
