@@ -32,6 +32,9 @@ from .sim import (METHODS, SimConfig, SimCurve, build_bler_lut,
 
 
 _MAX_GRID_POINTS = 100_000  # SNR points of a --snr-start/--snr-stop grid
+# the CLI's own defaults for bler, throughput and minsnr; the other fields
+# fall back to SimConfig's
+_DEFAULTS = {"method": "rf2", "n": 256}
 
 
 class _UsageError(Exception):
@@ -199,7 +202,7 @@ def _sim_config(args, base: dict,
 
 def _cmd_bler(args) -> None:
     # m and k have no default: 0 is refused below and by SimConfig
-    cfg = _sim_config(args, dict(method="rf2", n=256, m=0, k=0))
+    cfg = _sim_config(args, dict(_DEFAULTS, m=0, k=0))
     if cfg.k < 1:
         raise _UsageError("bler needs k >= 1: give --k, --rate or k in --config")
     curve = run_bler(cfg, workers=args.workers)
@@ -216,7 +219,7 @@ def _mcs_table(path: str | None):
 
 def _cmd_throughput(args) -> None:
     # m and k are placeholders: the MCS table sets them per frame
-    cfg = _sim_config(args, dict(method="rf2", n=256, m=2, k=0), (
+    cfg = _sim_config(args, dict(_DEFAULTS, m=2, k=0), (
         (("m", "k"), "set per frame by the MCS table"),
         (("max_errors",), "throughput simulates every frame")))
     table = _mcs_table(args.mcs_table)
@@ -241,7 +244,7 @@ def _cmd_minsnr(args) -> None:
         raise _UsageError(f"--mcs-index must lie in [0, {len(table) - 1}], "
                           f"got {args.mcs_index}")
     mcs = table[args.mcs_index]
-    settings = {"method": "rf2", "n": 256, **_given(args)}
+    settings = {**_DEFAULTS, **_given(args)}
     res = _checked(min_required_snr, mcs=mcs, target_bler=args.target_bler,
                    workers=args.workers, **settings)
     flag = "  (warning: flat bracket)" if res.warned else ""
@@ -308,8 +311,10 @@ def _add_k(p, required: bool) -> None:
 
 def _add_simulation(p) -> None:
     """The flags of bler, throughput and minsnr: unset ones are None."""
-    p.add_argument("--method", choices=METHODS, help="default rf2")
-    p.add_argument("--n", type=int, help="component block length, default 256")
+    p.add_argument("--method", choices=METHODS,
+                   help=f"default {_DEFAULTS['method']}")
+    p.add_argument("--n", type=int,
+                   help=f"component block length, default {_DEFAULTS['n']}")
     p.add_argument("--list-size", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--max-blocks", type=int)

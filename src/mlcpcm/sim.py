@@ -5,9 +5,12 @@ Reproducibility contract: every frame draws from its own counter-based
 substream keyed by (seed, snr_index, frame_index), frames are consumed in
 index order, and early stopping truncates at the exact frame where the error
 budget is met. Results are therefore bit-identical for a given (config, seed)
-regardless of batch size or worker count. Per-frame draw order is fixed:
-fading coefficient (throughput only), then payload bits level by level, then
-noise (real parts, then imaginary parts).
+regardless of batch size or worker count, on one numpy build at one SIMD
+dispatch level: numpy picks its exp, log, log1p and tanh kernels at run
+time, and the decoder's check-node rule and the GA construction call them,
+so another build or CPU may move their last bits. Per-frame draw order is
+fixed: fading coefficient (throughput only), then payload bits level by
+level, then noise (real parts, then imaginary parts).
 """
 
 from __future__ import annotations
@@ -431,26 +434,33 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
     or mN at this N is refused (ValueError) before any probe.
 
     Probes start from the capacity-matched SNR of the scheme's sum-rate and
-    walk the grid until the target is bracketed; far above target the walk
-    takes 1 dB strides and backfills, so the final bracket is always two
+    walk the grid until the target is bracketed. From a probe far above the
+    target the walk takes a 1 dB stride: one at 30 x the target or more, or
+    one on the waterfall's flat top (BLER >= 0.9) and at 3 x the target or
+    more, so that a target of 0.1 strides there too. A stride that lands
+    below the target is backfilled, so the final bracket is always two
     adjacent grid points, the lower at or above the target and the upper
-    below it. When the bracket is flat, because the upper probe's
-    continuity-corrected BLER (0.5 / blocks when it saw no errors) is not
-    below the lower one's, the result is the bracket midpoint and ``warned``
-    is set.
+    below it. Where the probe BLERs fall with SNR, the strides change only
+    which probes are walked, at most one of them past the bracket, and not
+    the bracket or the result. When the bracket is flat, because the upper
+    probe's continuity-corrected BLER (0.5 / blocks when it saw no errors)
+    is not below the lower one's, the result is the bracket midpoint and
+    ``warned`` is set.
 
     Each probe is a BLER point (SNR index 0) of ``run_bler``'s chunk
     scheduler, on one pool for the call; its look-ahead is the next workers
     - 1 grid points of the walk, in the backfill only those below the
-    bracket. Look-ahead still running when the bracket is found is stopped,
-    not waited for. A probe depends only on (config, SNR) and ``probes``
-    lists only the probes the walk asks for, so the result does not depend
-    on workers.
+    bracket. From the first probe it looks ahead 1 dB apart for targets up
+    to 1/30 and 0.25 dB apart above. Look-ahead still running when the
+    bracket is found is stopped, not waited for. A probe depends only on
+    (config, SNR) and ``probes`` lists only the probes the walk asks for, so
+    the result does not depend on workers.
     """
     if not 0.0 < target_bler < 1.0:  # NaN fails too
         raise ValueError(f"target_bler must lie in (0, 1), got {target_bler}")
     cfg, anchor = _entry_setup(method, mcs, n, settings)
     step = 0.25
+    far = max(min(30 * target_bler, 0.9), 3 * target_bler)  # a BLER to stride from
     s = np.floor(anchor / step) * step
     cache: dict[float, SimPoint] = {}
     with _pool(workers) as pool:
@@ -477,7 +487,7 @@ def min_required_snr(method: str, mcs: McsEntry, n: int, target_bler: float, *,
                 raise RuntimeError("target BLER not bracketed within 60 dB")
         lo = p
         while True:
-            stride = 1.0 if lo.value >= 30 * target_bler else step
+            stride = 1.0 if lo.value >= far else step
             p = probe(lo.snr_db + stride, stride)
             guard += 1
             if guard > 240:

@@ -5,6 +5,8 @@ Each mutant replaces one exact text in one module of a temporary copy of
 ``src/`` and runs a pytest selection on that copy, which must then fail. The
 check fails if a mutant survives, if its old text does not occur exactly
 once in the module, or if a selection does not pass on the unmutated copy.
+The pytest runs go out over one process per CPU this process may run on,
+and the verdicts print in mutant order.
 
 Run from anywhere: ``python tests/mutants.py``. Its name does not match
 pytest's ``test_*.py``, so the test suite does not collect it.
@@ -17,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,7 +121,8 @@ MUTANTS = (
      "                proc.terminate()\n"
      "            pool.shutdown(cancel_futures=True)\n",
      "            pass\n",
-     ("tests/test_sim.py::test_min_required_snr_guard_leaves_no_children",)),
+     ("tests/test_sim.py::test_min_required_snr_guard_leaves_no_children",
+      "tests/test_sim.py::test_min_required_snr_shuts_down_the_pools_it_held")),
     # throughput batches: full at the batch limit, the partial ones flushed,
     # each frame at its own mean SNR
     ("sim.py", "if len(batch) == limit[mcs]:", "if len(batch) == limit[mcs] + 1:",
@@ -158,9 +162,21 @@ MUTANTS = (
     # the search's look-ahead: only below the bracket in the backfill, and
     # only on the workers a probe's own chunks leave idle
     ("sim.py", "if t not in cache and t < below]", "if t not in cache]",
-     ("tests/test_sim.py::test_min_required_snr_backfill_speculates_below_bracket",)),
+     ("tests/test_sim.py::test_min_required_snr_backfill_speculates_below_bracket",
+      "tests/test_sim.py::test_min_required_snr_backfill_sends_look_ahead_below_bracket")),
     ("sim.py", "ahead[:max(workers - len(chunks), 0)]", "ahead[:workers - 1]",
-     ("tests/test_sim.py::test_min_required_snr_chunked_probes_do_not_speculate",)),
+     ("tests/test_sim.py::test_min_required_snr_chunked_probes_do_not_speculate",
+      "tests/test_sim.py::test_min_required_snr_chunked_probes_submit_no_look_ahead")),
+    # the search strides 1 dB across the flat top at a target of 0.1, and
+    # not at all above a target of 1/3; its anchor looks ahead 1 dB only up
+    # to a target of 1/30
+    ("sim.py", "1.0 if 30 * target_bler <= 1.0 else step", "1.0 if far <= 1.0 else step",
+     ("tests/test_sim.py::test_min_required_snr_anchor_looks_ahead_on_the_grid_at_target_0_1",)),
+    ("sim.py", "min(30 * target_bler, 0.9)", "min(30 * target_bler, 1.1)",
+     ("tests/test_sim.py::test_min_required_snr_worker_invariant[flat-top]",)),
+    ("sim.py", "3 * target_bler)", "0 * target_bler)",
+     ("tests/test_sim.py::test_min_required_snr_matches_the_frozen_walk[rf2-16-0.5]",
+      "tests/test_sim.py::test_min_required_snr_matches_the_frozen_walk[ga-16-0.5]")),
     # a row frozen at a leaf ranks its real paths' bit-0 children first
     ("polar_codec.py", "rank = np.where(c < 2 * r, (c & 1) * r + (c >> 1), c)",
      "rank = np.where(c < 2 * r, c, c)",
@@ -180,37 +196,61 @@ def _copy(dest: Path) -> Path:
     return dest
 
 
-def _pytest(tree: Path, selection: tuple[str, ...]) -> int:
-    """Exit code of pytest on ``selection``, importing the package from ``tree``."""
+def _pytest(tree: Path, selection: tuple[str, ...], basetemp: Path) -> int:
+    """Exit code of pytest on ``selection``, importing the package from ``tree``
+    and keeping its temporary files under ``basetemp``, its own."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *selection], cwd=tree, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+         f"--basetemp={basetemp}", *selection], cwd=tree, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _mutant(tree: Path, module: str, old: str, new: str,
+            selection: tuple[str, ...]) -> tuple[str | None, str | None]:
+    """(verdict line, failure) of one mutant, tested in its copy ``tree``;
+    a mutant whose old text is not found once gets no verdict line."""
+    _copy(tree)
+    path = tree / "src" / "mlcpcm" / module
+    text = path.read_text()
+    found = text.count(old)
+    if found != 1:
+        return None, f"{module}: {old!r} found {found} times, not once"
+    path.write_text(text.replace(old, new))
+    code = _pytest(tree, selection, tree / "pytest")
+    verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (exit {code})")
+    return (f"{verdict:>16}  {module}: {old!r} -> {new!r}",
+            None if code == 1 else f"{module}: {old!r} -> {new!r} {verdict}")
+
+
+def _cpus() -> int:
+    # the CPUs this process may run on, not all of the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def main() -> int:
     failures = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with (tempfile.TemporaryDirectory() as tmp,
+          ThreadPoolExecutor(_cpus()) as pool):
+        # each thread waits on one pytest process
         clean = _copy(Path(tmp) / "clean")
-        for selection in dict.fromkeys(sel for *_, sel in MUTANTS):
-            code = _pytest(clean, selection)
+        selections = list(dict.fromkeys(sel for *_, sel in MUTANTS))
+        checks = [pool.submit(_pytest, clean, selection, Path(tmp) / f"clean{i}")
+                  for i, selection in enumerate(selections)]
+        runs = [pool.submit(_mutant, Path(tmp) / f"mutant{i}", *mutant)
+                for i, mutant in enumerate(MUTANTS)]
+        for selection, check in zip(selections, checks):
+            code = check.result()
             if code != 0:
                 failures.append(f"unmutated copy fails (exit {code}): {' '.join(selection)}")
-        for i, (module, old, new, selection) in enumerate(MUTANTS):
-            tree = _copy(Path(tmp) / f"mutant{i}")
-            path = tree / "src" / "mlcpcm" / module
-            text = path.read_text()
-            found = text.count(old)
-            if found != 1:
-                failures.append(f"{module}: {old!r} found {found} times, not once")
-                continue
-            path.write_text(text.replace(old, new))
-            code = _pytest(tree, selection)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (exit {code})")
-            print(f"{verdict:>16}  {module}: {old!r} -> {new!r}")
-            if code != 1:
-                failures.append(f"{module}: {old!r} -> {new!r} {verdict}")
+        for run in runs:
+            line, failure = run.result()
+            if line is not None:
+                print(line, flush=True)
+            if failure is not None:
+                failures.append(failure)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     print(f"{len(MUTANTS)} mutants, {len(failures)} failures")

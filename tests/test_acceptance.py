@@ -286,10 +286,12 @@ def test_criterion_6_rf2_tracks_ga_at_desk_scale(capsys):
     t0 = time.perf_counter()
     fails = []
     mcs = McsEntry(index=0, m=4, rate_x1024=512)  # 16QAM, R = 0.5
+    # two workers: the result does not depend on the worker count, and the
+    # pool and its look-ahead run at full scale
     rf2 = min_required_snr("rf2", mcs, 256, 1e-2, list_size=8, seed=7,
-                           max_blocks=20_000, max_errors=100)
+                           max_blocks=20_000, max_errors=100, workers=2)
     ga = min_required_snr("ga", mcs, 256, 1e-2, list_size=8, seed=7,
-                          max_blocks=20_000, max_errors=100)
+                          max_blocks=20_000, max_errors=100, workers=2)
     delta = abs(rf2.snr_db - ga.snr_db)
     if delta > 0.25:
         fails.append(f"|SNR(rf2) - SNR(ga)| = {delta:.3f} dB > 0.25 dB")

@@ -197,6 +197,22 @@ def test_minsnr_csv_output(tmp_path, capsys):
            [float(line.split()[0]) for line in printed[2:-1]]
 
 
+def test_bler_throughput_and_minsnr_echo_the_same_defaults(tmp_path, capsys):
+    # without --method and --n all three run and echo rf2 at N = 256
+    tails = {"bler": ["--m", "2", "--k", "64", "--snr-db", "30"],
+             "throughput": ["--snr-db", "30", "--mcs", "0", "--lut-blocks", "1",
+                            "--lut-errors", "1"],
+             "minsnr": ["--mcs-index", "0", "--target-bler", "0.5"]}
+    echoed = []
+    for command, tail in tails.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--list-size", "1", "--max-blocks", "1", *tail,
+                     "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        echoed.append((config["method"], config["n"]))
+    assert echoed == [("rf2", 256)] * 3
+
+
 def test_minsnr_default_list_size(capsys):
     # without --list-size the search runs at the default list size 8
     assert main(["minsnr", "--mcs-index", "1", "--target-bler", "0.2",

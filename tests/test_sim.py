@@ -31,6 +31,7 @@ from mlcpcm.sim import (
     run_bler,
     run_throughput,
 )
+import search_reference
 import throughput_reference
 
 _bler_chunk = sim._bler_chunk  # the real chunk, for stubs that wrap it
@@ -379,6 +380,7 @@ def test_search_and_lut_take_their_settings_from_simconfig(monkeypatch):
 
 # Real walks of each kind, each checked at 1, 2 and 3 workers:
 # walk -> (method, mcs, n, target_bler, max_blocks, max_errors, seed)
+# "flat-top" starts at BLER 0.91 for a target of 0.1, so it strides at once.
 # All but "chunked" and "two-chunk" probe one chunk of frames and so look
 # ahead on the idle workers. QPSK chunks hold up to 256 frames: "chunked"
 # probes up to 600 frames in three chunks, which leave no worker idle, and
@@ -390,6 +392,7 @@ SPECULATION_WALKS = {
     "backfill-ga": ("ga", McsEntry(index=0, m=2, rate_x1024=512), 64, 0.01, 20, 20, 3),
     "chunked": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 32, 0.01, 600, 5, 4),
     "two-chunk": ("rf1", McsEntry(index=0, m=2, rate_x1024=384), 32, 0.01, 300, 5, 4),
+    "flat-top": ("rf1", McsEntry(index=0, m=4, rate_x1024=300), 32, 0.1, 200, 40, 5),
 }
 
 
@@ -412,9 +415,41 @@ def test_min_required_snr_worker_invariant(walk):
         assert max(p.blocks for p in probes) > 512
     elif walk == "two-chunk":  # some probe ran into its second chunk
         assert max(p.blocks for p in probes) > 256
+    elif walk == "flat-top":  # a 1 dB stride from the anchor's flat top
+        assert probes[0].value >= 0.9
+        assert probes[1].snr_db - probes[0].snr_db == 1.0
     else:  # a 1 dB stride, then grid points filled in below its end
         gaps = np.diff([p.snr_db for p in probes])
         assert 1.0 in gaps and 0.25 in gaps
+
+
+# (method, MCS index, target BLER) of the searches held against the frozen
+# walk, at N = 64, L = 2 and 100 blocks or 20 errors per probe. The walk
+# strides across the flat top for targets in (0.03, 1/3] and is the frozen
+# one elsewhere; the flat top reaches 0.9 for the two 64QAM entries.
+REFERENCE_SEARCHES = [(method, index, target) for method in ("rf2", "ga")
+                      for index in (1, 4, 6, 9, 12, 16)
+                      for target in (0.01, 0.1, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("method,index,target", REFERENCE_SEARCHES)
+def test_min_required_snr_matches_the_frozen_walk(method, index, target):
+    mcs = load_mcs_table()[index]
+    settings = dict(list_size=2, max_blocks=100, max_errors=20, seed=index)
+    got = min_required_snr(method, mcs, 64, target, **settings)
+    # a probe depends only on (config, SNR): the frozen walk reuses the
+    # search's and simulates only those it alone visits
+    want = search_reference.min_required_snr(
+        method, mcs, 64, target, {p.snr_db: p for p in got.probes}, **settings)
+    if not 0.03 < target <= 1 / 3:
+        assert got == want  # the same walk, probe for probe
+    assert len(got.probes) <= len(want.probes) + 1  # at most one overshoot
+    # every probe of either walk below the target lies above every probe at
+    # or above it, so both walks find the same bracket
+    below = [v for _, v in sorted({p.snr_db: p.value < target
+                                   for p in got.probes + want.probes}.items())]
+    assert below == sorted(below)
+    assert (got.snr_db.hex(), got.warned) == (want.snr_db.hex(), want.warned)
 
 
 def _stub_chunk(threshold, log, fail_above, cfg, snr_db, snr_idx, start,
@@ -446,6 +481,27 @@ def _stub_probes(monkeypatch, threshold, log, fail_above=np.inf):
     _fork_pool(monkeypatch)
     monkeypatch.setattr(sim, "_bler_chunk", functools.partial(
         _stub_chunk, threshold, log, fail_above))
+
+
+def _recording_pools(monkeypatch):
+    """(pools, submitted): every process pool made after this call, held so
+    that only its own shutdown ends its workers, and the SNR of every chunk
+    the calling process submits to one."""
+    make, pools, submitted = concurrent.futures.ProcessPoolExecutor, [], []
+
+    def recording(*args, **kwargs):
+        pool = make(*args, **kwargs)
+        submit = pool.submit
+
+        def recorded(fn, *fn_args):
+            submitted.append(fn_args[1])  # the chunk's SNR
+            return submit(fn, *fn_args)
+        pool.submit = recorded
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return pools, submitted
 
 
 def _stub_walk(workers, max_blocks=128):
@@ -503,6 +559,51 @@ def test_min_required_snr_backfill_speculates_below_bracket(monkeypatch,
     assert multiprocessing.active_children() == []
 
 
+def _record_look_ahead(monkeypatch):
+    """A list that gets (SNR, look-ahead SNRs) of every probe the search
+    asks its chunk scheduler for, in the calling process."""
+    scheduler, sent = sim._chunk_scheduler, []
+
+    def recording(cfg, pool, workers):
+        point = scheduler(cfg, pool, workers)
+
+        def recorded(snr_idx, snr_db, ahead=()):
+            sent.append((snr_db, [s for _, s in ahead]))
+            return point(snr_idx, snr_db, ahead)
+        return recorded
+
+    monkeypatch.setattr(sim, "_chunk_scheduler", recording)
+    return sent
+
+
+def test_min_required_snr_backfill_sends_look_ahead_below_bracket(monkeypatch,
+                                                                 tmp_path):
+    # the test above sees only the look-ahead a worker started before the
+    # pool stopped; this one records what each probe sends, whatever the
+    # timing: the backfill of the [9, 10] bracket sends nothing at 10 dB or up
+    _stub_probes(monkeypatch, 9.6, tmp_path / "probes.txt")
+    sent = _record_look_ahead(monkeypatch)
+    _stub_walk(5)
+    backfill = [(s, ahead) for s, ahead in sent if 9.0 < s < 10.0]
+    assert [s for s, _ in backfill] == [9.25, 9.5, 9.75]
+    assert all(t < 10.0 for _, ahead in backfill for t in ahead)
+    assert multiprocessing.active_children() == []
+
+
+def test_min_required_snr_anchor_looks_ahead_on_the_grid_at_target_0_1(
+        monkeypatch, tmp_path):
+    # at a target of 0.1 the walk strides only from the flat top (BLER 0.9
+    # or more), so an anchor at the stub's BLER of 0.4 sends the next grid
+    # point, the walk's next probe, to the idle worker, not a point 1 dB up
+    _stub_probes(monkeypatch, 1.6, tmp_path / "probes.txt")
+    sent = _record_look_ahead(monkeypatch)
+    walk = min_required_snr("rf1", McsEntry(index=0, m=2, rate_x1024=512), 32,
+                            0.1, max_blocks=128, workers=2)
+    assert sent[0] == (0.0, [0.25])
+    assert [p.snr_db for p in walk.probes] == [0.25 * i for i in range(8)]
+    assert multiprocessing.active_children() == []
+
+
 def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
                                                           tmp_path):
     # 600 frames at N=32 are three chunks, more than the two workers: each
@@ -519,6 +620,19 @@ def test_min_required_snr_chunked_probes_do_not_speculate(monkeypatch,
     assert {s for s, start, _ in logged if start == 512} >= \
            {p.snr_db for p in want.probes if p.blocks == 600}
     assert os.getpid() not in {pid for _, _, pid in logged}
+
+
+def test_min_required_snr_chunked_probes_submit_no_look_ahead(monkeypatch,
+                                                             tmp_path):
+    # the test above sees only the look-ahead a worker started before the
+    # pool stopped; this one records every chunk the calling process
+    # submits, whatever the timing: only the probes the walk asks for
+    _stub_probes(monkeypatch, 9.6, tmp_path / "probes.txt")
+    want = _stub_walk(1, max_blocks=600)
+    _, submitted = _recording_pools(monkeypatch)
+    assert _stub_walk(2, max_blocks=600) == want
+    assert sorted(set(submitted)) == [p.snr_db for p in want.probes]
+    assert multiprocessing.active_children() == []
 
 
 def test_min_required_snr_unrequested_failure_is_ignored(monkeypatch, tmp_path):
@@ -551,6 +665,23 @@ def test_min_required_snr_guard_leaves_no_children(monkeypatch, tmp_path,
     _stub_probes(monkeypatch, -np.inf, tmp_path / "probes.txt")
     with pytest.raises(RuntimeError, match="within 60 dB"):
         _stub_walk(workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_min_required_snr_shuts_down_the_pools_it_held(monkeypatch, tmp_path):
+    # the test above can pass without the call's shutdown, when the workers
+    # of the pool it dropped end before it looks; here every pool stays
+    # referenced, so only the call's own exit ends its workers
+    _stub_probes(monkeypatch, 9.6, tmp_path / "probes.txt")
+    pools, _ = _recording_pools(monkeypatch)
+    _stub_walk(2)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    _stub_probes(monkeypatch, -np.inf, tmp_path / "probes.txt")
+    pools, _ = _recording_pools(monkeypatch)
+    with pytest.raises(RuntimeError, match="within 60 dB"):
+        _stub_walk(2)
+    assert len(pools) == 1
     assert multiprocessing.active_children() == []
 
 
