@@ -24,13 +24,13 @@ leaves (h the axis's label bits) to the halves under bit 0 and bit 1, so a
 level reads only its own subtree. This is the one demapping rule, of the
 multistage decoder and ``level_llr`` alike; ``demap_tables`` and
 ``level_llr_from_tables``, its all-depth table form, are kept for the tests
-and the benchmark tracer. Constellations without this product structure
-(``axis_amps`` None) are not demapped.
+and the benchmark tracer. Every constellation here is BPSK or square QAM, so
+each stores its per-axis amplitudes once, in Gray-label order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +53,23 @@ def gray_rank(g: np.ndarray) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """A 2^m point complex constellation indexed by integer bit label.
 
     points[lab] is the symbol whose label bits (b_1, ..., b_m) form the integer
-    lab MSB-first. axis_amps holds the per-axis amplitude set in increasing
-    order for square QAM (None for constellations without product structure).
+    lab MSB-first. amp_by_label[g] is the per-axis amplitude of axis Gray
+    label g, shared by both axes of square QAM.
     """
 
     m: int
     points: np.ndarray
     name: str
-    axis_amps: np.ndarray | None = field(default=None)
+    amp_by_label: np.ndarray
 
     @property
     def order(self) -> int:
         return 1 << self.m
-
-    def axis_amp_by_label(self) -> np.ndarray:
-        """Per-axis amplitudes indexed by axis Gray label (square QAM only)."""
-        if self.axis_amps is None:
-            raise ValueError("constellation has no per-axis structure")
-        half = self.axis_amps.size
-        ranks = gray_rank(np.arange(half))
-        return self.axis_amps[ranks]
 
 
 def _axis_label_bits(lab: np.ndarray, m: int, axis: int) -> np.ndarray:
@@ -105,16 +97,16 @@ def build_qam(m: int) -> Constellation:
     labs = np.arange(1 << m)
     lab_i = _axis_label_bits(labs, m, axis=0)
     lab_q = _axis_label_bits(labs, m, axis=1)
-    amp_by_lab = amps[gray_rank(np.arange(half))]
-    points = amp_by_lab[lab_i] + 1j * amp_by_lab[lab_q]
-    return Constellation(m=m, points=points, name=f"qam{1 << m}", axis_amps=amps)
+    amp_by_label = amps[gray_rank(np.arange(half))]
+    points = amp_by_label[lab_i] + 1j * amp_by_label[lab_q]
+    return Constellation(m=m, points=points, name=f"qam{1 << m}",
+                         amp_by_label=amp_by_label)
 
 
 def build_bpsk() -> Constellation:
     """Real +-1 constellation with the same axis-label rule: 0 -> -1, 1 -> +1."""
-    points = np.array([-1.0 + 0.0j, 1.0 + 0.0j])
-    return Constellation(m=1, points=points, name="bpsk",
-                         axis_amps=np.array([-1.0, 1.0]))
+    amps = np.array([-1.0, 1.0])
+    return Constellation(m=1, points=amps + 0j, name="bpsk", amp_by_label=amps)
 
 
 def build_constellation(m: int) -> Constellation:
@@ -183,14 +175,12 @@ def demap_tables(c: Constellation, y: np.ndarray,
     at depths ceil(k/2) and floor(k/2); level k's LLR needs only the axis
     carrying bit k, because the other axis adds the same term to both
     hypotheses. noise_var may be an array broadcastable against y
-    (per-frame values). Raises ValueError when ``c`` has no per-axis
-    amplitudes. The library does not call this: it forms every LLR with
+    (per-frame values). The library does not call this: it forms every LLR with
     ``subtree_llr``, and the tests and the benchmark tracer read this form.
     """
-    amps = c.axis_amp_by_label()
     y = np.asarray(y, dtype=np.complex128)
     axes = (y.real,) if c.m == 1 else (y.real, y.imag)
-    return [pam_tables(amps, part, noise_var) for part in axes]
+    return [pam_tables(c.amp_by_label, part, noise_var) for part in axes]
 
 
 def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
@@ -225,7 +215,7 @@ def subtree_llr(c: Constellation, y: np.ndarray, noise_var: float | np.ndarray,
     """
     axis = (k - 1) % 2
     p = _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
-    rows = c.axis_amp_by_label().reshape(1 << (k - 1) // 2, -1)
+    rows = c.amp_by_label.reshape(1 << (k - 1) // 2, -1)
     part = np.asarray(y, dtype=np.complex128)
     part = part.imag if axis else part.real
     t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)

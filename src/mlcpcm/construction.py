@@ -51,18 +51,21 @@ GA_PHI_SPLIT = 10.0
 
 @dataclass(frozen=True, eq=False)
 class RankSequence:
-    """Channel-independent reliability order, ascending (worst index first)."""
+    """Channel-independent reliability order, ascending (worst index first),
+    of [0, max_len): ``max_len``, the largest N it ranks, is ``order.size``."""
 
     name: str  # "FiveG_Polar" or "PW"
     order: np.ndarray
-    max_len: int
 
     def __post_init__(self):
         order = np.asarray(self.order, dtype=np.int64)
-        if (order.size != self.max_len
-                or not np.array_equal(np.sort(order), np.arange(self.max_len))):
-            raise ValueError(f"rank sequence is not a permutation of [0, {self.max_len})")
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise ValueError(f"rank sequence is not a permutation of [0, {order.size})")
         object.__setattr__(self, "order", order)
+
+    @property
+    def max_len(self) -> int:
+        return self.order.size
 
     def restrict(self, n: int) -> np.ndarray:
         """Nested extraction: entries < n in original order."""
@@ -74,15 +77,15 @@ class RankSequence:
 
     def top_k(self, n: int, k: int) -> np.ndarray:
         """The k most reliable indices among [0, n), sorted ascending."""
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(self.restrict(n)[-k:])
+        if not 0 <= k <= n:
+            raise ValueError(f"k={k} outside [0, {n}]")
+        return np.sort(self.restrict(n)[n - k:])
 
 
 def load_rank_sequence(path) -> RankSequence:
     """Load a whitespace-separated reliability order and validate it."""
     order = np.loadtxt(path, dtype=np.int64).ravel()
-    return RankSequence("FiveG_Polar", order, order.size)
+    return RankSequence("FiveG_Polar", order)
 
 
 @lru_cache(maxsize=1)
@@ -100,7 +103,7 @@ def pw_sequence(n: int) -> RankSequence:
     bits = (np.arange(n)[:, None] >> np.arange(max(n.bit_length() - 1, 1))) & 1
     w = bits @ (2.0 ** (np.arange(bits.shape[1]) / 4.0))
     order = np.argsort(w, kind="stable")  # ties resolved to smaller index
-    return RankSequence("PW", order, n)
+    return RankSequence("PW", order)
 
 
 def default_sequence(n: int) -> RankSequence:
@@ -286,17 +289,18 @@ def _assemble(m: int, n: int, k_total: int, method: str, alloc: RateAllocation,
 
 def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
                   seq: RankSequence | None = None) -> CodeConstruction:
-    """Finite-blocklength rate-filling construction."""
+    """Finite-blocklength rate-filling construction: K rate-filled over the
+    per-level values at the SNR where their sum reaches K/N, or at K = mN,
+    a sum no SNR reaches, over unit values (design SNR None), which fill the
+    levels to N in level order; each level's set is ``seq.top_k``."""
     _check_eps(eps)
-    c = build_constellation(m)  # checks m, also for the saturated shortcut
+    c = build_constellation(m)
     seq = default_sequence(n) if seq is None else seq
-    if k_total == m * n:  # nothing to allocate: every level is full rate
-        alloc = RateAllocation(counts=np.full(m, n, dtype=np.int64), total=m * n,
-                               level_order=np.arange(m, dtype=np.int64))
-        sets = [np.arange(n, dtype=np.int64) for _ in range(m)]
-        return _assemble(m, n, m * n, "rf2", alloc, sets, None, eps)
-    snr = solve_snr_finite(c, k_total / n, n, eps)
-    v = finite_bl_values(c, snr, n, eps)
+    if k_total == m * n:
+        snr, v = None, np.ones(m)
+    else:
+        snr = solve_snr_finite(c, k_total / n, n, eps)
+        v = finite_bl_values(c, snr, n, eps)
     alloc = rate_fill(v, k_total, n)
     sets = [seq.top_k(n, int(k)) for k in alloc.counts]
     return _assemble(m, n, k_total, "rf2", alloc, sets, snr, eps)

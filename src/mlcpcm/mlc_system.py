@@ -89,7 +89,7 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     noise_var = np.broadcast_to(noise_var, y.shape)
     # frames per subtree_llr call: level 0's leaves, one per axis amplitude
     # and symbol, fill _DEMAP_BYTES, and deeper subtrees are narrower
-    step = max(_DEMAP_BYTES // (c.axis_amp_by_label().size * n * 8), 1)
+    step = max(_DEMAP_BYTES // (c.amp_by_label.size * n * 8), 1)
     codes = component_codes(cons)
     # m label bits; uint8 up to 256QAM
     prefix = np.zeros((f, n), dtype=np.min_scalar_type((1 << c.m) - 1))

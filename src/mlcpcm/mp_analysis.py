@@ -13,9 +13,9 @@ dimension: at high SNR the log-mixture integrands develop sharp transitions
 and coarser rules leave errors around 1e-5; 256 nodes keeps the change under
 node doubling below 1e-8 everywhere on m <= 8, -10..30 dB. For square
 Gray-labeled QAM the integrand of every level depends on one noise axis only,
-so the tensor product collapses exactly to a one-dimensional rule; BPSK is a
-single real axis, so it takes the same rule. Constellations without product
-structure are not supported. The rule is packaged data
+so the tensor product collapses exactly to a one-dimensional rule over the
+constellation's per-axis amplitudes (``amp_by_label``); BPSK is a single
+real axis, so it takes the same rule. The rule is packaged data
 (``data/gauss_hermite_256.txt``), Q is libm ``erfc`` and Qinv an in-package
 port of Cephes ``ndtri``, so nothing here imports SciPy.
 
@@ -233,7 +233,7 @@ def level_stats(c: Constellation,
     if key in _stats_cache:
         return _stats_cache[key]
     sigma = noise_sigma(snr_db)
-    cap, disp, total = _pam_stats(c.axis_amp_by_label(), sigma, *_gauss_hermite())
+    cap, disp, total = _pam_stats(c.amp_by_label, sigma, *_gauss_hermite())
     if c.m > 1:  # square QAM: two identical axes, levels interleaved
         cap, disp, total = np.repeat(cap, 2), np.repeat(disp, 2), 2.0 * total
     # quadrature roundoff can leave tiny negatives on saturated levels

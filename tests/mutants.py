@@ -52,6 +52,12 @@ MUTANTS = (
     ("sim.py", "construct_rf2(c.m, k, n, eps=eps, seq=seq)",
      "construct_rf2(c.m, k, n, eps=eps)",
      ("tests/test_cli.py::test_construct_ranks_by_the_given_sequence",)),
+    # K = mN rate-fills unit values, so the levels fill in level order, and
+    # each level's set is the top-k slice of its rank sequence
+    ("construction.py", "snr, v = None, np.ones(m)", "snr, v = None, np.arange(1.0, m + 1)",
+     ("tests/test_construction.py::test_rf_full_rate_fills_every_level_in_level_order",)),
+    ("construction.py", "self.restrict(n)[n - k:]", "self.restrict(n)[-k:]",
+     ("tests/test_construction.py::test_top_k_nesting",)),
     # RF-I is RF-II at eps = 0.5, and the capacity solve the finite one there
     ("construction.py", "construct_rf2(m, k_total, n, 0.5, seq)",
      "construct_rf2(m, k_total, n, 0.4999, seq)",

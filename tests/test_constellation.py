@@ -219,13 +219,13 @@ def test_subtree_llr_is_the_tables_llr(m):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (nv, k)
 
 
-def test_tables_need_axis_structure():
-    qam = build_qam(4)
-    c = Constellation(m=4, points=qam.points, name="no-axes")
-    with pytest.raises(ValueError):
-        demap_tables(c, np.zeros(3, dtype=complex), 1.0)
-    with pytest.raises(ValueError):
-        level_llr(c, 0.1 + 0.2j, 1.0)
+def test_constellations_compare_and_hash_by_identity():
+    # ndarray fields: field-wise equality would raise, and so would hashing
+    a, b = build_qam(4), build_qam(4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.amp_by_label, b.amp_by_label)
 
 
 def test_llr_clip():

@@ -115,6 +115,16 @@ def test_top_k_nesting():
             prev = cur
 
 
+def test_top_k_refuses_what_it_cannot_slice():
+    seq = five_g_sequence()
+    with pytest.raises(ValueError, match="power of two"):
+        seq.top_k(100, 0)
+    with pytest.raises(ValueError, match=r"k=9 outside \[0, 8\]"):
+        seq.top_k(8, 9)
+    with pytest.raises(ValueError, match=r"k=-1 outside \[0, 8\]"):
+        seq.top_k(8, -1)
+
+
 def test_default_sequence_dispatch():
     assert default_sequence(256).name == five_g_sequence().name
     assert default_sequence(2048).name == pw_sequence(2048).name
@@ -289,6 +299,27 @@ def test_rf_info_sets_are_top_k_of_sequence():
 def test_rf_full_rate_saturated():
     cons = construct_rf2(2, 128, 64)
     assert all(np.array_equal(a, np.arange(64)) for a in cons.info_sets)
+
+
+@pytest.mark.parametrize("m", (1, 2, 4, 6, 8))
+@pytest.mark.parametrize("n", (16, 1024, 2048))
+def test_rf_full_rate_fills_every_level_in_level_order(m, n):
+    # K = mN rate-fills unit values through the rank sequence (PW at 2048)
+    for cons, eps in ((construct_rf1(m, m * n, n), None),
+                      (construct_rf2(m, m * n, n, eps=0.2), 0.2)):
+        assert cons.design_snr_db is None and cons.eps == eps
+        assert np.array_equal(cons.allocation.counts, np.full(m, n))
+        assert np.array_equal(cons.allocation.level_order, np.arange(m))
+        assert all(np.array_equal(a, np.arange(n)) for a in cons.info_sets)
+
+
+@pytest.mark.parametrize("construct", (construct_rf1, construct_rf2))
+def test_rf_full_rate_refuses_what_any_rate_refuses(construct):
+    with pytest.raises(ValueError, match="power of two"):
+        construct(4, 400, 100)
+    for k in (4096, 8192):
+        with pytest.raises(ValueError, match="exceeds sequence coverage 1024"):
+            construct(4, k, 2048, seq=five_g_sequence())
 
 
 @pytest.mark.parametrize("eps", (0.0, 1.0, 1.5, float("nan")))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +426,69 @@ def test_decoder_calls_hold_no_demap_state(m, index, monkeypatch):
         tracemalloc.stop()
     assert len(held) == m // 2
     assert max(held) < 2 * y.nbytes, [h / 2**20 for h in held]
+
+
+# one seeded batch per constellation, decoded near its waterfall; writes the
+# decoder's input LLRs, the payloads, the CRC verdicts and whether numpy
+# dispatches its X86_V4 (AVX-512) kernels to the .npz file named by argv[1]
+DISPATCH_RUN = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from mlcpcm import mlc_system
+from mlcpcm.constellation import build_constellation
+from mlcpcm.construction import construct_rf2
+out = {"x86_v4": np.array(bool(__cpu_features__.get("X86_V4")))}
+decode = mlc_system.scl_decode_batch
+def recording(llrs, code, list_size):
+    out[f"m{m}_llrs{len(out)}"] = llrs.copy()
+    return decode(llrs, code, list_size)
+mlc_system.scl_decode_batch = recording
+rng = np.random.default_rng(38)
+for m in (1, 2, 4, 6, 8):
+    n = 64
+    cons = construct_rf2(m, m * n // 2, n)
+    c = build_constellation(m)
+    pay = [rng.integers(0, 2, (48, len(s) - cl), dtype=np.uint8)
+           for s, cl in zip(cons.info_sets, cons.crc_lens)]
+    x, _ = mlc_system.mlc_encode_batch(pay, cons, c)
+    # Python floats: numpy's power kernel, too, is picked by dispatch
+    nv = np.array([[10.0 ** (-(cons.design_snr_db + s) / 10.0)]
+                   for s in rng.uniform(-1.0, 1.0, 48).tolist()])
+    y = x + np.sqrt(nv / 2.0) * (rng.standard_normal(x.shape)
+                                 + 1j * rng.standard_normal(x.shape))
+    dec, oks, _, _ = mlc_system.multistage_decode_batch(y, nv, cons, c, 4)
+    out.update({f"m{m}_payload{k}": d for k, d in enumerate(dec)})
+    out[f"m{m}_crc_ok"] = oks
+np.savez(sys.argv[1], **out)
+"""
+
+
+def _dispatch_run(path, disabled):
+    env = dict(os.environ, PYTHONPATH=str(Path(mlc_system.__file__).resolve().parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    subprocess.run([sys.executable, "-c", DISPATCH_RUN, str(path)], check=True, env=env,
+                   timeout=120)
+    return np.load(path)
+
+
+def test_decode_does_not_depend_on_the_simd_dispatch(tmp_path):
+    # numpy picks exp/log1p kernels by CPU at run time, so _boxplus's last
+    # ulps differ with AVX-512 off; the subtree rule uses only ufuncs whose
+    # bits do not, and the decisions hold
+    default = _dispatch_run(tmp_path / "default.npz", None)
+    off = _dispatch_run(tmp_path / "no-x86-v4.npz", "X86_V4")
+    assert not off["x86_v4"]
+    if not default["x86_v4"]:
+        pytest.skip("numpy dispatches no X86_V4 kernels on this CPU")
+    assert default.files == off.files
+    assert sum("llrs" in key for key in default.files) == 1 + 1 + 2 + 3 + 4
+    for key in default.files:
+        if key != "x86_v4":
+            a, b = default[key], off[key]
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8)), key
+    # the batch is not trivial: some frames pass every CRC and some do not
+    oks = np.concatenate([default[key].all(axis=1) for key in default.files if "crc" in key])
+    assert oks.any() and not oks.all()

@@ -194,7 +194,7 @@ def test_quadrature_convergence():
     # the packaged 256-node rule against SciPy's 128- and 512-node rules
     from scipy.special import roots_hermite
     c = build_qam(4)
-    amps = c.axis_amp_by_label()
+    amps = c.amp_by_label
     for snr in (0.0, 10.0):
         sigma = noise_sigma(snr)
         a = np.repeat(_pam_stats(amps, sigma, *roots_hermite(128))[0], 2)
