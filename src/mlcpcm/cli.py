@@ -24,7 +24,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .constellation import build_constellation
-from .construction import DEFAULT_EPS, finite_bl_values, pw_sequence
+from .construction import (DEFAULT_EPS, finite_bl_values, five_g_sequence,
+                           pw_sequence)
 from .mp_analysis import level_stats
 from .sim import (METHODS, SimConfig, SimCurve, build_bler_lut,
                   build_construction, k_for_rate, load_mcs_table,
@@ -142,7 +143,9 @@ def _cmd_construct(args) -> None:
     if args.snr_db is None and args.method == "ga":
         raise _UsageError("ga construction needs --snr-db")
     k = args.k if args.k is not None else k_for_rate(args.m, args.n, args.rate)
-    seq = _checked(pw_sequence, args.n) if args.seq == "pw" else None
+    # an unset --seq leaves the choice to the construction's default_sequence
+    seq = (None if args.seq is None else five_g_sequence() if args.seq == "5g"
+           else _checked(pw_sequence, args.n))
     eps = DEFAULT_EPS if args.eps is None else args.eps
     c = _checked(build_constellation, args.m)
     cc = _checked(build_construction, args.method, c, k, args.n, eps, args.snr_db, seq)
@@ -347,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_k(p, required=True)
     p.add_argument("--eps", type=float, help="rf2 only, default 0.1")
     p.add_argument("--snr-db", type=_finite, help="design SNR, ga only")
-    p.add_argument("--seq", choices=("5g", "pw"), help="rf1/rf2 only, default 5g")
+    p.add_argument("--seq", choices=("5g", "pw"),
+                   help="rf1/rf2 only; default 5g up to N = 1024, pw beyond")
     p.add_argument("--out", type=_out_file, help="output file (.csv or .json)")
 
     p = command("bler", _cmd_bler, "Monte Carlo BLER curve")

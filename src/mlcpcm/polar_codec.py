@@ -31,8 +31,8 @@ partial-sum step reads it, which per leaf is the parent of the topmost
 refreshed stage and the left sums at that stage, so copying costs
 O(L N log N) per frame instead of O(L N^2). The right child of the top
 stage, N/2 LLRs per path, is never stored: its only readers, the updates of
-the stage below at leaves N/2 and 3N/4, form it from the channel LLRs and
-the top stage's left sums a block of rows at a time. Bit decisions are not
+the stage below at leaves N/2 and 3N/4, form the rows each block reads from
+the channel LLRs and the top stage's left sums. Bit decisions are not
 copied either: each fork records the selected child of every surviving
 path, one byte each up to L = 128, which holds both its parent path and its
 bit, and one backtrack at the end recovers every survivor's information bits
@@ -48,10 +48,13 @@ f/g halves of a stage are then contiguous leading-axis blocks, partial sums
 concatenate along axis 0 and the leaf LLRs are row 0 of stage 0. In a
 (frame, path, width) layout the narrow stages split into 1-4 element inner
 loops over strided views, which cost numpy up to twice as much per element.
-Boxplus on arrays larger than _BLOCK elements runs block by block over the
-flattened array, so its seventeen ufunc passes reuse data in cache instead
-of each streaming the whole stage through memory. Boxplus is elementwise,
-so blocking changes no output bit.
+Every f and g update, at every stage, runs one loop over blocks of rows
+of its output, about _BLOCK elements each. A block reads the matching rows
+of the two halves of the stage's input (the stage above, the channel LLRs'
+transposed view, or rows of the top stage's right child that it forms), so
+its seventeen boxplus or three g ufunc passes reuse data in cache instead
+of each streaming the whole stage through memory. Both rules are
+elementwise, so blocking changes no output bit.
 
 The rows of one call may come in blocks with their own component codes
 (RowBlocks), so each row has its own frozen set and CRC flag. The decoder
@@ -82,8 +85,9 @@ CRC16_POLY = 0x1021  # D^16 + D^12 + D^5 + 1, TS 38.212 gCRC16
 # a path by N * 600) while staying far from float saturation.
 _CRC_FAIL_PENALTY = 1e12
 
-# Elements per boxplus block: both inputs, the output and one temporary of
-# 2^14 float64 each take 512 KiB, which stays in a typical L2 cache.
+# Output elements per block of a stage update: for boxplus, both inputs, the
+# output and one temporary of 2^14 float64 each take 512 KiB, which stays in
+# a typical L2 cache.
 _BLOCK = 1 << 14
 
 
@@ -212,21 +216,38 @@ def _boxplus(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _boxplus_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_boxplus over flat blocks of _BLOCK elements, bit-identical to it.
+def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray,
+       out: np.ndarray | None = None) -> np.ndarray:
+    """Right-child LLRs b + (1 - 2u) a, with a and b broadcast over u's paths."""
+    g = np.subtract(1, 2 * u, dtype=np.float64, out=out)  # 1 - 2u, exact
+    g *= a
+    return np.add(b, g, out=g)
 
-    Only C-contiguous inputs are blocked, as runs of the flattened arrays
-    with a partial last block; other layouts (the channel LLRs read through
-    a transposed view) go to _boxplus whole rather than be copied.
+
+def _stage_update(rows, shape: tuple[int, int, int],
+                  u: np.ndarray | None = None) -> np.ndarray:
+    """One f or g update of a decoder stage, in blocks of its output rows.
+
+    rows(lo, hi) gives rows lo:hi of the stage's input, whose halves are a
+    and b. The result, of shape (half, F, P), is boxplus(a, b), the f
+    update, or with the left sums u the g update _g(a, b, u). Each block of
+    about _BLOCK output elements, at least one row, reads the matching rows
+    of a and b; a stage of at most _BLOCK elements is updated whole.
     """
-    if a.size <= _BLOCK or not (a.flags.c_contiguous and b.flags.c_contiguous):
-        return _boxplus(a, b)
-    out = np.empty(a.shape)
-    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
-    tmp = np.empty(_BLOCK)
-    for r in range(0, a.size, _BLOCK):
-        block = slice(r, r + _BLOCK)
-        _boxplus(flat_a[block], flat_b[block], flat_out[block], tmp[:a.size - r])
+    half, frames, paths = shape
+    if half * frames * paths <= _BLOCK:
+        a, b = rows(0, half), rows(half, 2 * half)
+        return _boxplus(a, b) if u is None else _g(a, b, u)
+    step = max(_BLOCK // (frames * paths), 1)
+    out = np.empty(shape)
+    tmp = np.empty((step, frames, paths)) if u is None else None
+    for lo in range(0, half, step):
+        hi = min(lo + step, half)
+        a, b = rows(lo, hi), rows(half + lo, half + hi)
+        if u is None:
+            _boxplus(a, b, out[lo:hi], tmp[:hi - lo])
+        else:
+            _g(a, b, u[lo:hi], out[lo:hi])
     return out
 
 
@@ -320,6 +341,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     real = np.minimum(1 << np.minimum(before, int(list_size).bit_length()),
                       list_size)
     full = is_info & (real == list_size)
+    all_full = full.all(axis=0).tolist()  # every block's list full, per leaf
     block = np.repeat(np.arange(len(spans)), blocks.rows)  # block of each row
     fidx = np.arange(frames)
     col = fidx[:, None]
@@ -336,7 +358,8 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
     # reader releases it with store(i, None). A buffer of one path (P' = 1)
     # holds the row of every later path of its frame and is read as a
     # broadcast without a map, like the channel LLRs, which are
-    # path-independent and read through the stage-major view chan.T.
+    # path-independent and read through the stage-major view chan_t.
+    chan_t = chan.T[:, :, None]
     bufs: list[np.ndarray | None] = [None] * (2 * stages)
     maps: list[np.ndarray | None] = [None] * (2 * stages)
     pm = np.zeros((frames, 1))
@@ -357,61 +380,31 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
             store(i, buf.reshape(len(buf), -1).take(maps[i], axis=1))
         return bufs[i]
 
-    def g_update(a, b, u, out=None):
-        # right child b + (1 - 2u) a, with a and b broadcast over u's paths
-        g = np.subtract(1, 2 * u, dtype=np.float64, out=out)  # 1 - 2u, exact
-        g *= a
-        return np.add(b, g, out=g)
-
-    def top_right(sums: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        # rows lo:hi of the top stage's right child, from the channel LLRs
-        # and the top stage's left sums
-        mid = n // 2
-        return g_update(chan.T[lo:hi, :, None],
-                        chan.T[mid + lo:mid + hi, :, None], sums[lo:hi])
-
-    def quarter_update(right: bool) -> np.ndarray:
-        # stage stages - 2 in the right half of the tree. Its operands, the
-        # top stage's right child, are never stored whole: they are formed
-        # about _BLOCK elements at a time, at the path count of the left
-        # sums they read, which may be one path where the other has P
-        sums = aligned(2 * stages - 1)
-        u = aligned(2 * stages - 2) if right else sums
-        quarter = n // 4
-        out = np.empty((quarter, frames, u.shape[-1]))
-        step = max(_BLOCK // max(out[0].size, 1), 1)
-        for lo in range(0, quarter, step):
-            hi = min(lo + step, quarter)
-            a = top_right(sums, lo, hi)
-            b = top_right(sums, quarter + lo, quarter + hi)
-            if right:
-                g_update(a, b, u[lo:hi], out[lo:hi])
-            else:
-                _boxplus(a, b, out[lo:hi])
-        return out
-
     for phi in range(n):
         # refresh LLR buffers on the stages whose block changed at this leaf
         top = (phi & -phi).bit_length() - 1 if phi else stages
         for s in range(top - 1 if phi == 0 else top, -1, -1):
-            half = 1 << s
             right = phi and s == top  # g update with left sums, else f
-            if stages > 1 and phi >= n // 2 and s >= stages - 2:
-                # the top stage's right child is formed inside the updates
-                # of the stage below, its only readers
-                if s == stages - 2:
-                    store(s, quarter_update(right))
-                    if right:  # leaf 3N/4 reads the top stage's left sums last
-                        store(2 * stages - 1, None)
-                continue
-            above = chan.T[:, :, None] if s == stages - 1 else aligned(s + 1)
-            a, b = above[:half], above[half:]
-            if right:
-                store(s, g_update(a, b, aligned(stages + s)))
-                if s + 1 < stages:
-                    store(s + 1, None)
+            if s == stages - 1 and phi and stages > 1:
+                continue  # the top stage's right child is never stored
+            # the stage's input is the stage above, or the channel LLRs at
+            # the top stage; below the top stage in the right half of the
+            # tree, it is the top stage's right child, whose rows each block
+            # forms from the channel LLRs and the top stage's left sums, at
+            # the path count of those sums, which may be one where u has P
+            quarter = s == stages - 2 and phi >= n // 2
+            held = 2 * stages - 1 if quarter else s + 1
+            above = chan_t if s == stages - 1 else aligned(held)
+            if quarter:
+                rows = lambda lo, hi: _g(chan_t[lo:hi], chan_t[n // 2 + lo:n // 2 + hi],
+                                         above[lo:hi])
             else:
-                store(s, _boxplus_blocked(a, b))
+                rows = lambda lo, hi: above[lo:hi]
+            u = aligned(stages + s) if right else None
+            shape = (1 << s, frames, (above if u is None else u).shape[-1])
+            store(s, _stage_update(rows, shape, u))
+            if right and s < stages - 1:
+                store(held, None)  # a g update is the last reader of its input
 
         paths = pm.shape[1]
         if stages:
@@ -420,21 +413,22 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
         else:
             leaf = chan[:, None, 0].repeat(paths, 1)
         if frozen[phi]:
-            pm = pm + np.maximum(-leaf, 0.0)
+            pm = pm - np.minimum(leaf, 0.0)
             bits = np.zeros(leaf.shape, dtype=np.int8)
         else:
             # child c of frame f is path c >> 1 taking bit c & 1, and each
             # row keeps the children of its smallest keys: the metric's bit
             # pattern where its list is full, else the child's rank. Full
             # lists hold only real paths, whose metrics start at +0.0 and
-            # add max(+-leaf, 0.0), so they are finite, nonnegative and
-            # never -0.0: their bit patterns order like the floats, and the
-            # stable sort breaks ties by smaller path index.
+            # add max(leaf, 0.0) or subtract min(leaf, 0.0), so they are
+            # finite, nonnegative and never -0.0: their bit patterns order
+            # like the floats, and the stable sort breaks ties by smaller
+            # path index.
             pm2 = np.empty((frames, paths, 2))
-            np.add(pm, np.maximum(-leaf, 0.0), out=pm2[:, :, 0])
+            np.subtract(pm, np.minimum(leaf, 0.0), out=pm2[:, :, 0])
             np.add(pm, np.maximum(leaf, 0.0), out=pm2[:, :, 1])
             keys = pm2.reshape(frames, 2 * paths).view(np.int64)
-            if not full[:, phi].all():
+            if not all_full[phi]:
                 # a row frozen here ranks its r real paths' bit-0 children
                 # first, and their bit-1 children join the junk at +inf; a
                 # row that keeps every child ranks them in order (r = 0)
@@ -445,7 +439,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
                 rank = np.where(c < 2 * r, (c & 1) * r + (c >> 1), c)
                 keys = np.where(full[block, phi][:, None], keys, rank)
             width = min(2 * paths, list_size)
-            sel = np.argsort(keys, axis=1, kind="stable")[:, :width]
+            sel = keys.argsort(axis=1, kind="stable")[:, :width]
             record = leaf_sel[len(widths), :sel.size].reshape(sel.shape)
             record[...] = sel
             widths.append(width)

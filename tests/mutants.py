@@ -73,11 +73,16 @@ MUTANTS = (
     ("mp_analysis.py", "key = (c.name, min(float(snr_db), SNR_CLIP_DB))",
      "key = (c.name, float(snr_db))",
      ("tests/test_mp_analysis.py::test_level_stats_above_the_clip_share_the_clip_entry",)),
-    # the contract's small blocks reach the blocked boxplus and demapper
-    ("polar_codec.py", "for r in range(0, a.size, _BLOCK):",
-     "for r in range(0, a.size - a.size % _BLOCK, _BLOCK):",
-     ("tests/test_contract.py::test_contract_holds_at_any_demap_and_boxplus_block"
-      "[boxplus-blocks-of-100]",)),
+    # every block of a stage update runs, the partial last one included, in
+    # the g update too; the contract's one-frame blocks reach the demapper
+    ("polar_codec.py", "for lo in range(0, half, step):",
+     "for lo in range(0, half - half % step, step):",
+     ("tests/test_polar_codec.py::test_blocked_boxplus_matches_boxplus",
+      "tests/test_polar_codec.py::test_decoder_matches_frozen_reference_on_large_batches")),
+    ("polar_codec.py", "            _g(a, b, u[lo:hi], out[lo:hi])",
+     "            if hi - lo == step:\n                _g(a, b, u[lo:hi], out[lo:hi])",
+     ("tests/test_polar_codec.py::test_blocked_boxplus_matches_boxplus",
+      "tests/test_polar_codec.py::test_decoder_matches_frozen_reference_on_large_batches")),
     ("mlc_system.py", "y[lo:lo + step], noise_var[lo:lo + step]",
      "y[lo:lo + step + 1], noise_var[lo:lo + step + 1]",
      ("tests/test_contract.py::test_contract_holds_at_any_demap_and_boxplus_block"
@@ -103,8 +108,8 @@ MUTANTS = (
      ("tests/test_constellation.py::test_level_llr_direct_sum",)),
     # the decoder's survivor selection: a stable sort, the frozen rows' junk
     # children at +inf, and the real path count clamped at the list size
-    ("polar_codec.py", 'np.argsort(keys, axis=1, kind="stable")',
-     'np.argsort(keys, axis=1, kind="quicksort")',
+    ("polar_codec.py", 'keys.argsort(axis=1, kind="stable")',
+     'keys.argsort(axis=1, kind="quicksort")',
      ("tests/test_polar_codec.py::test_decoder_matches_frozen_reference_on_frozen_patterns",
       "tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference")),
     ("polar_codec.py", "pm2[frozen_row, :, 1] = np.inf",
@@ -117,11 +122,11 @@ MUTANTS = (
     ("polar_codec.py", "for op in (np.add, np.subtract):",
      "for op in (np.subtract, np.add):",
      ("tests/test_polar_codec.py::test_boxplus_matches_sign_product_bitwise",)),
-    # the quarter update's g half keeps the path count of the sums it reads
-    ("polar_codec.py", "out = np.empty((quarter, frames, u.shape[-1]))",
-     "out = np.empty((quarter, frames, sums.shape[-1]))",
+    # a g update takes the path count of its own left sums, not of its
+    # input, which below the top stage are the top stage's left sums
+    ("polar_codec.py", "(above if u is None else u).shape[-1]", "above.shape[-1]",
      ("tests/test_polar_codec.py::"
-      "test_decoder_matches_frozen_reference_by_first_information_quarter",)),
+      "test_decoder_matches_frozen_reference_on_partial_top_blocks",)),
     # a call's pool leaves no child process behind
     ("sim.py", "            for proc in (pool._processes or {}).values():\n"
      "                proc.terminate()\n"
@@ -160,10 +165,14 @@ MUTANTS = (
      "((labels + 1) % half >> (depth - k))[:, None]",
      ("tests/test_mp_analysis.py::test_chain_rule_against_direct_quadrature",
       "tests/test_mp_analysis.py::test_bpsk_equals_biawgn")),
-    # Cephes ndtri: the upper-tail branch point and the far-tail coefficients
+    # Cephes ndtri: the upper-tail branch point, the far-tail coefficients
+    # and the order of the tail product z * P1(z) / Q1(z)
     ("mp_analysis.py", "if y > 1.0 - _EXP_M2:", "if y >= 1.0 - _EXP_M2:",
      ("tests/test_mp_analysis.py::test_q_inverse_matches_scipy_bitwise",)),
     ("mp_analysis.py", "6.23974539184983293730E-9", "6.23984539184983293730E-9",
+     ("tests/test_mp_analysis.py::test_q_inverse_matches_scipy_bitwise",)),
+    ("mp_analysis.py", "x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)",
+     "x1 = z * (_polevl(z, _P1) / _polevl(z, _Q1))",
      ("tests/test_mp_analysis.py::test_q_inverse_matches_scipy_bitwise",)),
     # the search's look-ahead: only below the bracket in the backfill, and
     # only on the workers a probe's own chunks leave idle
@@ -173,6 +182,16 @@ MUTANTS = (
     ("sim.py", "ahead[:max(workers - len(chunks), 0)]", "ahead[:workers - 1]",
      ("tests/test_sim.py::test_min_required_snr_chunked_probes_do_not_speculate",
       "tests/test_sim.py::test_min_required_snr_chunked_probes_submit_no_look_ahead")),
+    # the probe cache holds only the probes the walk asks for, not the
+    # look-ahead it sent out; a probe of several chunks spreads them over the
+    # pool's workers instead of running them in the calling process
+    ("sim.py", "                                        if t not in cache and t < below])\n",
+     "                                        if t not in cache and t < below])\n"
+     "                cache.update((t, point(0, t)) for t in nxt if t not in cache)\n",
+     ("tests/test_sim.py::test_min_required_snr_speculation_never_shows[9.6]",)),
+    ("sim.py", "flags = _in_order(pool and submit,",
+     "flags = _in_order(len(chunks) == 1 and pool and submit or None,",
+     ("tests/test_sim.py::test_min_required_snr_chunked_probes_do_not_speculate",)),
     # the search strides 1 dB across the flat top at a target of 0.1, and
     # not at all above a target of 1/3; its anchor looks ahead 1 dB only up
     # to a target of 1/30

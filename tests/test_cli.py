@@ -58,6 +58,15 @@ def test_construct_ranks_by_the_given_sequence(capsys, method, construct):
     assert info_sets("pw") != info_sets("5g")
 
 
+def test_construct_without_seq_ranks_by_pw_beyond_the_5g_coverage(capsys):
+    def output(*flags):
+        assert main(["construct", "--m", "2", "--n", "2048", "--rate", "0.5",
+                     *flags]) == 0
+        return capsys.readouterr().out
+
+    assert output() == output("--seq", "pw")
+
+
 def test_construct_rate_rounds_half_up(capsys):
     # 2 x 16 x 0.765625 = 24.5 information bits round to 25
     assert main(["construct", "--m", "2", "--n", "16", "--rate", "0.765625",
@@ -295,6 +304,9 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
      "target sum-rate 0.0 outside"),
     (["throughput", "--snr-db", "5", "--n", "1", "--mcs", "0"],
      "target sum-rate 0.0 outside"),
+    # the 5G sequence covers N <= 1024 and is not swapped for PW beyond
+    (["construct", "--m", "2", "--n", "2048", "--rate", "0.5", "--seq", "5g"],
+     "N=2048 exceeds sequence coverage 1024"),
 ))
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -6,16 +6,23 @@ with the decoder's row cap ``sim._MAX_ROWS`` at 2, 34 and 512 rows (1, 17 and
 256 frames per chunk at m >= 2) and at 1 and 2 workers, and every returned
 dataclass must equal the one at 512 rows and 1 worker, wall time aside. In
 one process, the same results must also come out of one-frame demap blocks
-(``mlc_system._DEMAP_BYTES``) and of 100-element boxplus blocks
-(``polar_codec._BLOCK``), where the blocked boxplus and the decoder's
-quarter update run several blocks and a partial last one. The golden tests
-pin the values at one batch size; this test pins the rest.
+(``mlc_system._DEMAP_BYTES``) and of 100-element stage-update blocks
+(``polar_codec._BLOCK``), where the decoder's f and g stage updates run
+several blocks of one row. A seeded hypothesis test draws BLER cases
+(method, m, N <= 64, K, L, budgets) and the three constants together, which
+also gives stage updates a partial last block, and holds each case to its
+points at the default constants. The golden tests pin the values at one
+batch size; this test pins the rest.
 """
 
+import contextlib
 import dataclasses
 import multiprocessing
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlcpcm.mlc_system as mlc_system
 import mlcpcm.polar_codec as polar_codec
@@ -108,3 +115,29 @@ def test_contract_holds_at_any_demap_and_boxplus_block(monkeypatch, reference,
     got = _results(workers=1)
     for key, want in reference.items():
         assert got[key] == want, key
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_contract_holds_at_drawn_cases_and_constants(data):
+    # a drawn run_bler case, then drawn decoder row cap, demap block and
+    # stage-update block: the points must equal those at the default constants
+    method = data.draw(st.sampled_from(("rf1", "rf2", "ga")), "method")
+    m = data.draw(st.sampled_from((1, 2, 4, 6)), "m")
+    n = data.draw(st.sampled_from((1, 2, 4, 8, 16, 32, 64)), "n")
+    k = data.draw(st.integers(1, m * n), "k")
+    low = data.draw(st.sampled_from((-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0)), "snr")
+    max_blocks = data.draw(st.integers(1, 120), "max_blocks")
+    cfg = SimConfig(method=method, m=m, n=n, k=k, snr_grid_db=(low, low + 3.0),
+                    list_size=data.draw(st.sampled_from((1, 2, 4, 8)), "list_size"),
+                    max_blocks=max_blocks,
+                    max_errors=data.draw(st.integers(1, max_blocks), "max_errors"),
+                    seed=data.draw(st.integers(0, 2**64 - 1), "seed"))
+    want = _masked(run_bler(cfg))
+    constants = ((sim, "_MAX_ROWS", st.integers(2, 512)),
+                 (mlc_system, "_DEMAP_BYTES", st.integers(1, 1 << 20)),
+                 (polar_codec, "_BLOCK", st.integers(1, 1 << 14)))
+    with contextlib.ExitStack() as stack:
+        for module, name, values in constants:
+            stack.enter_context(mock.patch.object(module, name, data.draw(values, name)))
+        assert _masked(run_bler(cfg)) == want

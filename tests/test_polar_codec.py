@@ -11,8 +11,9 @@ from mlcpcm.polar_codec import (
     ComponentCode,
     RowBlocks,
     _boxplus,
-    _boxplus_blocked,
     _crc16_register,
+    _g,
+    _stage_update,
     crc_attach,
     crc_check,
     crc_len_for_k,
@@ -353,7 +354,16 @@ def test_decoder_matches_frozen_reference_with_two_byte_fork_records():
                 f"{name} differ at N={code.n}")
 
 
+def _blocked(a: np.ndarray, b: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """The stage update of input halves a and b, (half, F, P) each, whose
+    blocks read rows of a stacked copy; the g update takes u's paths."""
+    stacked = np.concatenate([a, b])
+    return _stage_update(lambda lo, hi: stacked[lo:hi], (u if u is not None else a).shape, u)
+
+
 def test_blocked_boxplus_matches_boxplus():
+    # the f and g updates run the same blocks of about _BLOCK output
+    # elements, a partial last one included
     rng = np.random.default_rng(14)
 
     def draw(shape):
@@ -362,18 +372,27 @@ def test_blocked_boxplus_matches_boxplus():
                         rng.normal(0.0, 8.0, shape))
 
     for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
-        a, b = draw(size), draw(size)
-        assert np.array_equal(_boxplus_blocked(a, b), _boxplus(a, b)), size
-    # the decoder reads the channel LLRs as halves of a transposed view,
-    # which is computed whole into a C-ordered result
+        a, b = draw((size, 1, 1)), draw((size, 1, 1))
+        u = rng.integers(0, 2, (size, 1, 1), dtype=np.int8)
+        assert np.array_equal(_blocked(a, b), _boxplus(a, b)), size
+        assert np.array_equal(_blocked(a, b, u), _g(a, b, u)), size
+    # the top stage reads the channel LLRs as rows of a transposed view,
+    # with one path that the g update broadcasts over u's paths
     chan = draw((33, 1024))
-    a, b = chan.T[:512, :, None], chan.T[512:, :, None]
+
+    def rows(lo, hi):
+        return chan.T[lo:hi, :, None]
+
+    a, b = rows(0, 512), rows(512, 1024)
+    u = rng.integers(0, 2, (512, 33, 4), dtype=np.int8)
     assert a.size > _BLOCK and not a.flags.c_contiguous
-    got = _boxplus_blocked(a, b)
-    assert got.flags.c_contiguous and np.array_equal(got, _boxplus(a, b))
-    # stage-major decoder buffers are blocked through their flat view
-    a, b = draw((4, 130, 8, 16)), draw((4, 130, 8, 16))
-    assert np.array_equal(_boxplus_blocked(a, b), _boxplus(a, b))
+    assert np.array_equal(_stage_update(rows, a.shape), _boxplus(a, b))
+    assert np.array_equal(_stage_update(rows, u.shape, u), _g(a, b, u))
+    # stage-major decoder buffers whose rows exceed _BLOCK on their own
+    a, b = draw((4, 130, 8 * 16)), draw((4, 130, 8 * 16))
+    u = rng.integers(0, 2, a.shape, dtype=np.int8)
+    assert np.array_equal(_blocked(a, b), _boxplus(a, b))
+    assert np.array_equal(_blocked(a, b, u), _g(a, b, u))
 
 
 # signed zeros, subnormals, values whose products underflow, and +-300 and
@@ -400,7 +419,8 @@ def test_boxplus_matches_sign_product_bitwise():
         for a, b in pairs:
             want = reference_boxplus(a, b).view(np.int64)
             assert np.array_equal(_boxplus(a, b).view(np.int64), want), a.size
-            assert np.array_equal(_boxplus_blocked(a, b).view(np.int64), want), a.size
+            got = _blocked(a.reshape(-1, 1, 1), b.reshape(-1, 1, 1)).reshape(a.shape)
+            assert np.array_equal(got.view(np.int64), want), a.size
     a, b = pairs[0]
     # the grid holds zeros of both signs and products that underflow to zero
     assert (np.signbit(a) & (a == 0)).any() and ((a * b == 0) & (a != 0) & (b != 0)).any()
