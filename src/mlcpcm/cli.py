@@ -152,11 +152,10 @@ def _cmd_construct(args) -> None:
     print(f"# method={cc.method} m={cc.m} n={cc.n} k={cc.k_total} "
           f"design_snr_db={cc.design_snr_db} eps={cc.eps}")
     rows = []
-    for lvl in range(cc.m):
-        rows.append({"level": lvl + 1, "k": int(cc.allocation.counts[lvl]),
-                     "crc_len": cc.crc_lens[lvl],
-                     "info_set": " ".join(map(str, cc.info_sets[lvl]))})
-        print(f"level {lvl + 1}: K={rows[-1]['k']} crc={rows[-1]['crc_len']} "
+    for lvl, code in enumerate(cc.codes, 1):
+        rows.append({"level": lvl, "k": code.k, "crc_len": code.crc_len,
+                     "info_set": " ".join(map(str, code.info_set))})
+        print(f"level {lvl}: K={rows[-1]['k']} crc={rows[-1]['crc_len']} "
               f"A={rows[-1]['info_set']}")
     if args.out:
         _write_rows(rows, ["level", "k", "crc_len", "info_set"], args.out)

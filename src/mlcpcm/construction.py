@@ -17,7 +17,8 @@ Both depend only on (m, K, N, eps) and a channel-independent rank sequence,
 never on a channel realization. Within each level the information set is the
 top-K_k slice of the rank sequence, so constructions nest as rates shrink and
 the only ordering operation over reliabilities is one sort of m level values
-(``_order_levels``).
+(``_order_levels``). A construction stores its per-level sets and derives
+K, m, the CRC lengths and its component codes from them, once.
 
 The online baseline is a Gaussian-approximation construction: each bit level
 is replaced by a binary-input AWGN surrogate of equal capacity, mean LLRs are
@@ -28,7 +29,7 @@ become information positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from math import copysign
@@ -37,7 +38,7 @@ import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .mp_analysis import biawgn_sigma_for_capacity, finite_bl_rate, level_stats
-from .polar_codec import crc_len_for_k
+from .polar_codec import ComponentCode, crc_len_for_k
 
 SNR_BRACKET_DB = (-40.0, 50.0)
 RATE_MARGIN = 1e-6
@@ -116,31 +117,34 @@ class RateAllocation:
     """Per-level information-bit counts with the processing order used."""
 
     counts: np.ndarray
-    total: int
     level_order: np.ndarray
-
-    def __post_init__(self):
-        if int(np.sum(self.counts)) != self.total:
-            raise ValueError("allocation does not sum to the total")
 
 
 @dataclass(frozen=True, eq=False)
 class CodeConstruction:
-    """Per-level information sets plus the metadata that produced them."""
+    """Per-level information sets plus the metadata that produced them. m,
+    K, the CRC lengths and ``codes``, one validated ``ComponentCode`` per
+    level, are derived from the sets when the record is built or replaced."""
 
-    m: int
     n: int
-    k_total: int
     method: str  # "rf1" | "rf2" | "ga"
     info_sets: tuple[np.ndarray, ...]  # sorted ascending, 0-based
-    crc_lens: tuple[int, ...]
     allocation: RateAllocation
     design_snr_db: float | None
     eps: float | None = None
+    codes: tuple[ComponentCode, ...] = field(init=False)
+    m: int = field(init=False)
+    k_total: int = field(init=False)
+    crc_lens: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if sum(a.size for a in self.info_sets) != self.k_total:
-            raise ValueError("info sets do not sum to k_total")
+        codes = tuple(ComponentCode(n=self.n, info_set=s, crc_len=crc_len_for_k(len(s)))
+                      for s in self.info_sets)
+        derived = dict(codes=codes, info_sets=tuple(c.info_set for c in codes),
+                       m=len(codes), k_total=sum(c.k for c in codes),
+                       crc_lens=tuple(c.crc_len for c in codes))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _order_levels(values: np.ndarray) -> list[int]:
@@ -181,8 +185,7 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> RateAllocation:
             remaining -= add
             if not remaining:
                 break
-    return RateAllocation(counts=counts, total=int(k_total),
-                          level_order=np.asarray(order, dtype=np.int64))
+    return RateAllocation(counts=counts, level_order=np.asarray(order, dtype=np.int64))
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -278,15 +281,6 @@ def finite_bl_values(c: Constellation, snr_db: float, n: int,
     return np.maximum(finite_bl_rate(cap, disp, n, eps), 0.0)
 
 
-def _assemble(m: int, n: int, k_total: int, method: str, alloc: RateAllocation,
-              info_sets: list[np.ndarray], snr_db: float | None,
-              eps: float | None = None) -> CodeConstruction:
-    crc_lens = tuple(crc_len_for_k(int(k)) for k in alloc.counts)
-    return CodeConstruction(m=m, n=n, k_total=k_total, method=method,
-                            info_sets=tuple(info_sets), crc_lens=crc_lens,
-                            allocation=alloc, design_snr_db=snr_db, eps=eps)
-
-
 def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
                   seq: RankSequence | None = None) -> CodeConstruction:
     """Finite-blocklength rate-filling construction: K rate-filled over the
@@ -302,8 +296,9 @@ def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
         snr = solve_snr_finite(c, k_total / n, n, eps)
         v = finite_bl_values(c, snr, n, eps)
     alloc = rate_fill(v, k_total, n)
-    sets = [seq.top_k(n, int(k)) for k in alloc.counts]
-    return _assemble(m, n, k_total, "rf2", alloc, sets, snr, eps)
+    return CodeConstruction(n=n, method="rf2",
+                            info_sets=tuple(seq.top_k(n, int(k)) for k in alloc.counts),
+                            allocation=alloc, design_snr_db=snr, eps=eps)
 
 
 def construct_rf1(m: int, k_total: int, n: int,
@@ -316,13 +311,12 @@ def ln_phi(x: np.ndarray) -> np.ndarray:
     """ln of the GA phi function, two-segment form, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     small = x < GA_PHI_SPLIT
-    out = np.empty_like(x)
+    # placeholder inputs keep each segment finite where the other applies
     xs = np.where(small, x, 1.0)
-    out[small] = (GA_PHI_A * xs**GA_PHI_B + GA_PHI_C)[small]
     xl = np.where(small, GA_PHI_SPLIT, x)
-    out[~small] = (-xl / 4.0 + 0.5 * (np.log(np.pi) - np.log(xl))
-                   + np.log1p(-10.0 / (7.0 * xl)))[~small]
-    return out
+    return np.where(small, GA_PHI_A * xs**GA_PHI_B + GA_PHI_C,
+                    -xl / 4.0 + 0.5 * (np.log(np.pi) - np.log(xl))
+                    + np.log1p(-10.0 / (7.0 * xl)))
 
 
 def _phi_inv_ln(target: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -339,7 +333,7 @@ def _phi_inv_ln(target: np.ndarray, hi: np.ndarray) -> np.ndarray:
         too_small = ln_phi(mid) > target  # phi decreasing: mid below the root
         new_lo = np.where(too_small, mid, lo)
         new_hi = np.where(too_small, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        if (new_lo == lo).all() and (new_hi == hi).all():
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
@@ -388,7 +382,7 @@ def construct_ga(c: Constellation, k_total: int, n: int,
     # global top-K by mean LLR, ties to smaller level then smaller index
     ranked = np.lexsort((idx, lvl, -rel.ravel()))[:k_total]
     counts = np.bincount(lvl[ranked], minlength=c.m).astype(np.int64)
-    sets = [np.sort(idx[ranked[lvl[ranked] == k]]) for k in range(c.m)]
-    alloc = RateAllocation(counts=counts, total=int(k_total),
-                           level_order=np.arange(c.m, dtype=np.int64))
-    return _assemble(c.m, n, int(k_total), "ga", alloc, sets, float(actual_snr_db))
+    sets = tuple(np.sort(idx[ranked[lvl[ranked] == k]]) for k in range(c.m))
+    alloc = RateAllocation(counts=counts, level_order=np.arange(c.m, dtype=np.int64))
+    return CodeConstruction(n=n, method="ga", info_sets=sets, allocation=alloc,
+                            design_snr_db=float(actual_snr_db))

@@ -37,10 +37,9 @@ from .polar_codec import (ComponentCode, RowBlocks, crc_attach, polar_encode,
 
 
 def component_codes(cons: CodeConstruction) -> tuple[ComponentCode, ...]:
-    """The m component polar codes described by a construction."""
-    return tuple(ComponentCode(n=cons.n, info_set=cons.info_sets[k],
-                               crc_len=cons.crc_lens[k])
-                 for k in range(cons.m))
+    """The m component polar codes of a construction: ``cons.codes``, built
+    once from its information sets when the construction was built."""
+    return cons.codes
 
 
 def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
@@ -48,10 +47,9 @@ def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
     """Encode a batch of frames; returns (symbols (F, N), coded (F, m, N))."""
     if len(payloads) != cons.m or c.m != cons.m:
         raise ValueError("payload list / constellation do not match construction")
-    codes = component_codes(cons)
     f = payloads[0].shape[0]
     coded = np.zeros((f, cons.m, cons.n), dtype=np.uint8)
-    for k, code in enumerate(codes):
+    for k, code in enumerate(cons.codes):
         if payloads[k].shape != (f, code.payload_len):
             raise ValueError(f"level {k} payload shape {payloads[k].shape} != "
                              f"({f}, {code.payload_len})")
@@ -90,7 +88,6 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     # frames per subtree_llr call: level 0's leaves, one per axis amplitude
     # and symbol, fill _DEMAP_BYTES, and deeper subtrees are narrower
     step = max(_DEMAP_BYTES // (c.amp_by_label.size * n * 8), 1)
-    codes = component_codes(cons)
     # m label bits; uint8 up to 256QAM
     prefix = np.zeros((f, n), dtype=np.min_scalar_type((1 << c.m) - 1))
     coded = np.zeros((f, cons.m, n), dtype=np.uint8)
@@ -100,7 +97,7 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
         # level k + 1 reads only the prefix bits of the other axis, so a
         # zero stands in for level k's decision and the levels of a pair
         # decode as one call of F rows per level
-        group = codes[k:k + 2]
+        group = cons.codes[k:k + 2]
         llrs = np.empty((len(group) * f, n))
         for j in range(len(group)):
             out = llrs[j * f:(j + 1) * f]

@@ -8,8 +8,12 @@ sign of the leaf LLR, so metrics are nonnegative and nondecreasing. Ties are
 broken by smaller path index. Frozen bits are zero. With a 16-bit CRC the
 final path is the best-metric CRC-passing survivor, falling back to the best
 metric overall (crc_ok False) when none passes; without CRC the best metric
-wins. The decoder also returns the re-encoded codeword of the selected path,
-which multistage decoding feeds back as demapping prefix.
+wins. The fallback ranks a failing path on its metric plus 1e12, where
+doubles lie 2^-13 apart, so failing metrics closer than that tie and go to
+the smaller path index. A path metric is at most 300 N^2 (N leaves of at
+most N * 300 each), so a passing path outranks every failing one only up to
+N = 2^15. The decoder also returns the re-encoded codeword of the selected
+path, which multistage decoding feeds back as demapping prefix.
 
 All decoder state is vectorized over a batch of independent frames and over
 the list dimension, so Monte Carlo runs decode hundreds of frames per pass.
@@ -81,8 +85,11 @@ import numpy as np
 CRC_LEN = 16
 CRC16_POLY = 0x1021  # D^16 + D^12 + D^5 + 1, TS 38.212 gCRC16
 
-# Metric offset that dominates any achievable path metric (clipped LLRs bound
-# a path by N * 600) while staying far from float saturation.
+# Metric offset of a path that fails the CRC, far from float saturation. g
+# updates add magnitudes, so a leaf LLR reaches N * 300 (LLR_CLIP) and a path
+# metric 300 * N^2, which is below the offset only up to N = 2^15. Near
+# 1e12 doubles lie 2^-13 apart: failing metrics closer than that tie after
+# the offset, and argmin gives the tie to the smaller path index.
 _CRC_FAIL_PENALTY = 1e12
 
 # Output elements per block of a stage update: for boxplus, both inputs, the

@@ -32,7 +32,7 @@ from .constellation import Constellation, build_constellation
 from .construction import (DEFAULT_EPS, CodeConstruction, RankSequence,
                            construct_ga, construct_rf1, construct_rf2,
                            solve_snr_capacity)
-from .mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
+from .mlc_system import mlc_encode_batch, multistage_decode_batch
 from .mp_analysis import noise_n0, noise_sigma
 from .mp_analysis import SNR_CLIP_DB  # noqa: F401  the clip SimConfig documents
 
@@ -250,7 +250,7 @@ def _frame_errors(cons: CodeConstruction, c: Constellation, list_size: int,
     ``gains`` (one complex coefficient per frame) the symbols are scaled by
     the fading and the receiver decodes y/g at noise variance N0/|g|^2.
     """
-    lens = [code.payload_len for code in component_codes(cons)]
+    lens = [code.payload_len for code in cons.codes]
     payloads = [np.empty((len(rngs), pk), dtype=np.uint8) for pk in lens]
     for i, rng in enumerate(rngs):
         for k, pk in enumerate(lens):

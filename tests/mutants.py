@@ -24,6 +24,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+DERIVED = ("tests/test_mlc_system.py::"
+           "test_construction_derives_m_k_crc_lens_and_codes_from_its_info_sets")
+
 # (module in src/mlcpcm, exact old text, new text, pytest selection)
 MUTANTS = (
     # K from a rate rounds half up
@@ -58,6 +61,15 @@ MUTANTS = (
      ("tests/test_construction.py::test_rf_full_rate_fills_every_level_in_level_order",)),
     ("construction.py", "self.restrict(n)[n - k:]", "self.restrict(n)[-k:]",
      ("tests/test_construction.py::test_top_k_nesting",)),
+    # a construction derives its codes, m, K and CRC lengths from its
+    # information sets alone, once
+    ("construction.py", "crc_len=crc_len_for_k(len(s))", "crc_len=crc_len_for_k(len(s) - 1)",
+     (DERIVED,)),
+    ("construction.py", "m=len(codes)", "m=self.allocation.counts.size", (DERIVED,)),
+    ("construction.py", "k_total=sum(c.k for c in codes)",
+     "k_total=sum(c.payload_len for c in codes)", (DERIVED,)),
+    ("construction.py", "crc_lens=tuple(c.crc_len for c in codes)",
+     "crc_lens=tuple(crc_len_for_k(int(k)) for k in self.allocation.counts)", (DERIVED,)),
     # RF-I is RF-II at eps = 0.5, and the capacity solve the finite one there
     ("construction.py", "construct_rf2(m, k_total, n, 0.5, seq)",
      "construct_rf2(m, k_total, n, 0.4999, seq)",

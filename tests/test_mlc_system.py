@@ -2,18 +2,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multistage_reference
-from mlcpcm import mlc_system
+from mlcpcm import mlc_system, sim
 from mlcpcm.constellation import (build_constellation, build_qam, labels_from_bits,
                                   level_llr_from_tables)
-from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2
+from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2, five_g_sequence
 from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
-from mlcpcm.polar_codec import ComponentCode, crc_attach, polar_encode, scl_decode_batch
+from mlcpcm.polar_codec import (ComponentCode, crc_attach, crc_len_for_k, polar_encode,
+                                scl_decode_batch)
 from mlcpcm.sim import load_mcs_table
 
 
@@ -34,6 +36,54 @@ def test_component_codes_reflect_construction():
     codes = component_codes(cons)
     assert [c.crc_len for c in codes] == [16, 16, 0, 0]
     assert [c.payload_len for c in codes] == [21 - 16, 20 - 16, 12, 11]
+
+
+def _assert_derived_from_info_sets(cons):
+    sizes = [len(s) for s in cons.info_sets]
+    assert cons.m == len(sizes) and cons.k_total == sum(sizes)
+    assert cons.crc_lens == tuple(crc_len_for_k(k) for k in sizes)
+    assert component_codes(cons) is cons.codes and len(cons.codes) == cons.m
+    for code, s, crc in zip(cons.codes, cons.info_sets, cons.crc_lens):
+        assert code.n == cons.n and code.crc_len == crc
+        assert np.array_equal(code.info_set, s)
+
+
+def test_construction_derives_m_k_crc_lens_and_codes_from_its_info_sets(monkeypatch):
+    for n in (16, 256):
+        for e in load_mcs_table():
+            k = e.k_for(n)
+            for cons in (construct_rf1(e.m, k, n), construct_rf2(e.m, k, n)):
+                _assert_derived_from_info_sets(cons)
+                assert (cons.m, cons.k_total) == (e.m, k)
+    for snr in (0.0, 6.5, 15.0):
+        cons = construct_ga(build_constellation(4), 512, 256, snr)
+        _assert_derived_from_info_sets(cons)
+        assert (cons.m, cons.k_total) == (4, 512)
+    # a replace derives everything afresh from the new sets, not from the
+    # allocation it keeps; a CRC is attached from 17 bits up
+    seq = five_g_sequence()
+    cons = replace(construct_rf2(4, 512, 256),
+                   info_sets=tuple(seq.top_k(256, k) for k in (17, 16, 0)))
+    _assert_derived_from_info_sets(cons)
+    assert (cons.m, cons.k_total, cons.crc_lens) == (3, 33, (16, 0, 0))
+    with pytest.raises(ValueError, match="sorted, unique"):
+        replace(cons, info_sets=(np.array([3, 1]),))
+    # a two-chunk run builds its construction's codes once and no others
+    built = []
+    post_init = ComponentCode.__post_init__
+
+    def counted(code):
+        built.append(code)
+        post_init(code)
+
+    monkeypatch.setattr(ComponentCode, "__post_init__", counted)
+    monkeypatch.setattr(sim, "_BATCH_BYTES", 1)
+    sim._construction.cache_clear()
+    cfg = sim.SimConfig(method="rf2", m=4, n=16, k=32, snr_grid_db=(6.0,),
+                        list_size=2, max_blocks=32, max_errors=32, seed=0)
+    assert sim._batch_size(cfg.m, cfg.n, cfg.max_blocks) == 16
+    assert sim.run_bler(cfg).points[0].blocks == 32
+    assert len(built) == cfg.m
 
 
 def test_hand_traced_qpsk_frame():

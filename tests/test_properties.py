@@ -1,6 +1,11 @@
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +20,7 @@ from mlcpcm.construction import pw_sequence, rate_fill
 from mlcpcm.polar_codec import crc_attach, crc_check, polar_encode
 
 SIZES = st.sampled_from([2, 4, 8, 16, 64, 256])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,3 +116,24 @@ def test_qam_neighbor_labels_differ_in_one_bit(m, data):
         j = cand[np.argmin(np.abs(pts[cand].imag - x.imag))]
     diff = i ^ int(j)
     assert diff != 0 and diff & (diff - 1) == 0
+
+
+def test_failing_drawn_test_exits_1_under_the_repo_warning_filters(tmp_path):
+    """A failing hypothesis test fails as a test (exit 1), not as a pytest
+    INTERNALERROR (exit 3), with every warning an error: on a failure
+    hypothesis imports libcst, whose import warns."""
+    pytest.importorskip("libcst")
+    (tmp_path / "test_drawn.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+        """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_drawn.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
