@@ -3,16 +3,15 @@
 from .constellation import (Constellation, build_bpsk, build_constellation,
                             build_qam, demap_tables, gray_code, level_llr,
                             level_llr_from_tables, map_bits)
-from .construction import (CodeConstruction, RankSequence, RateAllocation,
-                           construct_ga, construct_rf1, construct_rf2,
-                           default_sequence, finite_bl_values, five_g_sequence,
-                           ga_evolve, load_rank_sequence, pw_sequence,
-                           rate_fill, solve_snr_capacity, solve_snr_finite)
+from .construction import (CodeConstruction, RankSequence, construct_ga,
+                           construct_rf1, construct_rf2, default_sequence,
+                           finite_bl_values, five_g_sequence, ga_evolve,
+                           load_rank_sequence, pw_sequence, rate_fill,
+                           solve_snr_capacity, solve_snr_finite)
 from .mp_analysis import (channel_capacity, finite_bl_rate, level_stats,
                           noise_sigma, per_level_error_prob, q_function,
                           q_inverse, subchannel_capacity, subchannel_dispersion)
-from .mlc_system import (component_codes, mlc_encode_batch,
-                         multistage_decode_batch)
+from .mlc_system import mlc_encode_batch, multistage_decode_batch
 from .polar_codec import (ComponentCode, RowBlocks, crc_attach, crc_check,
                           crc_len_for_k, polar_encode, scl_decode_batch)
 from .sim import (McsEntry, MinSnrResult, SimConfig, SimCurve, SimPoint,

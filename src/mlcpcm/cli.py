@@ -111,7 +111,7 @@ def _cmd_analyze(args) -> None:
     c = _checked(build_constellation, args.m)
     rows = []
     for snr in grid:
-        cap, disp, total = level_stats(c, snr)
+        cap, disp, total = _checked(level_stats, c, snr)
         row = {"snr_db": snr, "capacity_total": total}
         for k in range(c.m):
             row[f"i_w{k + 1}"] = cap[k]

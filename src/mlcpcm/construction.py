@@ -17,8 +17,8 @@ Both depend only on (m, K, N, eps) and a channel-independent rank sequence,
 never on a channel realization. Within each level the information set is the
 top-K_k slice of the rank sequence, so constructions nest as rates shrink and
 the only ordering operation over reliabilities is one sort of m level values
-(``_order_levels``). A construction stores its per-level sets and derives
-K, m, the CRC lengths and its component codes from them, once.
+(``_order_levels``). A construction's per-level sets are its only per-level
+record: K_k = |A_k|, K, m, the CRC lengths and its codes derive from them.
 
 The online baseline is a Gaussian-approximation construction: each bit level
 is replaced by a binary-input AWGN surrogate of equal capacity, mean LLRs are
@@ -59,10 +59,12 @@ class RankSequence:
     order: np.ndarray
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
+        order = np.asarray(self.order)
+        if order.size and order.dtype.kind not in "iu":  # a cast would truncate
+            raise ValueError(f"rank sequence must hold integers, got {order.dtype}")
         if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError(f"rank sequence is not a permutation of [0, {order.size})")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", order.astype(np.int64, copy=False))
 
     @property
     def max_len(self) -> int:
@@ -113,23 +115,15 @@ def default_sequence(n: int) -> RankSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class RateAllocation:
-    """Per-level information-bit counts with the processing order used."""
-
-    counts: np.ndarray
-    level_order: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CodeConstruction:
-    """Per-level information sets plus the metadata that produced them. m,
-    K, the CRC lengths and ``codes``, one validated ``ComponentCode`` per
-    level, are derived from the sets when the record is built or replaced."""
+    """Per-level information sets, the only per-level record, plus the metadata
+    that produced them. m, K, the CRC lengths and ``codes``, one validated
+    ``ComponentCode`` per level, derive from the sets when it is built or
+    replaced."""
 
     n: int
     method: str  # "rf1" | "rf2" | "ga"
     info_sets: tuple[np.ndarray, ...]  # sorted ascending, 0-based
-    allocation: RateAllocation
     design_snr_db: float | None
     eps: float | None = None
     codes: tuple[ComponentCode, ...] = field(init=False)
@@ -152,8 +146,9 @@ def _order_levels(values: np.ndarray) -> list[int]:
     return sorted(range(len(values)), key=lambda k: (-values[k], k))
 
 
-def rate_fill(values: np.ndarray, k_total: int, n: int) -> RateAllocation:
-    """Progressive proportional fill of K over m levels, ceil per step.
+def rate_fill(values: np.ndarray, k_total: int, n: int) -> np.ndarray:
+    """Per-level counts (int64) of a progressive proportional fill of K over
+    m finite, nonnegative values, at least one positive, ceil per step.
 
     Levels are processed in descending value order; level k_t receives
     ceil(remaining * v_{k_t} / sum of values from t on), capped at N. The cap
@@ -162,7 +157,7 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> RateAllocation:
     """
     v = np.asarray(values, dtype=np.float64)
     m = v.size
-    if np.any(v < 0) or not np.any(v > 0):
+    if not (np.all((v >= 0) & (v < np.inf)) and np.any(v > 0)):  # NaN fails too
         raise ValueError("values must be nonnegative with at least one positive")
     if not 0 <= k_total <= m * n:
         raise ValueError(f"K={k_total} outside [0, {m * n}]")
@@ -185,7 +180,7 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> RateAllocation:
             remaining -= add
             if not remaining:
                 break
-    return RateAllocation(counts=counts, level_order=np.asarray(order, dtype=np.int64))
+    return counts
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -295,10 +290,9 @@ def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
     else:
         snr = solve_snr_finite(c, k_total / n, n, eps)
         v = finite_bl_values(c, snr, n, eps)
-    alloc = rate_fill(v, k_total, n)
-    return CodeConstruction(n=n, method="rf2",
-                            info_sets=tuple(seq.top_k(n, int(k)) for k in alloc.counts),
-                            allocation=alloc, design_snr_db=snr, eps=eps)
+    sets = tuple(seq.top_k(n, int(k)) for k in rate_fill(v, k_total, n))
+    return CodeConstruction(n=n, method="rf2", info_sets=sets, design_snr_db=snr,
+                            eps=eps)
 
 
 def construct_rf1(m: int, k_total: int, n: int,
@@ -381,8 +375,6 @@ def construct_ga(c: Constellation, k_total: int, n: int,
     lvl, idx = np.divmod(np.arange(c.m * n), n)
     # global top-K by mean LLR, ties to smaller level then smaller index
     ranked = np.lexsort((idx, lvl, -rel.ravel()))[:k_total]
-    counts = np.bincount(lvl[ranked], minlength=c.m).astype(np.int64)
     sets = tuple(np.sort(idx[ranked[lvl[ranked] == k]]) for k in range(c.m))
-    alloc = RateAllocation(counts=counts, level_order=np.arange(c.m, dtype=np.int64))
-    return CodeConstruction(n=n, method="ga", info_sets=sets, allocation=alloc,
+    return CodeConstruction(n=n, method="ga", info_sets=sets,
                             design_snr_db=float(actual_snr_db))

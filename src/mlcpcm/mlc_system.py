@@ -32,14 +32,7 @@ from .constellation import Constellation, subtree_llr
 # them here and counts a missing name as an absent wrapper
 from .constellation import demap_tables, level_llr_from_tables  # noqa: F401
 from .construction import CodeConstruction
-from .polar_codec import (ComponentCode, RowBlocks, crc_attach, polar_encode,
-                          scl_decode_batch)
-
-
-def component_codes(cons: CodeConstruction) -> tuple[ComponentCode, ...]:
-    """The m component polar codes of a construction: ``cons.codes``, built
-    once from its information sets when the construction was built."""
-    return cons.codes
+from .polar_codec import RowBlocks, crc_attach, polar_encode, scl_decode_batch
 
 
 def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,

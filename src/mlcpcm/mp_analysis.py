@@ -163,7 +163,13 @@ def finite_bl_rate(i: float | np.ndarray, v: float | np.ndarray, n: int,
 def noise_n0(snr_db: float) -> float:
     """N0 = 10^(-snr/10) at unit Es, snr clipped at SNR_CLIP_DB: a Python scalar
     power, as a vectorised one may differ in the last ulp."""
-    return 10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)
+    try:
+        n0 = 10.0 ** (-min(float(snr_db), SNR_CLIP_DB) / 10.0)
+    except OverflowError:  # below about -3082 dB
+        n0 = math.inf
+    if not n0 < math.inf:  # a NaN or -inf SNR too
+        raise ValueError(f"Es/N0 of {snr_db} dB has no finite N0")
+    return n0
 
 
 def noise_sigma(snr_db: float) -> float:

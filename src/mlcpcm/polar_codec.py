@@ -114,7 +114,10 @@ class ComponentCode:
     def __post_init__(self):
         if self.n & (self.n - 1) or self.n < 1:
             raise ValueError(f"block length {self.n} is not a power of two")
-        info = np.asarray(self.info_set, dtype=np.int64)
+        info = np.asarray(self.info_set)
+        if info.size and info.dtype.kind not in "iu":  # a cast would truncate
+            raise ValueError(f"info_set must hold integers, got {info.dtype}")
+        info = info.astype(np.int64, copy=False)
         if info.size and (np.any(np.diff(info) <= 0) or info[0] < 0
                           or info[-1] >= self.n):
             raise ValueError("info_set must be sorted, unique, within [0, n)")

@@ -101,7 +101,8 @@ class SimConfig:
                  power of two) and total information bits K in [0, mN]
                  (CRC included)
     snr_grid_db  strictly increasing, finite Es/N0 points in dB (mean SNRs for
-                 fading); those above SNR_CLIP_DB simulate as SNR_CLIP_DB
+                 fading), above about -2782 dB, where N0 overflows at a null
+                 fade; those above SNR_CLIP_DB simulate as SNR_CLIP_DB
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
     max_errors   frame errors that end a BLER point early
@@ -146,6 +147,11 @@ class SimConfig:
         for s in grid:
             if not np.isfinite(s):
                 raise ValueError(f"SNR grid points must be finite, got {s}")
+            try:  # a fading run reaches this SNR at a null fade
+                noise_n0(s + 10.0 * np.log10(_FADE_FLOOR))
+            except ValueError:
+                raise ValueError(f"SNR grid point {s} dB is too low: N0 overflows "
+                                 "there or at a null fade") from None
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be non-empty and strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from mlcpcm.constellation import demap_tables, level_llr_from_tables
-from mlcpcm.mlc_system import component_codes
 from mlcpcm.polar_codec import scl_decode_batch
 
 
@@ -25,7 +24,7 @@ def multistage_decode_batch(y, noise_var, cons, c, list_size,
     y = np.asarray(y)
     f, n = y.shape
     tables = demap_tables(c, y, noise_var)
-    codes = component_codes(cons)
+    codes = cons.codes
     prefix = np.zeros((f, n), dtype=np.int64)
     coded = np.zeros((f, cons.m, n), dtype=np.uint8)
     payloads = []

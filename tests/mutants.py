@@ -55,9 +55,9 @@ MUTANTS = (
     ("sim.py", "construct_rf2(c.m, k, n, eps=eps, seq=seq)",
      "construct_rf2(c.m, k, n, eps=eps)",
      ("tests/test_cli.py::test_construct_ranks_by_the_given_sequence",)),
-    # K = mN rate-fills unit values, so the levels fill in level order, and
-    # each level's set is the top-k slice of its rank sequence
-    ("construction.py", "snr, v = None, np.ones(m)", "snr, v = None, np.arange(1.0, m + 1)",
+    # K = mN, a sum-rate no SNR reaches, skips the SNR solve and fills every
+    # level to N, and each level's set is the top-k slice of its rank sequence
+    ("construction.py", "if k_total == m * n:", "if k_total > m * n:",
      ("tests/test_construction.py::test_rf_full_rate_fills_every_level_in_level_order",)),
     ("construction.py", "self.restrict(n)[n - k:]", "self.restrict(n)[-k:]",
      ("tests/test_construction.py::test_top_k_nesting",)),
@@ -65,11 +65,11 @@ MUTANTS = (
     # information sets alone, once
     ("construction.py", "crc_len=crc_len_for_k(len(s))", "crc_len=crc_len_for_k(len(s) - 1)",
      (DERIVED,)),
-    ("construction.py", "m=len(codes)", "m=self.allocation.counts.size", (DERIVED,)),
+    ("construction.py", "m=len(codes)", "m=sum(1 for c in codes if c.k)", (DERIVED,)),
     ("construction.py", "k_total=sum(c.k for c in codes)",
      "k_total=sum(c.payload_len for c in codes)", (DERIVED,)),
     ("construction.py", "crc_lens=tuple(c.crc_len for c in codes)",
-     "crc_lens=tuple(crc_len_for_k(int(k)) for k in self.allocation.counts)", (DERIVED,)),
+     "crc_lens=tuple(crc_len_for_k(c.payload_len) for c in codes)", (DERIVED,)),
     # RF-I is RF-II at eps = 0.5, and the capacity solve the finite one there
     ("construction.py", "construct_rf2(m, k_total, n, 0.5, seq)",
      "construct_rf2(m, k_total, n, 0.4999, seq)",

@@ -28,7 +28,7 @@ from mlcpcm.construction import (
     solve_snr_capacity,
     solve_snr_finite,
 )
-from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
+from mlcpcm.mlc_system import mlc_encode_batch, multistage_decode_batch
 from mlcpcm.mp_analysis import (
     channel_capacity,
     finite_bl_rate,
@@ -160,7 +160,7 @@ def test_criterion_4_m1_degeneration(capsys):
     rng = np.random.default_rng(11)
     cons = construct_rf1(1, 144, 256)
     c = build_constellation(1)
-    code = component_codes(cons)[0]
+    code = cons.codes[0]
     frames, sigma = 200, 0.8
     pay = [rng.integers(0, 2, (frames, code.payload_len), dtype=np.uint8)]
     symbols, _ = mlc_encode_batch(pay, cons, c)
@@ -245,7 +245,7 @@ def test_criterion_5_oracle_equivalence(capsys):
         if not np.any(v > 0):
             v[0] = 0.5
         k = int(rng.integers(0, m * n + 1))
-        got = list(rate_fill(v, k, n).counts)
+        got = list(rate_fill(v, k, n))
         want = _rate_fill_oracle(list(v), k, n)
         if got != want:
             fails.append(f"rate_fill {got} != oracle {want} (trial {trial})")

@@ -426,6 +426,15 @@ def test_explicit_zero_reaches_validation(tmp_path, capsys, argv, message):
      "argument --rate: must lie in (0, 1], got 'inf'"),
     (["construct", "--method", "rf1", "--m", "3", "--n", "16", "--k", "48"],
      "square QAM needs even m >= 2, got 3"),
+    # an SNR whose N0 overflows, which ended in an OverflowError traceback
+    (["bler", "--m", "2", "--n", "16", "--k", "8", "--snr-db", "-4000"],
+     "SNR grid point -4000.0 dB is too low"),
+    (["throughput", "--snr-db", "-4000", "--mcs", "0"],
+     "SNR grid point -4000.0 dB is too low"),
+    (["analyze", "--m", "4", "--snr-db", "-4000"],
+     "Es/N0 of -4000.0 dB has no finite N0"),
+    (["construct", "--m", "4", "--n", "16", "--k", "8", "--method", "ga",
+      "--snr-db", "-4000"], "Es/N0 of -4000.0 dB has no finite N0"),
 ))
 def test_invalid_snr_rate_and_m_are_usage_errors(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ import pytest
 from mlcpcm import construction
 from mlcpcm.constellation import build_constellation, build_qam
 from mlcpcm.construction import (
+    RankSequence,
     construct_ga,
     construct_rf1,
     construct_rf2,
@@ -142,21 +143,28 @@ def test_load_rank_sequence_round_trip(tmp_path):
         load_rank_sequence(bad)
 
 
+def test_rank_sequence_refuses_non_integer_order():
+    # a cast to int64 would truncate [0.2, 1.1] to the permutation [0, 1]
+    for order in ([0.2, 1.1], np.array([0.0, 1.0]), [True, False]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            RankSequence("PW", order)
+    assert RankSequence("PW", np.array([1, 0], dtype=np.int32)).order.dtype == np.int64
+    assert RankSequence("PW", []).max_len == 0
+
+
 # ---------------------------------------------------------------- rate_fill
 
 
 def test_rate_fill_hand_examples():
-    assert list(rate_fill(np.array([0.8, 0.8]), 8, 5).counts) == [4, 4]
-    assert list(rate_fill(np.array([0.8, 0.8]), 7, 5).counts) == [4, 3]
+    assert list(rate_fill(np.array([0.8, 0.8]), 8, 5)) == [4, 4]
+    assert list(rate_fill(np.array([0.8, 0.8]), 7, 5)) == [4, 3]
 
 
 def test_rate_fill_cap_and_spill():
     # dominant level saturates at N, the excess flows onward
-    alloc = rate_fill(np.array([10.0, 1.0, 1.0]), 12, 8)
-    assert list(alloc.counts) == [8, 2, 2]
+    assert list(rate_fill(np.array([10.0, 1.0, 1.0]), 12, 8)) == [8, 2, 2]
     # zero-valued tail still absorbs forced bits
-    alloc = rate_fill(np.array([1.0, 0.0]), 6, 4)
-    assert list(alloc.counts) == [4, 2]
+    assert list(rate_fill(np.array([1.0, 0.0]), 6, 4)) == [4, 2]
 
 
 def test_rate_fill_validation():
@@ -166,6 +174,11 @@ def test_rate_fill_validation():
         rate_fill(np.array([1.0, -0.1]), 1, 4)
     with pytest.raises(ValueError):
         rate_fill(np.array([1.0, 1.0]), 9, 4)
+    # a NaN value filled as a zero, and an inf failed converting NaN to int
+    for bad in (np.nan, np.inf, -np.inf):
+        for v in ([bad, 1.0], [1.0, bad], [bad]):
+            with pytest.raises(ValueError, match="values must be nonnegative"):
+                rate_fill(np.array(v), 1, 4)
 
 
 def test_rate_fill_matches_step_trace():
@@ -180,14 +193,15 @@ def test_rate_fill_matches_step_trace():
         if not np.any(v > 0):
             v[int(rng.integers(m))] = 0.5
         k = int(rng.integers(0, m * n + 1))
-        alloc = rate_fill(v, k, n)
-        assert list(alloc.counts) == _rate_fill_oracle(list(v), k, n)
-        assert int(alloc.counts.sum()) == k
+        counts = rate_fill(v, k, n)
+        assert list(counts) == _rate_fill_oracle(list(v), k, n)
+        assert counts.dtype == np.int64 and int(counts.sum()) == k
 
 
-def test_rate_fill_order_recorded():
-    alloc = rate_fill(np.array([0.3, 0.9, 0.9, 0.1]), 7, 8)
-    assert list(alloc.level_order) == [1, 2, 0, 3]
+def test_rate_fill_breaks_ties_to_the_smaller_level():
+    # levels 1 and 2 tie; level 1 goes first and takes the larger ceil
+    # share, where the reverse rule would give [1, 3, 4, 0]
+    assert list(rate_fill(np.array([0.3, 0.9, 0.9, 0.1]), 8, 8)) == [1, 4, 3, 0]
 
 
 # ------------------------------------------------------------------ solvers
@@ -308,8 +322,7 @@ def test_rf_full_rate_fills_every_level_in_level_order(m, n):
     for cons, eps in ((construct_rf1(m, m * n, n), None),
                       (construct_rf2(m, m * n, n, eps=0.2), 0.2)):
         assert cons.design_snr_db is None and cons.eps == eps
-        assert np.array_equal(cons.allocation.counts, np.full(m, n))
-        assert np.array_equal(cons.allocation.level_order, np.arange(m))
+        assert [c.k for c in cons.codes] == [n] * m
         assert all(np.array_equal(a, np.arange(n)) for a in cons.info_sets)
 
 
@@ -358,8 +371,8 @@ def test_rf2_half_eps_equals_rf1():
 
 
 def _rf_record(cons):
-    return (cons.allocation.counts.tolist(), cons.allocation.level_order.tolist(),
-            [a.tolist() for a in cons.info_sets], cons.crc_lens,
+    return ([c.k for c in cons.codes], [a.tolist() for a in cons.info_sets],
+            cons.crc_lens,
             None if cons.design_snr_db is None else cons.design_snr_db.hex())
 
 
@@ -540,6 +553,17 @@ def test_construct_ga_extreme_snr_still_valid():
     for snr in (-40.0, 50.0):
         cons = construct_ga(c, 40, 32, snr)
         assert sum(len(a) for a in cons.info_sets) == 40
+
+
+@pytest.mark.parametrize("snr", (float("nan"), -4000.0))
+def test_nan_or_overflowing_snr_is_refused_by_its_n0(snr):
+    # a NaN SNR once gave NaN statistics and GA's misleading "surrogate
+    # capacity" error, and -4000 dB an OverflowError
+    c = build_qam(4)
+    with pytest.raises(ValueError, match="has no finite N0"):
+        finite_bl_values(c, snr, 256, 0.1)
+    with pytest.raises(ValueError, match="has no finite N0"):
+        construct_ga(c, 32, 16, snr)
 
 
 def test_construct_ga_saturated():

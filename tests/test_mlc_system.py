@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +13,14 @@ from mlcpcm import mlc_system, sim
 from mlcpcm.constellation import (build_constellation, build_qam, labels_from_bits,
                                   level_llr_from_tables)
 from mlcpcm.construction import construct_ga, construct_rf1, construct_rf2, five_g_sequence
-from mlcpcm.mlc_system import component_codes, mlc_encode_batch, multistage_decode_batch
+from mlcpcm.mlc_system import mlc_encode_batch, multistage_decode_batch
 from mlcpcm.polar_codec import (ComponentCode, crc_attach, crc_len_for_k, polar_encode,
                                 scl_decode_batch)
 from mlcpcm.sim import load_mcs_table
 
 
 def _payloads(cons, rng, frames=1):
-    codes = component_codes(cons)
+    codes = cons.codes
     out = []
     for code in codes:
         out.append(rng.integers(0, 2, (frames, code.payload_len), dtype=np.uint8))
@@ -33,7 +33,7 @@ def _noise(rng, shape, sigma):
 
 def test_component_codes_reflect_construction():
     cons = construct_rf2(4, 64, 32, eps=0.1)
-    codes = component_codes(cons)
+    codes = cons.codes
     assert [c.crc_len for c in codes] == [16, 16, 0, 0]
     assert [c.payload_len for c in codes] == [21 - 16, 20 - 16, 12, 11]
 
@@ -42,7 +42,7 @@ def _assert_derived_from_info_sets(cons):
     sizes = [len(s) for s in cons.info_sets]
     assert cons.m == len(sizes) and cons.k_total == sum(sizes)
     assert cons.crc_lens == tuple(crc_len_for_k(k) for k in sizes)
-    assert component_codes(cons) is cons.codes and len(cons.codes) == cons.m
+    assert len(cons.codes) == cons.m
     for code, s, crc in zip(cons.codes, cons.info_sets, cons.crc_lens):
         assert code.n == cons.n and code.crc_len == crc
         assert np.array_equal(code.info_set, s)
@@ -59,15 +59,25 @@ def test_construction_derives_m_k_crc_lens_and_codes_from_its_info_sets(monkeypa
         cons = construct_ga(build_constellation(4), 512, 256, snr)
         _assert_derived_from_info_sets(cons)
         assert (cons.m, cons.k_total) == (4, 512)
-    # a replace derives everything afresh from the new sets, not from the
-    # allocation it keeps; a CRC is attached from 17 bits up
+    # a replace derives everything afresh from the new sets; a CRC is
+    # attached from 17 bits up
     seq = five_g_sequence()
     cons = replace(construct_rf2(4, 512, 256),
                    info_sets=tuple(seq.top_k(256, k) for k in (17, 16, 0)))
     _assert_derived_from_info_sets(cons)
     assert (cons.m, cons.k_total, cons.crc_lens) == (3, 33, (16, 0, 0))
+    # and keeps no per-level state of the 4-level record it replaced: the
+    # sets, codes and CRC lengths are the only per-level attributes
+    assert vars(cons).keys() == {f.name for f in fields(cons)}
+    per_level = {name: value for name, value in vars(cons).items()
+                 if isinstance(value, (tuple, list, np.ndarray))}
+    assert per_level.keys() == {"info_sets", "codes", "crc_lens"}
+    assert all(len(value) == 3 for value in per_level.values())
     with pytest.raises(ValueError, match="sorted, unique"):
         replace(cons, info_sets=(np.array([3, 1]),))
+    # a float set is refused, not truncated to [0, 1]
+    with pytest.raises(ValueError, match="must hold integers"):
+        replace(cons, info_sets=(np.array([0.5, 1.7]),))
     # a two-chunk run builds its construction's codes once and no others
     built = []
     post_init = ComponentCode.__post_init__
@@ -132,7 +142,7 @@ def test_m1_matches_plain_ca_scl_bit_for_bit():
     rng = np.random.default_rng(11)
     cons = construct_rf1(1, 144, 256)
     c = build_constellation(1)
-    code = component_codes(cons)[0]
+    code = cons.codes[0]
     frames = 200
     sigma = 0.8  # near the waterfall so both paths see decoding failures
     pay = [rng.integers(0, 2, (frames, code.payload_len), dtype=np.uint8)]
@@ -289,7 +299,7 @@ def test_paired_levels_match_level_by_level_reference(name):
     make, snr_db, lsize = PAIRED_CASES[name]
     cons = make()
     c = build_constellation(cons.m)
-    counts = list(cons.allocation.counts)
+    counts = [code.k for code in cons.codes]
     if name == "16qam-mcs9":
         assert counts == [185, 184, 124, 123]
     if name.endswith("-ga"):  # GA gives both levels of a pair one code

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from mlcpcm.constellation import build_bpsk, build_qam
+from mlcpcm import mp_analysis
 from mlcpcm.mp_analysis import (
     SNR_CLIP_DB,
     biawgn_capacity,
@@ -10,6 +11,7 @@ from mlcpcm.mp_analysis import (
     channel_capacity,
     finite_bl_rate,
     level_stats,
+    noise_n0,
     noise_sigma,
     per_level_error_prob,
     q_function,
@@ -134,6 +136,23 @@ def test_finite_bl_rate_formula():
 def test_noise_sigma():
     assert abs(noise_sigma(0.0) - np.sqrt(0.5)) < 1e-15
     assert abs(noise_sigma(10.0) - np.sqrt(0.05)) < 1e-15
+
+
+@pytest.mark.parametrize("snr", (float("nan"), float("-inf"), -3083.0, -4000.0))
+def test_nan_and_overflowing_snrs_have_no_n0(snr):
+    # below about -3082 dB 10^(-snr/10) overflowed with a bare OverflowError,
+    # and a NaN SNR gave NaN statistics cached under a NaN key
+    with pytest.raises(ValueError, match="has no finite N0"):
+        noise_n0(snr)
+    keys = set(mp_analysis._stats_cache)
+    with pytest.raises(ValueError, match="has no finite N0"):
+        level_stats(build_qam(4), snr)
+    assert set(mp_analysis._stats_cache) == keys
+
+
+def test_noise_n0_is_the_scalar_power_up_to_the_overflow():
+    for snr in (-3082.0, -40.0, 0.0, 6.5, 50.0):
+        assert noise_n0(snr) == 10.0 ** (-snr / 10.0)
 
 
 @pytest.mark.parametrize("m", (1, 4))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlcpcm.construction import construct_rf1, construct_rf2, five_g_sequence
-from mlcpcm.mlc_system import component_codes
 from mlcpcm.polar_codec import (
     _BLOCK,
     CRC_LEN,
@@ -106,6 +105,12 @@ def test_component_code_validation():
         ComponentCode(n=8, info_set=np.array([1, 1]), crc_len=0)
     with pytest.raises(ValueError):
         ComponentCode(n=8, info_set=np.array([0, 1]), crc_len=7)
+    # a cast to int64 would truncate [0.5, 1.7] to the valid set [0, 1]
+    for info in ([0.5, 1.7], np.array([0.0, 1.0]), [True, False]):
+        with pytest.raises(ValueError, match="info_set must hold integers"):
+            ComponentCode(n=4, info_set=info)
+    code = ComponentCode(n=4, info_set=np.array([1, 3], dtype=np.uint8))
+    assert code.info_set.dtype == np.int64 and ComponentCode(n=4, info_set=[]).k == 0
 
 
 @pytest.mark.parametrize("row", (
@@ -306,7 +311,7 @@ def test_pair_call_working_memory():
     # one 512-row call of a 16QAM level pair (rf2, K=512, N=256, L=8): no
     # buffer of all N/2 top-stage rows of every path is ever held, and
     # buffers of one path are never copied out to every path
-    codes = component_codes(construct_rf2(4, 512, 256))
+    codes = construct_rf2(4, 512, 256).codes
     rng = np.random.default_rng(17)
     for pair in (0, 2):
         llr = rng.normal(0.0, 4.0, (512, 256))
@@ -326,8 +331,8 @@ def test_pair_calls_release_buffers_at_last_read():
     # 3N/4. Held until the next fork instead, they raise these peaks to
     # 6.2-6.3 MiB (16QAM) and 3.7 MiB (64QAM)
     rng = np.random.default_rng(17)
-    codes16 = component_codes(construct_rf2(4, 512, 256))
-    codes64 = component_codes(construct_rf2(6, 768, 256))
+    codes16 = construct_rf2(4, 512, 256).codes
+    codes64 = construct_rf2(6, 768, 256).codes
     calls = [(RowBlocks(codes16[pair:pair + 2], (256, 256)),
               rng.normal(0.0, 4.0, (512, 256)), 6.0) for pair in (0, 2)]
     calls.append((RowBlocks(codes64[2:4], (155, 155)),

@@ -69,10 +69,9 @@ def test_rate_fill_sums_and_bounds(data):
     if not any(x > 0 for x in v):
         v[0] = 1.0
     k = data.draw(st.integers(0, m * n))
-    alloc = rate_fill(np.array(v), k, n)
-    assert int(alloc.counts.sum()) == k
-    assert np.all(alloc.counts >= 0) and np.all(alloc.counts <= n)
-    assert sorted(alloc.level_order) == list(range(m))
+    counts = rate_fill(np.array(v), k, n)
+    assert int(counts.sum()) == k
+    assert np.all(counts >= 0) and np.all(counts <= n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -87,6 +87,15 @@ def test_sim_config_refuses_non_finite_snr(grid):
         _small_cfg(snr_grid_db=grid)
 
 
+@pytest.mark.parametrize("low", (-4000.0, -2783.0))
+def test_sim_config_refuses_a_grid_point_whose_n0_overflows(low):
+    # such a point once failed mid-run with an OverflowError; -2783 dB has
+    # a finite N0, but a fading run's null fade, 300 dB lower, has none
+    with pytest.raises(ValueError, match=f"SNR grid point {low} dB is too low"):
+        _small_cfg(snr_grid_db=(low, 0.0))
+    assert _small_cfg(snr_grid_db=(-2782.0,)).snr_grid_db == (-2782.0,)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         _small_cfg(method="bogus")

@@ -16,14 +16,13 @@ from itertools import groupby
 import numpy as np
 
 from mlcpcm.constellation import build_constellation
-from mlcpcm.mlc_system import (component_codes, mlc_encode_batch,
-                               multistage_decode_batch)
+from mlcpcm.mlc_system import mlc_encode_batch, multistage_decode_batch
 from mlcpcm.sim import (SNR_CLIP_DB, SimConfig, SimPoint, _select_mcs,
                         awgn_transmit, build_construction, frame_rng)
 
 
 def _frame_errors(cons, c, list_size, snr_db, rngs, gains):
-    lens = [code.payload_len for code in component_codes(cons)]
+    lens = [code.payload_len for code in cons.codes]
     payloads = [np.empty((len(rngs), pk), dtype=np.uint8) for pk in lens]
     for i, rng in enumerate(rngs):
         for k, pk in enumerate(lens):
