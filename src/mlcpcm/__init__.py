@@ -1,8 +1,8 @@
 """Multilevel polar-coded modulation: constructions, codecs, and link simulation."""
 
 from .constellation import (Constellation, build_bpsk, build_constellation,
-                            build_qam, demap_tables, gray_code, level_llr,
-                            level_llr_from_tables, map_bits)
+                            build_qam, demap_tables, level_llr,
+                            level_llr_from_tables)
 from .construction import (CodeConstruction, RankSequence, construct_ga,
                            construct_rf1, construct_rf2, default_sequence,
                            finite_bl_values, five_g_sequence, ga_evolve,

@@ -7,6 +7,8 @@ quadrature amplitude. Each axis uses the binary-reflected Gray code over
 amplitudes in increasing order, so the 2-bit per-axis pattern is
 (-3, -1, +1, +3) -> (00, 01, 11, 10). Average symbol energy is normalized to 1.
 BPSK is the one-axis case: its single bit selects the in-phase amplitude.
+``labels_from_bits`` packs bit vectors into labels; ``level_llr`` takes its
+prefix as bits and refuses any other value.
 
 Noise convention: ``noise_var`` is the total complex-noise variance
 N0 = E[|n|^2], split N0/2 per real dimension. Bit-level LLRs are natural-log
@@ -37,13 +39,8 @@ import numpy as np
 LLR_CLIP = 300.0
 
 
-def gray_code(j: int | np.ndarray) -> int | np.ndarray:
-    """Binary-reflected Gray code of rank j."""
-    return j ^ (j >> 1)
-
-
 def gray_rank(g: np.ndarray) -> np.ndarray:
-    """Inverse of gray_code: rank (amplitude index) of a Gray label."""
+    """Rank j (amplitude index) of a binary-reflected Gray label g = j ^ (j >> 1)."""
     g = np.asarray(g)
     j = g.copy()
     shift = 1
@@ -66,10 +63,6 @@ class Constellation:
     points: np.ndarray
     name: str
     amp_by_label: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return 1 << self.m
 
 
 def _axis_label_bits(lab: np.ndarray, m: int, axis: int) -> np.ndarray:
@@ -113,26 +106,10 @@ def build_constellation(m: int) -> Constellation:
     return build_bpsk() if m == 1 else build_qam(m)
 
 
-def map_bits(c: Constellation, bits: np.ndarray) -> complex:
-    """Map an m-bit label (b_1, ..., b_m) to its constellation point."""
-    bits = np.asarray(bits)
-    if bits.shape[-1] != c.m:
-        raise ValueError(f"expected {c.m} bits, got {bits.shape[-1]}")
-    lab = labels_from_bits(bits, c.m)
-    return c.points[lab]
-
-
 def labels_from_bits(bits: np.ndarray, m: int) -> np.ndarray:
     """Pack bit vectors (..., m) into integer labels, b_1 as MSB."""
     weights = 1 << np.arange(m - 1, -1, -1)
     return np.asarray(bits, dtype=np.int64) @ weights
-
-
-def bits_from_labels(lab: np.ndarray, m: int) -> np.ndarray:
-    """Unpack integer labels into bit vectors (..., m), b_1 first."""
-    lab = np.asarray(lab)
-    shifts = np.arange(m - 1, -1, -1)
-    return ((lab[..., None] >> shifts) & 1).astype(np.int8)
 
 
 def _leaf_terms(amps: np.ndarray, y: np.ndarray,
@@ -229,11 +206,14 @@ def level_llr(c: Constellation, y: complex, noise_var: float,
               prefix: np.ndarray | tuple[int, ...] = ()) -> float:
     """Bit-level LLR for level k = len(prefix)+1 of a single received symbol.
 
-    prefix holds the already decided bits (b_1, ..., b_{k-1}). The LLR
-    marginalizes uniformly over the 2^(m-k) completions of each hypothesis,
-    by ``subtree_llr``, the rule the multistage decoder uses for every frame.
+    prefix holds the already decided bits (b_1, ..., b_{k-1}), each 0 or 1
+    (ValueError otherwise). The LLR marginalizes uniformly over the 2^(m-k)
+    completions of each hypothesis, by ``subtree_llr``, the rule the
+    multistage decoder uses for every frame.
     """
-    prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
+    prefix = np.asarray(prefix).reshape(-1)
+    if not np.isin(prefix, (0, 1)).all():  # a cast would misread 2 or 0.5
+        raise ValueError(f"prefix bits must be 0 or 1, got {prefix.tolist()}")
     k = prefix.size + 1
     if k > c.m:
         raise ValueError(f"prefix of length {prefix.size} leaves no level to demap")

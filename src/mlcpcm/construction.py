@@ -29,6 +29,7 @@ become information positions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -53,9 +54,9 @@ GA_PHI_SPLIT = 10.0
 @dataclass(frozen=True, eq=False)
 class RankSequence:
     """Channel-independent reliability order, ascending (worst index first),
-    of [0, max_len): ``max_len``, the largest N it ranks, is ``order.size``."""
+    of [0, max_len): ``max_len``, the largest N it ranks, is ``order.size``.
+    A sequence is its validated ``order`` and nothing else."""
 
-    name: str  # "FiveG_Polar" or "PW"
     order: np.ndarray
 
     def __post_init__(self):
@@ -88,7 +89,7 @@ class RankSequence:
 def load_rank_sequence(path) -> RankSequence:
     """Load a whitespace-separated reliability order and validate it."""
     order = np.loadtxt(path, dtype=np.int64).ravel()
-    return RankSequence("FiveG_Polar", order)
+    return RankSequence(order)
 
 
 @lru_cache(maxsize=1)
@@ -106,11 +107,11 @@ def pw_sequence(n: int) -> RankSequence:
     bits = (np.arange(n)[:, None] >> np.arange(max(n.bit_length() - 1, 1))) & 1
     w = bits @ (2.0 ** (np.arange(bits.shape[1]) / 4.0))
     order = np.argsort(w, kind="stable")  # ties resolved to smaller index
-    return RankSequence("PW", order)
+    return RankSequence(order)
 
 
 def default_sequence(n: int) -> RankSequence:
-    """FiveG_Polar for N <= 1024, PW beyond its coverage."""
+    """The 5G sequence for N <= 1024, PW beyond its coverage."""
     return five_g_sequence() if n <= 1024 else pw_sequence(n)
 
 
@@ -146,6 +147,14 @@ def _order_levels(values: np.ndarray) -> list[int]:
     return sorted(range(len(values)), key=lambda k: (-values[k], k))
 
 
+def check_integer(name: str, value: int) -> int:
+    """value as an int, or TypeError unless it is numbers.Integral and not a
+    bool: m=True is a mistake, not BPSK, and a float K would be truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def rate_fill(values: np.ndarray, k_total: int, n: int) -> np.ndarray:
     """Per-level counts (int64) of a progressive proportional fill of K over
     m finite, nonnegative values, at least one positive, ceil per step.
@@ -153,8 +162,10 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> np.ndarray:
     Levels are processed in descending value order; level k_t receives
     ceil(remaining * v_{k_t} / sum of values from t on), capped at N. The cap
     (and any zero-value tail) spills the leftover to later levels in
-    processing order, keeping the sum exactly K.
+    processing order, keeping the sum exactly K, an integer (TypeError
+    otherwise).
     """
+    check_integer("k_total", k_total)
     v = np.asarray(values, dtype=np.float64)
     m = v.size
     if not (np.all((v >= 0) & (v < np.inf)) and np.any(v > 0)):  # NaN fails too
@@ -282,6 +293,7 @@ def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
     per-level values at the SNR where their sum reaches K/N, or at K = mN,
     a sum no SNR reaches, over unit values (design SNR None), which fill the
     levels to N in level order; each level's set is ``seq.top_k``."""
+    check_integer("k_total", k_total)
     _check_eps(eps)
     c = build_constellation(m)
     seq = default_sequence(n) if seq is None else seq
@@ -365,6 +377,7 @@ def ga_evolve(design_llr_mean: float | np.ndarray, n: int) -> np.ndarray:
 def construct_ga(c: Constellation, k_total: int, n: int,
                  actual_snr_db: float) -> CodeConstruction:
     """Gaussian-approximation construction on per-level BI-AWGN surrogates."""
+    check_integer("k_total", k_total)
     if not 0 <= k_total <= c.m * n:
         raise ValueError(f"K={k_total} outside [0, {c.m * n}]")
     cap = np.clip(level_stats(c, actual_snr_db)[0], 1e-12, 1.0 - 1e-12)

@@ -6,14 +6,15 @@ butterfly. The list decoder works in the LLR domain with the hard-decision
 penalty path metric: a path pays |L| whenever its bit decision contradicts the
 sign of the leaf LLR, so metrics are nonnegative and nondecreasing. Ties are
 broken by smaller path index. Frozen bits are zero. With a 16-bit CRC the
-final path is the best-metric CRC-passing survivor, falling back to the best
-metric overall (crc_ok False) when none passes; without CRC the best metric
-wins. The fallback ranks a failing path on its metric plus 1e12, where
-doubles lie 2^-13 apart, so failing metrics closer than that tie and go to
-the smaller path index. A path metric is at most 300 N^2 (N leaves of at
-most N * 300 each), so a passing path outranks every failing one only up to
-N = 2^15. The decoder also returns the re-encoded codeword of the selected
-path, which multistage decoding feeds back as demapping prefix.
+final path is the best-metric survivor that ``crc_check`` passes, falling
+back to the best metric overall (crc_ok False) when none passes; without
+CRC the best metric wins. The fallback ranks a failing path on its metric
+plus 1e12, where doubles lie 2^-13 apart, so failing metrics closer than
+that tie and go to the smaller path index. A path metric is at most
+300 N^2 (N leaves of at most N * 300 each), so a passing path outranks every
+failing one only up to N = 2^15. The decoder also returns the re-encoded
+codeword of the selected path, which multistage decoding feeds back as
+demapping prefix.
 
 All decoder state is vectorized over a batch of independent frames and over
 the list dimension, so Monte Carlo runs decode hundreds of frames per pass.
@@ -505,7 +506,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
             info = info[:, :, np.searchsorted(forks, block_code.info_set)]
         key = pm[lo:hi]
         if block_code.crc_len:
-            ok[lo:hi] = _crc16_register(info) == 0
+            ok[lo:hi] = crc_check(info)
             key = np.where(ok[lo:hi], key, key + _CRC_FAIL_PENALTY)
         best[lo:hi] = np.argmin(key, axis=1)  # first minimum: smaller path wins
         chosen = info[fidx[:hi - lo], best[lo:hi]]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import numbers
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -30,11 +29,10 @@ import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .construction import (DEFAULT_EPS, CodeConstruction, RankSequence,
-                           construct_ga, construct_rf1, construct_rf2,
-                           solve_snr_capacity)
+                           check_integer, construct_ga, construct_rf1,
+                           construct_rf2, solve_snr_capacity)
 from .mlc_system import mlc_encode_batch, multistage_decode_batch
 from .mp_analysis import noise_n0, noise_sigma
-from .mp_analysis import SNR_CLIP_DB  # noqa: F401  the clip SimConfig documents
 
 if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -102,7 +100,7 @@ class SimConfig:
                  (CRC included)
     snr_grid_db  strictly increasing, finite Es/N0 points in dB (mean SNRs for
                  fading), above about -2782 dB, where N0 overflows at a null
-                 fade; those above SNR_CLIP_DB simulate as SNR_CLIP_DB
+                 fade; those above mp_analysis.SNR_CLIP_DB simulate as it
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
     max_errors   frame errors that end a BLER point early
@@ -131,11 +129,7 @@ class SimConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("m", "n", "k", "list_size", "max_blocks", "max_errors", "seed"):
-            value = getattr(self, name)
-            # bool is an Integral too, but m=True is a mistake, not BPSK
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.m != 1 and (self.m < 2 or self.m % 2):
             raise ValueError(f"m must be 1 or an even number >= 2, got {self.m}")
         if self.n < 1 or self.n & (self.n - 1):

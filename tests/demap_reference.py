@@ -7,13 +7,37 @@ the full labels, so it needs no product structure and is easy to check by
 reading. Do not change it: ``tests/test_constellation.py`` requires the
 library demapper to reproduce its LLRs, and ``tests/test_mp_analysis.py``
 reads full-label prefix densities from its tables.
+
+Next to it sit the label oracles the tests read and the library does not:
+the Gray code, the bit-vector mapper and the label unpacker.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mlcpcm.constellation import LLR_CLIP, Constellation
+from mlcpcm.constellation import LLR_CLIP, Constellation, labels_from_bits
+
+
+def gray_code(j: int | np.ndarray) -> int | np.ndarray:
+    """Binary-reflected Gray code of rank j."""
+    return j ^ (j >> 1)
+
+
+def map_bits(c: Constellation, bits: np.ndarray) -> complex:
+    """Map an m-bit label (b_1, ..., b_m) to its constellation point."""
+    bits = np.asarray(bits)
+    if bits.shape[-1] != c.m:
+        raise ValueError(f"expected {c.m} bits, got {bits.shape[-1]}")
+    lab = labels_from_bits(bits, c.m)
+    return c.points[lab]
+
+
+def bits_from_labels(lab: np.ndarray, m: int) -> np.ndarray:
+    """Unpack integer labels into bit vectors (..., m), b_1 first."""
+    lab = np.asarray(lab)
+    shifts = np.arange(m - 1, -1, -1)
+    return ((lab[..., None] >> shifts) & 1).astype(np.int8)
 
 
 def demap_tables(c: Constellation, y: np.ndarray,

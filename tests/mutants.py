@@ -221,6 +221,22 @@ MUTANTS = (
     # the odd level of a pair reads its prefix bits at the odd positions
     ("mlc_system.py", "prefix[lo:lo + step] << j)", "prefix[lo:lo + step])",
      ("tests/test_mlc_system.py::test_paired_levels_match_level_by_level_reference",)),
+    # the decoder's CRC verdict is crc_check's
+    ("polar_codec.py", "ok = _crc16_register(np.asarray(bits, dtype=np.int8)) == 0",
+     "ok = _crc16_register(np.asarray(bits, dtype=np.int8)) != 0",
+     ("tests/test_polar_codec.py::test_decoder_matches_frozen_reference",)),
+    # a construction refuses a K that is not an integer, before any SNR solve
+    ("construction.py",
+     "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+     "if isinstance(value, bool):",
+     ("tests/test_construction.py::test_rate_fill_refuses_a_k_that_is_not_an_integer",
+      "tests/test_construction.py::"
+      "test_rf_refuses_a_k_that_is_not_an_integer_before_any_snr_solve",
+      "tests/test_construction.py::test_construct_ga_refuses_a_k_that_is_not_an_integer")),
+    # level_llr's prefix is bits, not labels to pack or floats to truncate
+    ("constellation.py", "np.isin(prefix, (0, 1))",
+     "np.isin(prefix.astype(np.int64) % 2, (0, 1))",
+     ("tests/test_constellation.py::test_level_llr_refuses_a_prefix_that_is_not_bits",)),
 )
 
 

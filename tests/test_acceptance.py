@@ -262,7 +262,7 @@ def test_criterion_5_oracle_equivalence(capsys):
         k = int(rng.integers(1, m + 1))
         prefix = tuple(int(b) for b in rng.integers(0, 2, k - 1))
         num = den = 0.0
-        for lab in range(c.order):
+        for lab in range(1 << c.m):
             bits = [(lab >> (m - 1 - j)) & 1 for j in range(m)]
             if tuple(bits[: k - 1]) != prefix:
                 continue
@@ -351,18 +351,19 @@ def test_criterion_8_property_suites(capsys):
         fails.append("CRC missed a single-bit flip")
 
     # rank sequences: permutations, nested restriction, nested top-K
-    for seq, n_max in ((five_g_sequence(), 1024), (pw_sequence(2048), 2048)):
+    for name, seq, n_max in (("5G", five_g_sequence(), 1024),
+                             ("PW", pw_sequence(2048), 2048)):
         full = list(seq.order)
         if sorted(full) != list(range(n_max)):
-            fails.append(f"{seq.name} order is not a permutation")
+            fails.append(f"{name} order is not a permutation")
         for n in (32, 256, n_max):
             if list(seq.restrict(n)) != [i for i in full if i < n]:
-                fails.append(f"{seq.name} restriction broken at n={n}")
+                fails.append(f"{name} restriction broken at n={n}")
         prev: set[int] = set()
         for k in (1, 7, 64, 256):
             cur = set(seq.top_k(256, k))
             if not (len(cur) == k and prev <= cur):
-                fails.append(f"{seq.name} top-K not nested at k={k}")
+                fails.append(f"{name} top-K not nested at k={k}")
             prev = cur
 
     # capacity/dispersion monotonicity and limits

@@ -3,21 +3,19 @@ import pytest
 
 from mlcpcm.constellation import (
     Constellation,
-    bits_from_labels,
     build_bpsk,
     build_constellation,
     build_qam,
     demap_tables,
-    gray_code,
     gray_rank,
     labels_from_bits,
     level_llr,
     level_llr_from_tables,
-    map_bits,
     subtree_llr,
 )
 
 import demap_reference as reference
+from demap_reference import bits_from_labels, gray_code, map_bits
 
 MS = (1, 2, 4, 6, 8)
 
@@ -27,7 +25,7 @@ def _direct_level_llr(c: Constellation, y: complex, noise_var: float,
     # brute-force mixture ratio over labels consistent with the prefix
     num = 0.0
     den = 0.0
-    for lab in range(c.order):
+    for lab in range(1 << c.m):
         bits = [(lab >> (c.m - 1 - j)) & 1 for j in range(c.m)]
         if tuple(bits[: k - 1]) != tuple(prefix):
             continue
@@ -52,8 +50,8 @@ def test_gray_code_values():
 @pytest.mark.parametrize("m", MS)
 def test_unit_energy_and_size(m):
     c = build_constellation(m)
-    assert c.m == m and c.order == 2**m
-    assert len(np.unique(c.points)) == c.order
+    assert c.m == m and 1 << c.m == 2**m
+    assert len(np.unique(c.points)) == 1 << c.m
     assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
 
 
@@ -68,7 +66,7 @@ def test_square_qam_axis_reconstruction():
     for m in (2, 4, 6, 8):
         c = build_qam(m)
         half = m // 2
-        lab = np.arange(c.order)
+        lab = np.arange(1 << c.m)
         bits = bits_from_labels(lab, m)
         ai = labels_from_bits(bits[:, 0::2], half)
         aq = labels_from_bits(bits[:, 1::2], half)
@@ -118,6 +116,18 @@ def test_level_llr_sign_on_clean_symbol():
         for k in range(1, 5):
             llr = level_llr(c, y, 0.05, tuple(bits[: k - 1]))
             assert (llr > 0) == (bits[k - 1] == 0)
+
+
+def test_level_llr_refuses_a_prefix_that_is_not_bits():
+    # packed as a label, (2, 0) read as (0, 0) at level 3 of 16QAM and
+    # (3, 0) or (-1, 0) as (1, 0); an int64 cast read 0.5 as 0
+    c = build_qam(4)
+    for prefix in ((2, 0), (3, 0), (-1, 0), (0.5, 0), (1, 0.5), (float("nan"),)):
+        with pytest.raises(ValueError, match="prefix bits must be 0 or 1"):
+            level_llr(c, 0.3 + 0.1j, 0.5, prefix)
+    want = level_llr(c, 0.3 + 0.1j, 0.5, (1, 0))
+    for prefix in ((1.0, 0.0), (True, False), np.array([1, 0], dtype=np.int8)):
+        assert level_llr(c, 0.3 + 0.1j, 0.5, prefix) == want
 
 
 def test_tables_pairing_identity():
@@ -186,7 +196,7 @@ def test_tables_match_reference(m):
     for trial in range(30):
         f, n = 3, 40
         nv = np.exp(rng.uniform(np.log(0.01), np.log(2.0), f))[:, None]
-        lab = rng.integers(0, c.order, (f, n))
+        lab = rng.integers(0, 1 << c.m, (f, n))
         noise = rng.standard_normal((f, n)) + 1j * rng.standard_normal((f, n))
         y = c.points[lab] + np.sqrt(nv / 2.0) * noise
         gap, _ = _reference_gap(c, y, nv, seed=trial)

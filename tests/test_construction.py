@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,8 +128,8 @@ def test_top_k_refuses_what_it_cannot_slice():
 
 
 def test_default_sequence_dispatch():
-    assert default_sequence(256).name == five_g_sequence().name
-    assert default_sequence(2048).name == pw_sequence(2048).name
+    assert default_sequence(256) is five_g_sequence()
+    assert np.array_equal(default_sequence(2048).order, pw_sequence(2048).order)
 
 
 def test_load_rank_sequence_round_trip(tmp_path):
@@ -147,9 +148,9 @@ def test_rank_sequence_refuses_non_integer_order():
     # a cast to int64 would truncate [0.2, 1.1] to the permutation [0, 1]
     for order in ([0.2, 1.1], np.array([0.0, 1.0]), [True, False]):
         with pytest.raises(ValueError, match="must hold integers"):
-            RankSequence("PW", order)
-    assert RankSequence("PW", np.array([1, 0], dtype=np.int32)).order.dtype == np.int64
-    assert RankSequence("PW", []).max_len == 0
+            RankSequence(order)
+    assert RankSequence(np.array([1, 0], dtype=np.int32)).order.dtype == np.int64
+    assert RankSequence([]).max_len == 0
 
 
 # ---------------------------------------------------------------- rate_fill
@@ -179,6 +180,15 @@ def test_rate_fill_validation():
         for v in ([bad, 1.0], [1.0, bad], [bad]):
             with pytest.raises(ValueError, match="values must be nonnegative"):
                 rate_fill(np.array(v), 1, 4)
+
+
+def test_rate_fill_refuses_a_k_that_is_not_an_integer():
+    # int() truncated 10.7 to 10, and True filled as K = 1
+    v = np.array([0.5, 0.3])
+    for k in (10.7, 10.0, True, "10"):
+        with pytest.raises(TypeError, match=re.escape(f"k_total must be an integer, got {k!r}")):
+            rate_fill(v, k, 16)
+    assert list(rate_fill(v, np.int64(10), 16)) == list(rate_fill(v, 10, 16)) == [7, 3]
 
 
 def test_rate_fill_matches_step_trace():
@@ -411,6 +421,23 @@ def test_rf_sorts_only_level_values(monkeypatch):
     assert sizes == [8]
 
 
+@pytest.mark.parametrize("construct", (construct_rf1, construct_rf2))
+def test_rf_refuses_a_k_that_is_not_an_integer_before_any_snr_solve(monkeypatch,
+                                                                   construct):
+    # K = 100.7 solved the SNR for 100.7 bits and then filled 100
+    def no_solve(*args):
+        raise AssertionError("an SNR solve for a refused K")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "solve_snr_finite", no_solve)
+        for k in (100.7, 100.0, True):
+            with pytest.raises(TypeError, match="k_total must be an integer"):
+                construct(4, k, 64)
+    got, want = construct(4, np.int64(100), 64), construct(4, 100, 64)
+    assert got.design_snr_db == want.design_snr_db and got.k_total == 100
+    assert all(np.array_equal(a, b) for a, b in zip(got.info_sets, want.info_sets))
+
+
 def test_rf_rejects_infeasible_k():
     with pytest.raises(ValueError):
         construct_rf1(2, 2 * 64 + 1, 64)
@@ -564,6 +591,22 @@ def test_nan_or_overflowing_snr_is_refused_by_its_n0(snr):
         finite_bl_values(c, snr, 256, 0.1)
     with pytest.raises(ValueError, match="has no finite N0"):
         construct_ga(c, 32, 16, snr)
+
+
+def test_construct_ga_refuses_a_k_that_is_not_an_integer(monkeypatch):
+    # K = 100.5 failed as "slice indices must be integers" after the evolution
+    def no_stats(*args):
+        raise AssertionError("level statistics for a refused K")
+
+    c = build_qam(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "level_stats", no_stats)
+        for k in (100.5, 100.0, True):
+            with pytest.raises(TypeError, match="k_total must be an integer"):
+                construct_ga(c, k, 64, 5.0)
+    got, want = construct_ga(c, np.int64(100), 64, 5.0), construct_ga(c, 100, 64, 5.0)
+    assert got.k_total == 100
+    assert all(np.array_equal(a, b) for a, b in zip(got.info_sets, want.info_sets))
 
 
 def test_construct_ga_saturated():

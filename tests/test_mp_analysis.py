@@ -45,7 +45,7 @@ def _mc_level_moments(c, snr_db: float, samples: int, seed: int):
     # (in nats)
     rng = np.random.default_rng(seed)
     sigma = noise_sigma(snr_db)
-    lab = rng.integers(0, c.order, samples)
+    lab = rng.integers(0, 1 << c.m, samples)
     y = c.points[lab] + sigma * (
         rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
     )

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mlcpcm.sim as sim
+from mlcpcm.mp_analysis import SNR_CLIP_DB
 from mlcpcm.sim import (
     McsEntry,
     SimConfig,
@@ -175,11 +176,11 @@ def test_snr_above_the_clip_transmits_and_decodes_as_the_clip():
     # 10^(-snr/10) underflows to 0 near 3240 dB: the clip keeps both the
     # channel noise and the decoder's noise variance those of SNR_CLIP_DB
     x = np.ones(100, dtype=complex)
-    clipped = awgn_transmit(x, sim.SNR_CLIP_DB, np.random.default_rng(2))
+    clipped = awgn_transmit(x, SNR_CLIP_DB, np.random.default_rng(2))
     assert np.array_equal(awgn_transmit(x, 4000.0, np.random.default_rng(2)),
                           clipped)
     assert not np.array_equal(clipped, x)
-    cfg = _small_cfg(snr_grid_db=(sim.SNR_CLIP_DB, 4000.0), max_blocks=20)
+    cfg = _small_cfg(snr_grid_db=(SNR_CLIP_DB, 4000.0), max_blocks=20)
     assert [(p.blocks, p.errors) for p in run_bler(cfg).points] == [(20, 0)] * 2
 
 

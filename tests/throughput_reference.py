@@ -17,8 +17,9 @@ import numpy as np
 
 from mlcpcm.constellation import build_constellation
 from mlcpcm.mlc_system import mlc_encode_batch, multistage_decode_batch
-from mlcpcm.sim import (SNR_CLIP_DB, SimConfig, SimPoint, _select_mcs,
-                        awgn_transmit, build_construction, frame_rng)
+from mlcpcm.mp_analysis import SNR_CLIP_DB
+from mlcpcm.sim import (SimConfig, SimPoint, _select_mcs, awgn_transmit,
+                        build_construction, frame_rng)
 
 
 def _frame_errors(cons, c, list_size, snr_db, rngs, gains):
