@@ -235,7 +235,7 @@ def _cmd_throughput(args) -> None:
                    list_size=cfg.list_size, seed=(cfg.seed + 1) % 2**64,
                    eps=cfg.eps, max_blocks=args.lut_blocks,
                    max_errors=args.lut_errors, workers=args.workers)
-    curve = run_throughput(cfg, table, lut, workers=args.workers)
+    curve = _checked(run_throughput, cfg, table, lut, workers=args.workers)
     _print_curve(curve)
     _write_curve(curve, args.out)
 

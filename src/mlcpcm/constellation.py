@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polar_codec import check_integer
+
 LLR_CLIP = 300.0
 
 
@@ -80,6 +82,7 @@ def _axis_label_bits(lab: np.ndarray, m: int, axis: int) -> np.ndarray:
 
 def build_qam(m: int) -> Constellation:
     """Square 2^m-QAM, m even, unit average energy, per-axis Gray labels."""
+    m = check_integer("m", m)
     if m % 2 != 0 or m < 2:
         raise ValueError(f"square QAM needs even m >= 2, got {m}")
     half = 1 << (m // 2)
@@ -103,7 +106,7 @@ def build_bpsk() -> Constellation:
 
 
 def build_constellation(m: int) -> Constellation:
-    return build_bpsk() if m == 1 else build_qam(m)
+    return build_bpsk() if check_integer("m", m) == 1 else build_qam(m)
 
 
 def labels_from_bits(bits: np.ndarray, m: int) -> np.ndarray:
@@ -177,25 +180,24 @@ def level_llr_from_tables(tables: list[list[np.ndarray]], k: int,
 
 
 def subtree_llr(c: Constellation, y: np.ndarray, noise_var: float | np.ndarray,
-                k: int, prefix_labels: np.ndarray) -> np.ndarray:
+                k: int, prefix: np.ndarray) -> np.ndarray:
     """LLR of bit level k (1-based) from its own axis subtree.
 
-    Level k is bit d = (k-1)//2 + 1 of axis (k-1) % 2. Of the k-1 decided
-    bits in prefix_labels (b_1 as MSB), the axis's first d - 1 form its
-    prefix p, and the axis labels completing p are row p of the axis
-    amplitudes split into 2^(d-1) rows. The row's leaves -(y_a - a)^2 / N0
-    reduce pairwise with logaddexp to the halves under bit 0 and bit 1,
-    whose difference, clipped, is the LLR. These are the operations, operands
-    and order by which ``level_llr_from_tables`` reads the LLR from
-    ``demap_tables``, so the result is bit-identical to it. y, prefix_labels
-    and noise_var (broadcastable) share one shape.
+    Level k is bit d = (k-1)//2 + 1 of axis (k-1) % 2, and prefix holds, per
+    symbol, the axis's first d - 1 decided bits as an integer p in
+    [0, 2^(d-1)), its first bit as MSB. The axis labels completing p are row
+    p of the axis amplitudes split into 2^(d-1) rows. The row's leaves
+    -(y_a - a)^2 / N0 reduce pairwise with logaddexp to the halves under bit
+    0 and bit 1, whose difference, clipped, is the LLR. These are the
+    operations, operands and order by which ``level_llr_from_tables`` reads
+    the LLR from ``demap_tables``, so the result is bit-identical to it. y,
+    prefix and noise_var (broadcastable) share one shape.
     """
     axis = (k - 1) % 2
-    p = _axis_label_bits(np.asarray(prefix_labels), k - 1, axis)
     rows = c.amp_by_label.reshape(1 << (k - 1) // 2, -1)
     part = np.asarray(y, dtype=np.complex128)
     part = part.imag if axis else part.real
-    t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)
+    t = _leaf_terms(np.take(rows, prefix, axis=0), part, noise_var)
     while t.shape[-1] > 2:
         t = np.logaddexp(t[..., 0::2], t[..., 1::2])
     llr = t[..., 0] - t[..., 1]
@@ -209,7 +211,7 @@ def level_llr(c: Constellation, y: complex, noise_var: float,
     prefix holds the already decided bits (b_1, ..., b_{k-1}), each 0 or 1
     (ValueError otherwise). The LLR marginalizes uniformly over the 2^(m-k)
     completions of each hypothesis, by ``subtree_llr``, the rule the
-    multistage decoder uses for every frame.
+    multistage decoder uses for every frame, from the b_j on level k's axis.
     """
     prefix = np.asarray(prefix).reshape(-1)
     if not np.isin(prefix, (0, 1)).all():  # a cast would misread 2 or 0.5
@@ -217,5 +219,5 @@ def level_llr(c: Constellation, y: complex, noise_var: float,
     k = prefix.size + 1
     if k > c.m:
         raise ValueError(f"prefix of length {prefix.size} leaves no level to demap")
-    p = labels_from_bits(prefix, prefix.size)
+    p = labels_from_bits(prefix[(k - 1) % 2::2], (k - 1) // 2)  # its axis's bits
     return float(subtree_llr(c, np.asarray([y]), noise_var, k, np.array([p]))[0])

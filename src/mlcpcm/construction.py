@@ -29,7 +29,6 @@ become information positions.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -39,7 +38,8 @@ import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .mp_analysis import biawgn_sigma_for_capacity, finite_bl_rate, level_stats
-from .polar_codec import ComponentCode, crc_len_for_k
+from .polar_codec import (ComponentCode, check_integer, check_power_of_two,
+                          crc_len_for_k)
 
 SNR_BRACKET_DB = (-40.0, 50.0)
 RATE_MARGIN = 1e-6
@@ -73,8 +73,7 @@ class RankSequence:
 
     def restrict(self, n: int) -> np.ndarray:
         """Nested extraction: entries < n in original order."""
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"N={n} is not a power of two")
+        check_power_of_two("n", n)
         if n > self.max_len:
             raise ValueError(f"N={n} exceeds sequence coverage {self.max_len}")
         return self.order[self.order < n]
@@ -102,8 +101,7 @@ def five_g_sequence() -> RankSequence:
 
 def pw_sequence(n: int) -> RankSequence:
     """Polarization-weight (beta-expansion) order: w(i) = sum_j b_j 2^{j/4}."""
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"N={n} is not a power of two")
+    n = check_power_of_two("n", n)
     bits = (np.arange(n)[:, None] >> np.arange(max(n.bit_length() - 1, 1))) & 1
     w = bits @ (2.0 ** (np.arange(bits.shape[1]) / 4.0))
     order = np.argsort(w, kind="stable")  # ties resolved to smaller index
@@ -112,7 +110,7 @@ def pw_sequence(n: int) -> RankSequence:
 
 def default_sequence(n: int) -> RankSequence:
     """The 5G sequence for N <= 1024, PW beyond its coverage."""
-    return five_g_sequence() if n <= 1024 else pw_sequence(n)
+    return five_g_sequence() if check_power_of_two("n", n) <= 1024 else pw_sequence(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,25 +145,18 @@ def _order_levels(values: np.ndarray) -> list[int]:
     return sorted(range(len(values)), key=lambda k: (-values[k], k))
 
 
-def check_integer(name: str, value: int) -> int:
-    """value as an int, or TypeError unless it is numbers.Integral and not a
-    bool: m=True is a mistake, not BPSK, and a float K would be truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def rate_fill(values: np.ndarray, k_total: int, n: int) -> np.ndarray:
     """Per-level counts (int64) of a progressive proportional fill of K over
     m finite, nonnegative values, at least one positive, ceil per step.
 
-    Levels are processed in descending value order; level k_t receives
-    ceil(remaining * v_{k_t} / sum of values from t on), capped at N. The cap
-    (and any zero-value tail) spills the leftover to later levels in
-    processing order, keeping the sum exactly K, an integer (TypeError
-    otherwise).
+    One pass in descending value order: level k_t receives ceil(remaining *
+    v_{k_t} / sum of values from t on), or all remaining bits once that sum
+    is zero, capped at N. The positive levels the cap binds come first, so
+    bits are left for the zero-value levels only once every positive level
+    is full. The sum is exactly K, an integer (TypeError otherwise).
     """
     check_integer("k_total", k_total)
+    check_integer("n", n)
     v = np.asarray(values, dtype=np.float64)
     m = v.size
     if not (np.all((v >= 0) & (v < np.inf)) and np.any(v > 0)):  # NaN fails too
@@ -177,20 +168,10 @@ def rate_fill(values: np.ndarray, k_total: int, n: int) -> np.ndarray:
     counts = np.zeros(m, dtype=np.int64)
     remaining = int(k_total)
     for t, k in enumerate(order):
-        if suffix[t] > 0.0:
-            share = int(np.ceil(remaining * v[k] / suffix[t]))
-        else:
-            share = 0
-        share = min(share, n, remaining)
-        counts[k] = share
+        share = (int(np.ceil(remaining * v[k] / suffix[t])) if suffix[t] > 0.0
+                 else remaining)
+        counts[k] = share = min(share, n, remaining)
         remaining -= share
-    if remaining:  # cap overflow or an all-zero tail: spill in order
-        for k in order:
-            add = min(n - counts[k], remaining)
-            counts[k] += add
-            remaining -= add
-            if not remaining:
-                break
     return counts
 
 
@@ -294,6 +275,7 @@ def construct_rf2(m: int, k_total: int, n: int, eps: float = DEFAULT_EPS,
     a sum no SNR reaches, over unit values (design SNR None), which fill the
     levels to N in level order; each level's set is ``seq.top_k``."""
     check_integer("k_total", k_total)
+    check_power_of_two("n", n)
     _check_eps(eps)
     c = build_constellation(m)
     seq = default_sequence(n) if seq is None else seq
@@ -364,8 +346,7 @@ def ga_evolve(design_llr_mean: float | np.ndarray, n: int) -> np.ndarray:
     z = np.asarray(design_llr_mean, dtype=np.float64)[..., None]
     if np.any(z <= 0):
         raise ValueError("design LLR mean must be positive")
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"N={n} is not a power of two")
+    check_power_of_two("n", n)
     while z.shape[-1] < n:
         new = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
         new[..., 0::2] = ga_check_update(z)
@@ -378,6 +359,7 @@ def construct_ga(c: Constellation, k_total: int, n: int,
                  actual_snr_db: float) -> CodeConstruction:
     """Gaussian-approximation construction on per-level BI-AWGN surrogates."""
     check_integer("k_total", k_total)
+    check_power_of_two("n", n)
     if not 0 <= k_total <= c.m * n:
         raise ValueError(f"K={k_total} outside [0, {c.m * n}]")
     cap = np.clip(level_stats(c, actual_snr_db)[0], 1e-12, 1.0 - 1e-12)

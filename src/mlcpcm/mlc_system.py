@@ -10,17 +10,16 @@ single frame is a batch of one.
 
 Under the per-axis Gray labelling, even levels ride the in-phase axis and
 odd levels the quadrature axis, and a level's LLR depends only on the
-decided bits of its own axis. Level 2j + 1 therefore does not read level
-2j's decision, and its LLR is formed before that decision is made, with a
-zero standing in for it, exactly as it would be after. Both levels of a
-pair then decode as one 2F-row call with a code per row block; BPSK's
-single level decodes as a group of one.
+decided bits of its own axis. The receiver keeps each axis's decided bits
+as its Gray-label prefix, and level 2j + j' reads prefix j' alone, so both
+levels of a pair decode as one 2F-row call with a code per row block;
+BPSK's single level decodes as a group of one.
 
 Each level's LLRs come from ``subtree_llr``: the leaves of the axis
-subtree under the level's decided axis prefix, reduced to the two halves
-under its bit. Every level, the last of each axis and BPSK's included,
-forms them in blocks of frames whose widest subtree leaves fill
-_DEMAP_BYTES, and nothing is kept from one level to the next.
+subtree under its axis prefix, reduced to the two halves under its bit.
+Every level, the last of each axis and BPSK's included, forms them in
+blocks of frames whose widest subtree leaves fill _DEMAP_BYTES, and nothing
+is kept from one level to the next.
 """
 
 from __future__ import annotations
@@ -42,16 +41,15 @@ def mlc_encode_batch(payloads: list[np.ndarray], cons: CodeConstruction,
         raise ValueError("payload list / constellation do not match construction")
     f = payloads[0].shape[0]
     coded = np.zeros((f, cons.m, cons.n), dtype=np.uint8)
-    for k, code in enumerate(cons.codes):
+    labels = np.zeros((f, cons.n), dtype=np.int64)
+    for k, code in enumerate(cons.codes):  # level 0 is the label MSB
         if payloads[k].shape != (f, code.payload_len):
             raise ValueError(f"level {k} payload shape {payloads[k].shape} != "
                              f"({f}, {code.payload_len})")
         u = np.zeros((f, cons.n), dtype=np.uint8)
         u[:, code.info_set] = crc_attach(payloads[k]) if code.crc_len else payloads[k]
         coded[:, k] = polar_encode(u)
-    labels = np.zeros((f, cons.n), dtype=np.int64)
-    for k in range(cons.m):  # level 0 is the label MSB
-        labels = (labels << 1) | coded[:, k].astype(np.int64)
+        labels = (labels << 1) | coded[:, k]
     return c.points[labels], coded
 
 
@@ -81,32 +79,25 @@ def multistage_decode_batch(y: np.ndarray, noise_var: float | np.ndarray,
     # frames per subtree_llr call: level 0's leaves, one per axis amplitude
     # and symbol, fill _DEMAP_BYTES, and deeper subtrees are narrower
     step = max(_DEMAP_BYTES // (c.amp_by_label.size * n * 8), 1)
-    # m label bits; uint8 up to 256QAM
-    prefix = np.zeros((f, n), dtype=np.min_scalar_type((1 << c.m) - 1))
+    # each axis's decided bits as its Gray-label prefix; uint8 up to 256QAM
+    prefix = np.zeros((2, f, n), dtype=np.min_scalar_type(c.amp_by_label.size - 1))
     coded = np.zeros((f, cons.m, n), dtype=np.uint8)
     payloads: list[np.ndarray] = []
     oks = np.zeros((f, cons.m), dtype=bool)
     for k in range(0, cons.m, 2):
-        # level k + 1 reads only the prefix bits of the other axis, so a
-        # zero stands in for level k's decision and the levels of a pair
-        # decode as one call of F rows per level
         group = cons.codes[k:k + 2]
-        llrs = np.empty((len(group) * f, n))
+        llrs = np.empty((len(group), f, n))
         for j in range(len(group)):
-            out = llrs[j * f:(j + 1) * f]
             for lo in range(0, f, step):
-                out[lo:lo + step] = subtree_llr(
+                llrs[j, lo:lo + step] = subtree_llr(
                     c, y[lo:lo + step], noise_var[lo:lo + step], k + j + 1,
-                    prefix[lo:lo + step] << j)
+                    prefix[j, lo:lo + step])
         pays, cws, ok, _ = scl_decode_batch(
-            llrs, RowBlocks(group, (f,) * len(group)), list_size)
-        for j, pay in enumerate(pays):
-            level = k + j
-            payloads.append(pay)
-            coded[:, level] = cws[j * f:(j + 1) * f]
-            oks[:, level] = ok[j * f:(j + 1) * f]
-            feed = coded[:, level]
-            if feedback_override and level in feedback_override:
-                feed = feedback_override[level]
-            prefix = (prefix << 1) | feed.astype(prefix.dtype)
+            llrs.reshape(-1, n), RowBlocks(group, (f,) * len(group)), list_size)
+        payloads += pays
+        coded[:, k:k + 2] = cws.reshape(len(group), f, n).swapaxes(0, 1)
+        oks[:, k:k + 2] = ok.reshape(len(group), f).T
+        for j in range(len(group)):
+            feed = (feedback_override or {}).get(k + j, coded[:, k + j])
+            prefix[j] = (prefix[j] << 1) | feed.astype(prefix.dtype)
     return payloads, oks, oks.all(axis=1), coded

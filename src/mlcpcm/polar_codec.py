@@ -79,6 +79,7 @@ only additions of finite values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,22 @@ _CRC_FAIL_PENALTY = 1e12
 _BLOCK = 1 << 14
 
 
+def check_integer(name: str, value: int) -> int:
+    """value as an int, or TypeError unless it is numbers.Integral and not a
+    bool: m=True is a mistake, not BPSK, and a float K would be truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_power_of_two(name: str, value: int) -> int:
+    """value as an int by ``check_integer``; ValueError unless a power of two."""
+    value = check_integer(name, value)
+    if value < 1 or value & (value - 1):
+        raise ValueError(f"{name} must be a power of two, got {value}")
+    return value
+
+
 def crc_len_for_k(k: int) -> int:
     """Per-component CRC policy: 16-bit CRC only when it fits inside K_k."""
     return CRC_LEN if k > CRC_LEN else 0
@@ -113,8 +130,7 @@ class ComponentCode:
     crc_len: int = 0
 
     def __post_init__(self):
-        if self.n & (self.n - 1) or self.n < 1:
-            raise ValueError(f"block length {self.n} is not a power of two")
+        object.__setattr__(self, "n", check_power_of_two("n", self.n))
         info = np.asarray(self.info_set)
         if info.size and info.dtype.kind not in "iu":  # a cast would truncate
             raise ValueError(f"info_set must hold integers, got {info.dtype}")
@@ -138,9 +154,7 @@ class ComponentCode:
 def polar_encode(u: np.ndarray) -> np.ndarray:
     """x = u G_N over GF(2), butterfly over the last axis. Self-inverse."""
     x = np.array(u, dtype=np.int8, copy=True)
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
+    n = check_power_of_two("length", x.shape[-1])
     h = 1
     while h < n:
         view = x.reshape(x.shape[:-1] + (n // (2 * h), 2, h))
@@ -273,7 +287,7 @@ class RowBlocks:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        codes, rows = tuple(self.codes), tuple(int(r) for r in self.rows)
+        codes, rows = tuple(self.codes), tuple(check_integer("rows", r) for r in self.rows)
         if not codes or len(codes) != len(rows):
             raise ValueError("need one row count per code and at least one code")
         if min(rows) < 0:
@@ -325,8 +339,7 @@ def scl_decode_batch(llrs: np.ndarray, code: ComponentCode | RowBlocks,
         raise ValueError(f"LLR length {n} != code length {blocks.n}")
     if sum(blocks.rows) != frames:
         raise ValueError(f"{frames} LLR rows != {sum(blocks.rows)} block rows")
-    if list_size < 1 or (list_size & (list_size - 1)):
-        raise ValueError("list size must be a power of two >= 1")
+    check_power_of_two("list size", list_size)
     # finite LLRs keep every real path metric finite, which the survivor
     # sort on the metrics' bit patterns relies on
     if not np.isfinite(chan).all():

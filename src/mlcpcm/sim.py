@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import numbers
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -29,10 +30,11 @@ import numpy as np
 
 from .constellation import Constellation, build_constellation
 from .construction import (DEFAULT_EPS, CodeConstruction, RankSequence,
-                           check_integer, construct_ga, construct_rf1,
-                           construct_rf2, solve_snr_capacity)
+                           construct_ga, construct_rf1, construct_rf2,
+                           solve_snr_capacity)
 from .mlc_system import mlc_encode_batch, multistage_decode_batch
 from .mp_analysis import noise_n0, noise_sigma
+from .polar_codec import check_integer, check_power_of_two
 
 if TYPE_CHECKING:  # _pool imports the pool machinery when it makes a pool
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -57,7 +59,7 @@ class McsEntry:
     rate_x1024: float
 
     def __post_init__(self):
-        if self.m not in (2, 4, 6, 8):
+        if check_integer("m", self.m) not in (2, 4, 6, 8):
             raise ValueError(f"MCS {self.index}: modulation order {self.m} out of range")
         if not 0.0 < self.rate_x1024 < 1024.0:
             raise ValueError(f"MCS {self.index}: rate {self.rate_x1024}/1024 out of range")
@@ -98,9 +100,9 @@ class SimConfig:
     m, n, k      bits per symbol (1 or even), component block length N (a
                  power of two) and total information bits K in [0, mN]
                  (CRC included)
-    snr_grid_db  strictly increasing, finite Es/N0 points in dB (mean SNRs for
-                 fading), above about -2782 dB, where N0 overflows at a null
-                 fade; those above mp_analysis.SNR_CLIP_DB simulate as it
+    snr_grid_db  strictly increasing, finite real (not bool) Es/N0 points in dB
+                 (mean SNRs for fading), above about -2782 dB, where N0 overflows
+                 at a null fade; those above mp_analysis.SNR_CLIP_DB simulate as it
     list_size    SCL list size, a power of two
     max_blocks   frames per SNR point, at most 2^32 (frame_rng's frame index)
     max_errors   frame errors that end a BLER point early
@@ -132,12 +134,15 @@ class SimConfig:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.m != 1 and (self.m < 2 or self.m % 2):
             raise ValueError(f"m must be 1 or an even number >= 2, got {self.m}")
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two, got {self.n}")
+        check_power_of_two("n", self.n)
         if not 0 <= self.k <= self.m * self.n:
             raise ValueError(f"k must lie in [0, m n] = [0, {self.m * self.n}], "
                              f"got {self.k}")
-        grid = tuple(float(s) for s in self.snr_grid_db)
+        grid = tuple(self.snr_grid_db)  # a string's points are its characters
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in grid):
+            raise ValueError("SNR grid must be a sequence of real numbers, got "
+                             f"{self.snr_grid_db!r}")
+        grid = tuple(float(s) for s in grid)
         for s in grid:
             if not np.isfinite(s):
                 raise ValueError(f"SNR grid points must be finite, got {s}")
@@ -155,8 +160,7 @@ class SimConfig:
             raise ValueError("max_blocks above 2^32 overflows the frame index")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must lie in [0, 2^64)")
-        if self.list_size < 1 or self.list_size & (self.list_size - 1):
-            raise ValueError("list size must be a power of two")
+        check_power_of_two("list size", self.list_size)
         if not 0.0 < self.eps < 1.0:  # NaN fails too
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 
@@ -574,6 +578,11 @@ def _fading_batches(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     frames; the partial batches, at most one per entry whatever
     ``max_blocks``, go out at the end.
     """
+    if not mcs_table:
+        raise ValueError("the MCS table is empty")
+    for mcs in mcs_table:
+        if not (mcs.index in bler_lut and bler_lut[mcs.index].points):
+            raise ValueError(f"MCS {mcs.index}: the BLER table has no curve for it")
     total = cfg.max_blocks * len(cfg.snr_grid_db)
     limit = {mcs: 1 if cfg.method == "ga" else _batch_size(mcs.m, cfg.n, total)
              for mcs in mcs_table}
@@ -626,6 +635,8 @@ def run_throughput(cfg: SimConfig, mcs_table: tuple[McsEntry, ...],
     cfg.m, cfg.k and cfg.max_errors are not read (see SimConfig). Frames that
     picked the same rf1/rf2 construction decode as one batch across mean-SNR
     points (see ``_fading_batches``), on one pool of ``workers`` processes.
+    An empty table, or an entry without a LUT curve of at least one point,
+    is refused (ValueError) before the first frame.
     """
     t0 = time.perf_counter()
     delivered = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)

@@ -104,19 +104,18 @@ MUTANTS = (
     ("constellation.py", "part = part.imag if axis else part.real",
      "part = part.real if axis else part.imag",
      ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
-    ("constellation.py", "_axis_label_bits(np.asarray(prefix_labels), k - 1, axis)\n    rows",
-     "_axis_label_bits(np.asarray(prefix_labels), k - 1, 1 - axis)\n    rows",
+    ("mlc_system.py", "prefix[j] = (prefix[j] << 1)", "prefix[1 - j] = (prefix[1 - j] << 1)",
      ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
-    ("constellation.py", "t = _leaf_terms(np.take(rows, p, axis=0), part, noise_var)",
-     "t = np.nextafter(_leaf_terms(np.take(rows, p, axis=0), part, noise_var), 0.0)",
+    ("constellation.py", "t = _leaf_terms(np.take(rows, prefix, axis=0), part, noise_var)",
+     "t = np.nextafter(_leaf_terms(np.take(rows, prefix, axis=0), part, noise_var), 0.0)",
      ("tests/test_mlc_system.py::test_blocked_demap_matches_reference[4]",)),
-    # level_llr forms its LLR by the same subtree rule, from its packed prefix
+    # level_llr forms its LLR by the same subtree rule, from its axis's bits
     ("constellation.py", "part = part.imag if axis else part.real",
      "part = part.real if axis else part.imag",
      ("tests/test_constellation.py::test_level_llr_direct_sum",
       "tests/test_constellation.py::test_level_llr_sign_on_clean_symbol")),
-    ("constellation.py", "p = labels_from_bits(prefix, prefix.size)",
-     "p = labels_from_bits(prefix[::-1], prefix.size)",
+    ("constellation.py", "labels_from_bits(prefix[(k - 1) % 2::2], (k - 1) // 2)",
+     "labels_from_bits(prefix[k % 2::2], (k - 1) // 2)",
      ("tests/test_constellation.py::test_level_llr_direct_sum",)),
     # the decoder's survivor selection: a stable sort, the frozen rows' junk
     # children at +inf, and the real path count clamped at the list size
@@ -218,15 +217,15 @@ MUTANTS = (
     ("polar_codec.py", "rank = np.where(c < 2 * r, (c & 1) * r + (c >> 1), c)",
      "rank = np.where(c < 2 * r, c, c)",
      ("tests/test_polar_codec.py::test_mixed_row_blocks_match_per_block_reference",)),
-    # the odd level of a pair reads its prefix bits at the odd positions
-    ("mlc_system.py", "prefix[lo:lo + step] << j)", "prefix[lo:lo + step])",
+    # each level of a pair reads the prefix of its own axis
+    ("mlc_system.py", "prefix[j, lo:lo + step])", "prefix[1 - j, lo:lo + step])",
      ("tests/test_mlc_system.py::test_paired_levels_match_level_by_level_reference",)),
     # the decoder's CRC verdict is crc_check's
     ("polar_codec.py", "ok = _crc16_register(np.asarray(bits, dtype=np.int8)) == 0",
      "ok = _crc16_register(np.asarray(bits, dtype=np.int8)) != 0",
      ("tests/test_polar_codec.py::test_decoder_matches_frozen_reference",)),
     # a construction refuses a K that is not an integer, before any SNR solve
-    ("construction.py",
+    ("polar_codec.py",
      "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
      "if isinstance(value, bool):",
      ("tests/test_construction.py::test_rate_fill_refuses_a_k_that_is_not_an_integer",
@@ -237,6 +236,15 @@ MUTANTS = (
     ("constellation.py", "np.isin(prefix, (0, 1))",
      "np.isin(prefix.astype(np.int64) % 2, (0, 1))",
      ("tests/test_constellation.py::test_level_llr_refuses_a_prefix_that_is_not_bits",)),
+    # once the values left sum to zero, the fill gives the zero-value levels
+    # what remains, so no bit is left over
+    ("construction.py", "else remaining)", "else 0)",
+     ("tests/test_construction.py::test_rate_fill_cap_and_spill",
+      "tests/test_construction.py::test_rate_fill_matches_step_trace")),
+    # an SNR grid holds real numbers, not strings or bools
+    ("sim.py", "isinstance(s, numbers.Real) and not isinstance(s, bool)",
+     "not isinstance(s, bool)",
+     ("tests/test_sim.py::test_sim_config_validation",)),
 )
 
 

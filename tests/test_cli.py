@@ -268,7 +268,7 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
     (["construct", "--m", "3", "--n", "32", "--k", "40"],
      "square QAM needs even m"),
     (["construct", "--m", "4", "--n", "100", "--k", "40"],
-     "N=100 is not a power of two"),
+     "n must be a power of two, got 100"),
     (["bler", "--m", "2", "--n", "32", "--k", "24", "--snr-db", "1",
       "--out", "x.txt"], "must end in .csv or .json"),
     (["bler", "--m", "2", "--n", "32", "--snr-db", "1"], "bler needs k >= 1"),
@@ -307,10 +307,15 @@ def test_bler_rejects_bad_m_n_k_as_usage_error(capsys, flags, message):
     # the 5G sequence covers N <= 1024 and is not swapped for PW beyond
     (["construct", "--m", "2", "--n", "2048", "--rate", "0.5", "--seq", "5g"],
      "N=2048 exceeds sequence coverage 1024"),
+    # a config file's string grid, which simulated 3 and 7 dB
+    (["bler", "--config", "{cfg}", "--m", "2", "--n", "16", "--k", "10"],
+     "SNR grid must be a sequence of real numbers, got '37'"),
 ))
-def test_bad_input_is_a_usage_error(capsys, argv, message):
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr_grid_db": "37"}))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([a.format(cfg=cfg) for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: mlcpcm {argv[0]}") and message in err

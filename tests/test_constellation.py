@@ -224,7 +224,10 @@ def test_subtree_llr_is_the_tables_llr(m):
         tabs = demap_tables(c, y, nv)
         for k in range(1, m + 1):
             prefix = rng.integers(0, 2 ** (k - 1), (f, n))
-            got = subtree_llr(c, y, nv, k, prefix)
+            # subtree_llr takes the bits of level k's axis alone
+            axis_bits = bits_from_labels(prefix, k - 1)[..., (k - 1) % 2::2]
+            got = subtree_llr(c, y, nv, k,
+                              labels_from_bits(axis_bits, axis_bits.shape[-1]))
             want = level_llr_from_tables(tabs, k, prefix)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (nv, k)
 

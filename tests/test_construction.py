@@ -43,7 +43,8 @@ DATA = Path(__file__).parent / "data"
 def _rate_fill_oracle(values, k_total, n):
     # plain-python re-execution of the progressive fill: descending values
     # (smaller index first on ties), ceil of the proportional share of the
-    # remaining bits at each step, cap at N, spill any leftover in order
+    # remaining bits at each step, cap at N, spill any leftover in order;
+    # returns the counts and whether the spill ran
     m = len(values)
     order = sorted(range(m), key=lambda i: (-values[i], i))
     counts = [0] * m
@@ -56,6 +57,7 @@ def _rate_fill_oracle(values, k_total, n):
         share = min(share, n, remaining)
         counts[lvl] = share
         remaining -= share
+    spilled = remaining > 0
     for lvl in order:
         if not remaining:
             break
@@ -63,7 +65,7 @@ def _rate_fill_oracle(values, k_total, n):
         counts[lvl] += add
         remaining -= add
     assert remaining == 0
-    return counts
+    return counts, spilled
 
 
 # ---------------------------------------------------------------- sequences
@@ -192,20 +194,33 @@ def test_rate_fill_refuses_a_k_that_is_not_an_integer():
 
 
 def test_rate_fill_matches_step_trace():
+    # the one-pass fill against the two-phase oracle on uniform values and on
+    # values spread over 16 decades, with zero tails and ties, at any K and
+    # at K near mN; at least a fifth of the draws must run the oracle's spill
     rng = np.random.default_rng(42)
-    for trial in range(200):
+    draws, spills = 600, 0
+    for trial in range(draws):
         m = int(rng.integers(1, 9))
         n = int(2 ** rng.integers(2, 9))
-        v = rng.uniform(0.0, 1.0, m)
+        if trial % 2:
+            v = rng.uniform(0.0, 1.0, m)
+        else:
+            v = 10.0 ** rng.uniform(-16.0, 0.0, m)
         v[rng.random(m) < 0.25] = 0.0
         if trial % 3 == 0 and m > 1:  # force exact ties
             v[: m // 2 + 1] = v[0]
         if not np.any(v > 0):
             v[int(rng.integers(m))] = 0.5
-        k = int(rng.integers(0, m * n + 1))
+        if trial % 4 < 2:
+            k = int(rng.integers(0, m * n + 1))
+        else:
+            k = m * n - int(rng.integers(0, n + 1))
         counts = rate_fill(v, k, n)
-        assert list(counts) == _rate_fill_oracle(list(v), k, n)
+        want, spilled = _rate_fill_oracle(list(v), k, n)
+        assert list(counts) == want
         assert counts.dtype == np.int64 and int(counts.sum()) == k
+        spills += spilled
+    assert spills >= draws // 5, spills
 
 
 def test_rate_fill_breaks_ties_to_the_smaller_level():

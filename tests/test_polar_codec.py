@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlcpcm.construction import construct_rf1, construct_rf2, five_g_sequence
+from mlcpcm.constellation import build_constellation, build_qam
+from mlcpcm.construction import (construct_ga, construct_rf1, construct_rf2,
+                                 default_sequence, five_g_sequence, ga_evolve,
+                                 pw_sequence, rate_fill)
 from mlcpcm.polar_codec import (
     _BLOCK,
     CRC_LEN,
@@ -19,6 +22,7 @@ from mlcpcm.polar_codec import (
     polar_encode,
     scl_decode_batch,
 )
+from mlcpcm.sim import McsEntry, SimConfig
 from scl_reference import _boxplus as reference_boxplus
 from scl_reference import _crc16_register as reference_crc16_register
 from scl_reference import scl_decode_batch as reference_scl_decode_batch
@@ -111,6 +115,54 @@ def test_component_code_validation():
             ComponentCode(n=4, info_set=info)
     code = ComponentCode(n=4, info_set=np.array([1, 3], dtype=np.uint8))
     assert code.info_set.dtype == np.int64 and ComponentCode(n=4, info_set=[]).k == 0
+
+
+def test_every_size_is_an_integer_and_n_and_list_size_powers_of_two():
+    # floats, bools, numpy integers and non-powers of two at every public
+    # entry that takes N, m, a list size or a row count: a float N or list
+    # size failed on '&', N = True built N = 1 and a row count of 1.5 was
+    # truncated to 1
+    rng = np.random.default_rng(32)
+    c, seq, code = build_qam(4), five_g_sequence(), _make_code(16, 8, 0)
+
+    def config(**kw):
+        return SimConfig(**dict(dict(method="rf2", m=2, n=16, k=8,
+                                     snr_grid_db=(1.0,)), **kw))
+
+    powers = (  # (name, sizes, calls): sizes that must be powers of two
+        ("n", (16, 32), (lambda n: construct_rf1(4, 16, n),
+                         lambda n: construct_rf2(4, 16, n),
+                         lambda n: construct_ga(c, 16, n, 5.0),
+                         lambda n: ga_evolve(2.0, n), pw_sequence,
+                         default_sequence, seq.restrict,
+                         lambda n: ComponentCode(n, np.arange(1)),
+                         lambda n: config(n=n))),
+        ("list.size", (1, 2, 4, 8), (
+            lambda size: scl_decode_batch(np.ones((2, 16)), code, size),
+            lambda size: config(list_size=size))))
+    integers = (  # (name, sizes, calls): sizes that must be integers
+        ("m", (2, 4, 6), (build_constellation, build_qam,
+                          lambda m: construct_rf2(m, 16, 16),
+                          lambda m: config(m=m), lambda m: McsEntry(0, m, 512))),
+        ("rows", (0, 2, 3), (lambda r: RowBlocks((code,), (r,)),)),
+        ("n", (5, 12, 16), (lambda n: rate_fill(np.array([0.5, 0.3]), 10, n),)))
+    for power, groups in ((True, powers), (False, integers)):
+        for name, sizes, calls in groups:
+            for call in calls:
+                size = int(rng.choice(sizes))
+                call(size)
+                call(np.int64(size))
+                for bad in (float(size), size + 0.5, np.float64(size), True):
+                    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                        call(bad)
+                odd = 3 + 2 * int(rng.integers(0, 30))  # odd * size: no power
+                for bad in (0, -size, odd * size) if power else ():
+                    with pytest.raises(ValueError,
+                                       match=f"{name} must be a power of two, got {bad}"):
+                        call(bad)
+    assert type(RowBlocks((code,), (np.int64(3),)).rows[0]) is int
+    with pytest.raises(ValueError, match="length must be a power of two, got 12"):
+        polar_encode(np.zeros((2, 12), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("row", (

@@ -139,6 +139,14 @@ def test_sim_config_validation():
     cfg = _small_cfg(m=np.int64(2), n=np.int32(32), seed=np.uint64(2**64 - 1))
     assert (type(cfg.m), type(cfg.n), type(cfg.seed)) == (int, int, int)
     assert cfg.seed == 2**64 - 1
+    # a string grid is no grid of its characters ("37" simulated 3 and 7 dB),
+    # and every point is a real number, not a bool
+    for grid in ("37", (True, 2.0), (1.0, np.bool_(True)), ("3",), (1.0, None), (1j,)):
+        with pytest.raises(ValueError, match="SNR grid must be a sequence of real numbers"):
+            _small_cfg(snr_grid_db=grid)
+    cfg = _small_cfg(snr_grid_db=[np.float32(1.5), 2, np.int64(3)])
+    assert cfg.snr_grid_db == (1.5, 2.0, 3.0)
+    assert all(type(s) is float for s in cfg.snr_grid_db)
 
 
 # ----------------------------------------------------------------- channels
@@ -910,6 +918,28 @@ def test_throughput_reproducible():
     echo = curve.config
     assert not {"m", "k", "max_errors"} & set(echo)
     assert echo["max_blocks"] == 80 and echo["seed"] == 6
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_run_throughput_refuses_a_table_its_lut_cannot_serve(monkeypatch, workers):
+    # a missing entry raised KeyError(1), an empty table "min() arg is an
+    # empty sequence" and an empty curve "array of sample points is empty"
+    def no_frame(*args):
+        raise AssertionError("a frame was simulated")
+
+    monkeypatch.setattr(sim, "frame_rng", no_frame)
+    table = _tiny_table()
+    curve = SimCurve(metric="bler", points=[
+        SimPoint(snr_db=0.0, value=0.5, blocks=100, errors=50),
+        SimPoint(snr_db=4.0, value=0.01, blocks=100, errors=1)])
+    cfg = _small_cfg(snr_grid_db=(6.0,), max_blocks=4)
+    cases = (({0: curve, 2: curve}, table, "MCS 1: the BLER table has no curve"),
+             ({0: curve, 1: curve, 2: SimCurve(metric="bler")}, table,
+              "MCS 2: the BLER table has no curve"),
+             ({0: curve}, (), "the MCS table is empty"))
+    for lut, entries, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_throughput(cfg, entries, lut, workers=workers)
 
 
 def _scheduler_lut(table):
